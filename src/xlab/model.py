@@ -11,14 +11,28 @@ anchor slice plus one slice per language block). When given, every reduction
 over the vocabulary axis is computed per block and combined in a value-sorted
 order, which makes training bit-exactly equivariant under permutations of
 clone roles; see :func:`grouped_vocab_reduce`.
+
+Dtype contract: a model computes in ``config.dtype`` end to end. Parameters,
+hidden states, layer caches, logits, ``softmax_xent`` outputs and every
+gradient of :func:`loss_and_grads` are in that dtype; scalar constants are
+Python floats so that NumPy's promotion rules (NEP 50) never widen float32
+work. Float64 is used on purpose in three places only:
+
+* :func:`grouped_sumsq`, the sum of squares behind the gradient-clipping norm;
+* the log-softmax of :func:`sequence_logprobs` and of
+  ``evaluator._batched_window_logprobs``;
+* the evaluator's ``fsum`` of the negative log-likelihood.
+
+Checkpoints store every tensor in its own dtype, so a resumed run matches the
+uninterrupted one bit for bit in float32 and in float64.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +41,7 @@ import numpy as np
 from .util import json_digest
 
 CHECKPOINT_MAGIC = b"XLCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 LN_EPS = 1e-5
 
 # one anchor slice + one slice per language over the final id space
@@ -302,11 +316,13 @@ def _layer_norm_backward(dy, cache, gain):
     return dx, dgain, doffset
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+# Python floats, not NumPy scalars: under NEP 50 a Python float takes the
+# array's dtype, where an np.float64 would promote float32 work to float64.
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def _gelu(x):
-    u = _GELU_C * (x + 0.044715 * x**3)
+    u = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(u)
     return 0.5 * x * (1.0 + t), t
 
@@ -341,7 +357,7 @@ def _forward_core(state: ModelState, ids: np.ndarray, keep_cache: bool):
     x = p["token_embedding"][ids2] + p["position_embedding"][:t]
     hiddens = [x]
     mask = np.triu(np.full((t, t), -np.inf, dtype=x.dtype), k=1)
-    scale = 1.0 / np.sqrt(c.d_model // c.n_heads)
+    scale = 1.0 / math.sqrt(c.d_model // c.n_heads)  # Python float: see _GELU_C
     caches = []
     for i in range(c.n_layers):
         pre = f"layers.{i}."
@@ -493,7 +509,9 @@ def loss_and_grads(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: header JSON + named float32 little-endian tensors
+# Checkpoints: magic, version, header JSON, then the named tensors, each in
+# its own dtype, little-endian. The header records every tensor's name, shape
+# and dtype, and the SHA-256 of the payload.
 
 
 def save_checkpoint(
@@ -504,56 +522,94 @@ def save_checkpoint(
     opt_tensors: dict[str, np.ndarray] | None = None,
     extra: dict | None = None,
 ) -> None:
+    """Write the parameters, then the optimizer tensors, so that
+    load_checkpoint returns them bit for bit and in the same dtypes."""
     names = param_order(state.config)
     tensors = [(n, state.params[n]) for n in names]
     if opt_tensors:
         tensors += [(n, opt_tensors[n]) for n in sorted(opt_tensors)]
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for _, a in tensors)
+    arrays = [np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")) for _, a in tensors]
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a)
     header = {
         "config": state.config.to_dict(),
         "config_digest": json_digest(state.config.to_dict()),
         "step": step,
         "rng_state": rng_state,
         "extra": extra or {},
-        "tensors": [[n, list(a.shape)] for n, a in tensors],
+        "tensors": [[n, list(a.shape), a.dtype.str] for (n, _), a in zip(tensors, arrays)],
         "n_params": len(names),
-        "payload_crc32": zlib.crc32(payload),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": digest.hexdigest(),
     }
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<BI", CHECKPOINT_VERSION, len(raw)))
         f.write(raw)
-        f.write(payload)
+        for a in arrays:
+            f.write(a)
+
+
+_HEADER_FIELDS = ("config", "n_params", "payload_sha256", "step", "tensors")
+
+
+def _parse_header(raw: bytes, path) -> tuple[dict, ModelConfig, list, int]:
+    """Decode and validate a checkpoint header; returns (header, config,
+    [(name, shape, dtype)], n_params). The first n_params entries must be
+    the config's parameters, in order and in the config's dtype."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as e:
+        raise CheckpointError(f"{path}: corrupt checkpoint header") from e
+    missing = [k for k in _HEADER_FIELDS if not isinstance(header, dict) or k not in header]
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    try:
+        config = ModelConfig.from_dict(header["config"])
+        specs = [(str(n), tuple(int(d) for d in shape), np.dtype(dt))
+                 for n, shape, dt in header["tensors"]]
+        n_params = int(header["n_params"])
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad checkpoint header ({e})") from e
+    shapes = _param_shapes(config)
+    expected = [(n, shapes[n], config.np_dtype) for n in param_order(config)]
+    if specs[:n_params] != expected:
+        raise CheckpointError(f"{path}: parameter tensors do not match the model config")
+    for name, shape, dt in specs[n_params:]:
+        if dt.kind != "f" or min(shape, default=0) < 0:
+            raise CheckpointError(f"{path}: tensor {name} has bad shape or dtype")
+    return header, config, specs, n_params
 
 
 def load_checkpoint(path: str | Path):
-    """Returns (state, step, rng_state, opt_tensors, extra). Refuses to load
-    anything on magic/digest mismatch."""
+    """Returns (state, step, rng_state, opt_tensors, extra), every tensor in
+    the dtype it was saved in. Raises CheckpointError, and loads nothing, on a
+    bad magic, version, header or payload digest."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad checkpoint magic {magic!r}")
-        version, hlen = struct.unpack("<BI", f.read(5))
+        prefix = f.read(5)
+        if len(prefix) != 5:
+            raise CheckpointError(f"{path}: truncated checkpoint header")
+        version, hlen = struct.unpack("<BI", prefix)
         if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        try:
-            header = json.loads(f.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointError(f"{path}: corrupt checkpoint header") from e
-        payload = f.read()
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-        raise CheckpointError(f"{path}: checkpoint payload digest mismatch")
-    config = ModelConfig.from_dict(header["config"])
-    tensors: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in header["tensors"]:
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        tensors[name] = arr.reshape(shape).astype(np.float32)
-        offset += 4 * count
-    names = [n for n, _ in header["tensors"][: header["n_params"]]]
-    state = ModelState(config=config, params={n: tensors[n] for n in names})
-    opt = {n: tensors[n] for n, _ in header["tensors"][header["n_params"]:]}
+            raise CheckpointError(
+                f"{path}: unsupported checkpoint version {version} "
+                f"(this xlab reads version {CHECKPOINT_VERSION})"
+            )
+        header, config, specs, n_params = _parse_header(f.read(hlen), path)
+        digest = hashlib.sha256()
+        tensors: dict[str, np.ndarray] = {}
+        for name, shape, dt in specs:
+            buf = bytearray(dt.itemsize * math.prod(shape))
+            if f.readinto(buf) != len(buf):
+                raise CheckpointError(f"{path}: checkpoint payload truncated at {name}")
+            digest.update(buf)
+            tensors[name] = np.frombuffer(buf, dtype=dt).reshape(shape)
+        if f.read(1) or digest.hexdigest() != header["payload_sha256"]:
+            raise CheckpointError(f"{path}: checkpoint payload digest mismatch")
+    state = ModelState(config=config, params={n: tensors[n] for n, _, _ in specs[:n_params]})
+    opt = {n: tensors[n] for n, _, _ in specs[n_params:]}
     return state, header["step"], header.get("rng_state"), opt, header.get("extra", {})

@@ -311,9 +311,7 @@ def train(
                 f"checkpoint {resume_from} was produced by a different run config "
                 f"({extra.get('run_digest')} != {digest}); refusing to resume"
             )
-        state.params = {
-            k: v.astype(state.config.np_dtype) for k, v in ck_state.params.items()
-        }
+        state.params = ck_state.params  # in the config dtype, checked by the loader
         adam.restore(opt, t=extra["adam_t"])
         source.restore(extra["source"])
         record = RunRecord.from_dict(extra["record"])
@@ -345,6 +343,11 @@ def train(
 
     for step in range(start_step, config.total_steps):
         ids, targets, tags = source.next_batch(step, config.total_steps)
+        if ids.shape[1] != config.seq_len:
+            raise ValueError(
+                f"batch width {ids.shape[1]} at step {step} differs from "
+                f"TrainConfig.seq_len {config.seq_len}"
+            )
         try:
             loss, grads = loss_and_grads(state, ids, targets, vocab_groups)
         except FloatingPointError as e:
@@ -358,12 +361,14 @@ def train(
         record.steps = step + 1
         step_counts = [0] * record.n_languages
         for tag in tags:
-            step_counts[int(tag)] += config.seq_len
+            step_counts[int(tag)] += ids.shape[1]
         record.step_lang_tokens.append(step_counts)
         for i, c in enumerate(step_counts):
             record.lang_token_counts[i] += c
         steps_done = step + 1
-        if out is not None and config.checkpoint_every and steps_done % config.checkpoint_every == 0:
+        # the last step's checkpoint is written after the loop, once
+        if (out is not None and config.checkpoint_every and steps_done < config.total_steps
+                and steps_done % config.checkpoint_every == 0):
             last_ckpt = write_checkpoint(steps_done)
         for at, fn in hooks:
             if at == steps_done:

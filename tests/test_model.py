@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -112,6 +114,66 @@ def test_forward_matches_cleanroom_oracle_deeper_untied():
                     max_seq_len=8, tie_embeddings=False, seed=11)
     ids = np.random.default_rng(8).integers(0, 17, size=8)
     assert np.max(np.abs(model.forward(st, ids).logits - cleanroom_forward(st, ids))) < 1e-10
+
+
+def test_forward_float32_matches_cleanroom_oracle():
+    # float32 rounding of logits of order 0.1 through 2 layers: 1e-4 absolute
+    # is ~100x the expected error and far below any formula mistake
+    st = make_model(n_layers=2, d_model=12, n_heads=3, d_ff=20, vocab_size=17,
+                    max_seq_len=8, dtype="float32", seed=12)
+    ids = np.random.default_rng(9).integers(0, 17, size=8)
+    got = model.forward(st, ids).logits
+    assert got.dtype == np.float32
+    assert np.max(np.abs(got - cleanroom_forward(st, ids))) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Dtype contract: a model computes in config.dtype end to end
+
+
+def _arrays(obj):
+    """Every ndarray inside nested dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _arrays(v)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_forward_dtype_contract(dtype):
+    st = make_model(n_layers=2, d_model=16, n_heads=2, d_ff=24, dtype=dtype, seed=4)
+    ids = np.random.default_rng(0).integers(0, 23, size=(2, 7))
+    trace = model.forward(st, ids)
+    assert trace.logits.dtype == dtype
+    assert [h.dtype for h in trace.hidden_states] == [np.dtype(dtype)] * 3
+    cache = model._forward_core(st, ids, keep_cache=True)
+    assert len(cache["layer_caches"]) == 2
+    floats = [a for a in _arrays(cache) if a.dtype.kind == "f"]
+    assert len(floats) > 2 * 13
+    assert all(a.dtype == dtype for a in floats), sorted({str(a.dtype) for a in floats})
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_gradient_dtype_contract(dtype, grouped):
+    groups = (slice(0, 3), [slice(3, 13), slice(13, 23)]) if grouped else None
+    for tie in (True, False):
+        st = make_model(n_layers=2, d_model=16, n_heads=2, d_ff=24, dtype=dtype,
+                        tie_embeddings=tie, seed=6)
+        rng = np.random.default_rng(1)
+        ids, targets = rng.integers(0, 23, size=(2, 2, 7))
+        loss, grads = model.loss_and_grads(st, ids, targets, vocab_groups=groups)
+        assert np.isfinite(loss)
+        assert grads.keys() == st.params.keys()
+        for name, g in grads.items():
+            assert g.dtype == dtype, name
+        logits = model.forward(st, ids).logits.reshape(-1, 23)
+        _, dlogits, logp = model.softmax_xent(logits, targets.reshape(-1), groups)
+        assert dlogits.dtype == dtype and logp.dtype == dtype
 
 
 def test_hidden_state_count_and_finiteness():
@@ -263,4 +325,82 @@ def test_checkpoint_corruption_detected(tmp_path):
     raw[-3] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(model.CheckpointError, match="digest"):
+        model.load_checkpoint(path)
+
+
+def _write_raw_checkpoint(path, header: dict, payload: bytes):
+    raw = json.dumps(header).encode("utf-8")
+    prefix = struct.pack("<BI", model.CHECKPOINT_VERSION, len(raw))
+    path.write_bytes(model.CHECKPOINT_MAGIC + prefix + raw + payload)
+
+
+def _read_header(path) -> tuple[dict, int]:
+    """(header, payload offset) of a checkpoint file."""
+    raw = path.read_bytes()
+    _, hlen = struct.unpack("<BI", raw[4:9])
+    return json.loads(raw[9 : 9 + hlen]), 9 + hlen
+
+
+def test_checkpoint_float64_roundtrip_keeps_dtype_and_bits(tmp_path):
+    st = make_model(dtype="float64", seed=22)
+    opt = {"adam_v.x": np.random.default_rng(0).standard_normal(5)}
+    model.save_checkpoint(tmp_path / "c.xlck", st, step=1, opt_tensors=opt)
+    st2, _, _, opt2, _ = model.load_checkpoint(tmp_path / "c.xlck")
+    for k in st.params:
+        assert st2.params[k].dtype == np.float64
+        assert np.array_equal(st.params[k], st2.params[k]), k
+    assert opt2["adam_v.x"].dtype == np.float64
+    assert np.array_equal(opt2["adam_v.x"], opt["adam_v.x"])
+
+
+def test_checkpoint_float32_payload_is_four_bytes_per_value(tmp_path):
+    st = make_model(dtype="float32", seed=3)
+    opt = {"adam_m.x": np.ones(7, dtype=np.float32)}
+    path = tmp_path / "c.xlck"
+    model.save_checkpoint(path, st, step=0, opt_tensors=opt)
+    header, offset = _read_header(path)
+    n_values = sum(a.size for a in st.params.values()) + 7
+    assert path.stat().st_size - offset == 4 * n_values
+    assert {dt for _, _, dt in header["tensors"]} == {"<f4"}
+    assert "payload_crc32" not in header
+
+
+def test_checkpoint_rejects_version_1(tmp_path):
+    st = make_model(dtype="float32")
+    path = tmp_path / "c.xlck"
+    model.save_checkpoint(path, st, step=0)
+    raw = bytearray(path.read_bytes())
+    raw[4] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(model.CheckpointError, match="version 1"):
+        model.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["tensors", "payload_sha256", "n_params", "step", "config"])
+def test_checkpoint_header_missing_field_is_checkpoint_error(tmp_path, field):
+    st = make_model(dtype="float32")
+    path = tmp_path / "c.xlck"
+    model.save_checkpoint(path, st, step=0)
+    header, offset = _read_header(path)
+    del header[field]
+    _write_raw_checkpoint(path, header, path.read_bytes()[offset:])
+    with pytest.raises(model.CheckpointError, match=field):
+        model.load_checkpoint(path)
+
+
+def test_checkpoint_truncated_or_mismatched_is_checkpoint_error(tmp_path):
+    st = make_model(dtype="float32")
+    path = tmp_path / "c.xlck"
+    model.save_checkpoint(path, st, step=0)
+    header, offset = _read_header(path)
+    payload = path.read_bytes()[offset:]
+    _write_raw_checkpoint(path, header, payload[:-4])
+    with pytest.raises(model.CheckpointError, match="truncated"):
+        model.load_checkpoint(path)
+    _write_raw_checkpoint(path, header, payload + b"\0")
+    with pytest.raises(model.CheckpointError, match="digest"):
+        model.load_checkpoint(path)
+    header["tensors"][0][2] = "<f8"  # parameter dtype differs from the config's
+    _write_raw_checkpoint(path, header, payload)
+    with pytest.raises(model.CheckpointError, match="do not match"):
         model.load_checkpoint(path)

@@ -109,6 +109,54 @@ def test_resume_bit_identical(tmp_path):
         assert np.array_equal(st_full.params[k], st_b.params[k]), k
 
 
+def test_resume_bit_identical_float64(tmp_path):
+    cfg = trainer.TrainConfig(total_steps=20, batch_size=4, seq_len=16,
+                              warmup_steps=4, seed=3, lr_max=3e-3, lr_min=3e-4,
+                              checkpoint_every=10)
+    st_full, src_full, _, _ = small_setup(seed=3, batch_size=4, dtype="float64")
+    st_full, rec_full = trainer.train(st_full, src_full, cfg, out_dir=tmp_path / "full")
+    ckpt = tmp_path / "full" / "checkpoint_0000010.xlck"
+
+    st_b, src_b, _, _ = small_setup(seed=3, batch_size=4, dtype="float64")
+    st_b, rec_b = trainer.train(st_b, src_b, cfg, resume_from=ckpt,
+                                out_dir=tmp_path / "resumed")
+    assert rec_b.losses == rec_full.losses
+    for k in st_full.params:
+        assert st_b.params[k].dtype == np.float64
+        assert np.array_equal(st_full.params[k], st_b.params[k]), k
+
+
+@pytest.mark.parametrize("total_steps,written", [(6, [3, 6]), (7, [3, 6, 7]), (2, [2])])
+def test_each_checkpoint_written_once(tmp_path, monkeypatch, total_steps, written):
+    steps = []
+    save = trainer.save_checkpoint
+
+    def counting_save(path, state, step, **kwargs):
+        steps.append(step)
+        save(path, state, step, **kwargs)
+
+    monkeypatch.setattr(trainer, "save_checkpoint", counting_save)
+    cfg = trainer.TrainConfig(total_steps=total_steps, batch_size=4, seq_len=16,
+                              warmup_steps=1, seed=2, checkpoint_every=3)
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    trainer.train(st, src, cfg, out_dir=tmp_path)
+    assert steps == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"checkpoint_{s:07d}.xlck" for s in written
+    ]
+
+
+def test_batch_width_must_match_seq_len():
+    st, _, cv, _ = small_setup(seq_len=8, seed=1)
+    stream, _ = markov_stream(500, 10, seed=1)
+    policy = mixer.MixPolicy(stages=((1.0, np.array([1.0])),))
+    source = trainer.ClonedMixtureSource(mixer.StreamCursor(stream, seq_len=6), cv,
+                                         policy, batch_size=4, seed=1)
+    cfg = trainer.TrainConfig(total_steps=3, batch_size=4, seq_len=8, warmup_steps=1)
+    with pytest.raises(ValueError, match=r"width 6 .*seq_len 8"):
+        trainer.train(st, source, cfg)
+
+
 def test_resume_refuses_config_mismatch(tmp_path):
     cfg = trainer.TrainConfig(total_steps=30, batch_size=4, seq_len=16,
                               warmup_steps=5, seed=2, checkpoint_every=30)
