@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .model import ModelState, forward, group_of, loss_and_grads
-from .tokenizer import ClonedVocabulary
+from .tokenizer import IdLayout
 
 logger = logging.getLogger(__name__)
 
@@ -72,7 +72,7 @@ class EmbeddingSimilarity:
 
 def embedding_similarity(
     state: ModelState,
-    cv: ClonedVocabulary,
+    cv: IdLayout,
     freq: np.ndarray | None = None,
     n_baseline_pairs: int | None = None,
     seed: int = 0,
@@ -90,7 +90,7 @@ def embedding_similarity(
     cos_all, buckets = [], {}
     for n in range(cv.n_languages):
         for m in range(n + 1, cv.n_languages):
-            cos = _cosine_rows(emb[cv.lut[n, dup]], emb[cv.lut[m, dup]])
+            cos = _cosine_rows(emb[cv.luts[n][dup]], emb[cv.luts[m][dup]])
             cos_all.append(cos)
             if freq is not None:
                 decades = np.floor(np.log10(np.maximum(np.asarray(freq)[dup], 1))).astype(int)
@@ -99,7 +99,7 @@ def embedding_similarity(
     cos_all = np.concatenate(cos_all)
     n_pairs = len(cos_all)
 
-    pool = np.concatenate([cv.lut[n, dup] for n in range(cv.n_languages)])
+    pool = np.concatenate([cv.luts[n][dup] for n in range(cv.n_languages)])
     rng = np.random.default_rng(seed)
     k = n_baseline_pairs if n_baseline_pairs is not None else n_pairs
     left = pool[rng.integers(0, len(pool), size=k)]
@@ -140,7 +140,7 @@ class ParallelPair:
         if self.mode == "cloned" and len(self.seq_a) != len(self.seq_b):
             raise AlignmentError("cloned parallel pairs must have equal lengths")
 
-    def validate_cloned(self, cv: ClonedVocabulary) -> None:
+    def validate_cloned(self, cv: IdLayout) -> None:
         if not np.array_equal(cv.to_base(self.seq_a), cv.to_base(self.seq_b)):
             raise AlignmentError("cloned pair is not base-equivalent position by position")
 

@@ -172,11 +172,18 @@ def read_token_stream(path: str | Path) -> TokenStream:
         magic = f.read(4)
         if magic != STREAM_MAGIC:
             raise CorpusError(f"{path}: bad magic {magic!r}, expected {STREAM_MAGIC!r}")
-        (version,) = struct.unpack("<B", f.read(1))
+        (version,) = struct.unpack("<B", _read_exact(f, 1, path))
         if version != STREAM_VERSION:
             raise CorpusError(f"{path}: unsupported stream version {version}")
-        digest = f.read(32).hex()
-        n_ids, n_bounds = struct.unpack("<QQ", f.read(16))
-        ids = np.frombuffer(f.read(4 * n_ids), dtype="<u4").astype(np.uint32)
-        bounds = np.frombuffer(f.read(8 * n_bounds), dtype="<u8").astype(np.uint64)
+        digest = _read_exact(f, 32, path).hex()
+        n_ids, n_bounds = struct.unpack("<QQ", _read_exact(f, 16, path))
+        ids = np.frombuffer(_read_exact(f, 4 * n_ids, path), dtype="<u4").astype(np.uint32)
+        bounds = np.frombuffer(_read_exact(f, 8 * n_bounds, path), dtype="<u8").astype(np.uint64)
     return TokenStream(ids=ids, doc_boundaries=bounds, vocab_digest=digest)
+
+
+def _read_exact(f, n: int, path) -> bytes:
+    raw = f.read(n)
+    if len(raw) != n:
+        raise CorpusError(f"{path}: truncated token stream ({len(raw)} of {n} bytes read)")
+    return raw

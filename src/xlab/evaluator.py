@@ -10,22 +10,26 @@ the window layout is:
   and scores exactly the not-yet-scored targets (their context is therefore
   at least ``window - stride`` tokens).
 
-Every predictable token of every document is scored exactly once, and the
-total negative log-likelihood is accumulated with exact (fsum) 64-bit
+Windows are scored in stacks of equal length by
+:func:`xlab.model.sequence_logprobs`, whose log-softmax is float64. Every
+predictable token of every document is scored exactly once, and the total
+negative log-likelihood is accumulated with exact (fsum) 64-bit
 summation, so the perplexity is invariant under document order permutation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import TokenStream
-from .mixer import JointIdSpace
-from .model import ModelState, forward
-from .tokenizer import ClonedVocabulary
+# perfbench/drive.py traces ``evaluator.forward`` by name; the windows reach
+# ``forward`` through ``sequence_logprobs``, so it is imported but not called
+from .model import ModelState, forward, sequence_logprobs  # noqa: F401
+from .tokenizer import IdLayout
 
 
 class EvalError(ValueError):
@@ -40,19 +44,14 @@ class EvalResult:
     stride: int
 
     def to_dict(self) -> dict:
-        return {
-            "ppl": self.ppl,
-            "tokens_scored": self.tokens_scored,
-            "window": self.window,
-            "stride": self.stride,
-        }
+        return asdict(self)
 
 
 def window_spans(n: int, window: int, stride: int) -> list[tuple[int, int, int]]:
     """(window_start, first_scored_target, scored_end) spans for a document of
     n tokens; target p means predicting token p from tokens [start, p)."""
-    if stride > window:
-        raise EvalError(f"stride {stride} exceeds window {window}")
+    if not 1 <= stride <= window:
+        raise EvalError(f"stride {stride} must be in [1, window {window}]")
     if n < 2:
         return []
     if n <= window:
@@ -67,20 +66,6 @@ def window_spans(n: int, window: int, stride: int) -> list[tuple[int, int, int]]
     return spans
 
 
-def _batched_window_logprobs(state: ModelState, windows: np.ndarray) -> np.ndarray:
-    """Next-token log-probs for a (k, w) stack of equal-length windows;
-    returns (k, w-1) in float64."""
-    trace = forward(state, windows)
-    logits = trace.logits.astype(np.float64)
-    m = logits.max(axis=-1, keepdims=True)
-    lse = m[..., 0] + np.log(np.exp(logits - m).sum(axis=-1))
-    k, w = windows.shape
-    rows = np.arange(w - 1)
-    targets = windows[:, 1:].astype(np.int64)
-    picked = logits[np.arange(k)[:, None], rows[None, :], targets]
-    return picked - lse[:, :-1]
-
-
 def sliding_logprobs(
     state: ModelState,
     doc_ids: np.ndarray,
@@ -93,6 +78,10 @@ def sliding_logprobs(
     Returns (target_positions, logprobs); position p is the index of the
     scored token within the document. Each predictable token appears once.
     """
+    if window > state.config.max_seq_len:
+        raise EvalError(
+            f"window {window} exceeds the model's max_seq_len {state.config.max_seq_len}"
+        )
     ids = np.asarray(doc_ids, dtype=np.int64)
     spans = window_spans(len(ids), window, stride)
     positions: list[np.ndarray] = []
@@ -101,7 +90,7 @@ def sliding_logprobs(
         chunk = spans[i : i + batch_windows]
         length = min(window, len(ids))
         stack = np.stack([ids[ws : ws + length] for ws, _, _ in chunk])
-        lp = _batched_window_logprobs(state, stack)
+        lp = sequence_logprobs(state, stack)
         for row, (ws, first, end) in zip(lp, chunk):
             positions.append(np.arange(first, end))
             values.append(row[first - ws - 1 : end - ws - 1])
@@ -134,35 +123,26 @@ def sliding_ppl(
 
 def per_language_eval(
     state: ModelState,
-    layout: ClonedVocabulary | JointIdSpace,
-    test,
+    layout: IdLayout,
+    test: TokenStream | Sequence[TokenStream],
     window: int = 512,
     stride: int = 128,
 ) -> dict[int, EvalResult]:
     """Per-language test perplexity.
 
-    Cloned mode (layout is a ClonedVocabulary, test is one base-id stream):
-    the whole test stream is encoded once per language, valid because clones
-    are exact equivalents. Real mode (layout is a JointIdSpace, test is one
-    stream per language): each language is evaluated on its own stream,
-    remapped into the joint id space.
+    ``test`` is one stream of base ids, scored once in every language of a
+    clone layout (valid because clones are exact equivalents), or one stream
+    per language, each scored in its own language's ids.
     """
+    streams = [test] * layout.n_languages if isinstance(test, TokenStream) else list(test)
+    if len(streams) != layout.n_languages:
+        raise EvalError(f"{len(streams)} test streams for {layout.n_languages} languages")
     results: dict[int, EvalResult] = {}
-    if isinstance(layout, ClonedVocabulary):
-        stream: TokenStream = test
-        for n in range(layout.n_languages):
-            remapped = TokenStream(
-                ids=layout.map_ids(stream.ids, n).astype(np.uint32),
-                doc_boundaries=stream.doc_boundaries,
-                vocab_digest=stream.vocab_digest,
-            )
-            results[n] = sliding_ppl(state, remapped, window, stride)
-    else:
-        for n, stream in enumerate(test):
-            remapped = TokenStream(
-                ids=layout.map_ids(stream.ids, n).astype(np.uint32),
-                doc_boundaries=stream.doc_boundaries,
-                vocab_digest=stream.vocab_digest,
-            )
-            results[n] = sliding_ppl(state, remapped, window, stride)
+    for n, stream in enumerate(streams):
+        remapped = TokenStream(
+            ids=layout.map_ids(stream.ids, n).astype(np.uint32),
+            doc_boundaries=stream.doc_boundaries,
+            vocab_digest=stream.vocab_digest,
+        )
+        results[n] = sliding_ppl(state, remapped, window, stride)
     return results

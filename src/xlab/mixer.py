@@ -1,9 +1,12 @@
-"""Language assignment for training sequences.
+"""Language assignment for training sequences, and the stream cursors that
+supply them.
 
 Each training sequence gets exactly one language, sampled from a staged,
-possibly time-varying distribution; its token ids are then remapped into that
-language's id block (clone layout for cloned languages, offset/merged layout
-for real bilingual corpora). Sampling is per-sequence, never per-token.
+possibly time-varying distribution; the trainer's ``MixtureSource`` then
+remaps its token ids into that language's ids through a
+:class:`~xlab.tokenizer.IdLayout` (a clone layout for cloned languages, a
+disjoint or merged layout for real bilingual corpora). Sampling is
+per-sequence, never per-token.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import TokenStream
-from .tokenizer import ClonedVocabulary, MergedVocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -137,53 +139,6 @@ def sample_language(
     return tag
 
 
-def assign_and_encode(
-    base_ids: np.ndarray,
-    policy: MixPolicy,
-    step: int,
-    total_steps: int,
-    cv: ClonedVocabulary,
-    rng: np.random.Generator,
-    role_permutation: Sequence[int] | None = None,
-) -> tuple[int, np.ndarray]:
-    """Sample one language for the whole sequence and remap the base ids into
-    its id block; anchored ids are unchanged."""
-    tag = sample_language(policy, step, total_steps, rng, role_permutation)
-    return tag, cv.map_ids(base_ids, tag)
-
-
-# ---------------------------------------------------------------------------
-# Joint id spaces for real bilingual corpora
-
-
-@dataclass(frozen=True)
-class JointIdSpace:
-    """Per-language lookup tables into one shared model id space."""
-
-    luts: tuple[np.ndarray, ...]
-    total_size: int
-    mode: str  # "disjoint" | "anchored"
-
-    @classmethod
-    def disjoint(cls, vocab_sizes: Sequence[int]) -> "JointIdSpace":
-        luts, offset = [], 0
-        for size in vocab_sizes:
-            luts.append(np.arange(offset, offset + size, dtype=np.int64))
-            offset += size
-        return cls(luts=tuple(luts), total_size=offset, mode="disjoint")
-
-    @classmethod
-    def anchored(cls, merged: MergedVocabulary) -> "JointIdSpace":
-        return cls(
-            luts=(merged.remap_a, merged.remap_b),
-            total_size=merged.total_size,
-            mode="anchored",
-        )
-
-    def map_ids(self, ids: np.ndarray, language: int) -> np.ndarray:
-        return self.luts[language][np.asarray(ids, dtype=np.int64)]
-
-
 class StreamCursor:
     """Sequential reader of overlapping training slices from a token stream.
 
@@ -234,16 +189,3 @@ def concat_with_separator(stream: TokenStream, separator_id: int | None) -> np.n
             parts.append(sep)
         parts.append(stream.document(i).astype(np.int64))
     return np.concatenate(parts)
-
-
-def bilingual_sample(
-    policy: MixPolicy,
-    step: int,
-    total_steps: int,
-    cursors: Sequence[StreamCursor],
-    joint: JointIdSpace,
-    rng: np.random.Generator,
-) -> tuple[int, np.ndarray]:
-    """Sample a language, draw its next training slice, remap to joint ids."""
-    tag = sample_language(policy, step, total_steps, rng)
-    return tag, joint.map_ids(cursors[tag].next(), tag)

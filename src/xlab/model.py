@@ -19,8 +19,8 @@ Python floats so that NumPy's promotion rules (NEP 50) never widen float32
 work. Float64 is used on purpose in three places only:
 
 * :func:`grouped_sumsq`, the sum of squares behind the gradient-clipping norm;
-* the log-softmax of :func:`sequence_logprobs` and of
-  ``evaluator._batched_window_logprobs``;
+* the log-softmax of :func:`sequence_logprobs`, which also scores the
+  evaluator's sliding windows;
 * the evaluator's ``fsum`` of the negative log-likelihood.
 
 Checkpoints store every tensor in its own dtype, so a resumed run matches the
@@ -32,8 +32,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,16 +81,7 @@ class ModelConfig:
         return np.dtype(self.dtype)
 
     def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len,
-            "tie_embeddings": self.tie_embeddings,
-            "dtype": self.dtype,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -411,14 +403,16 @@ def forward(state: ModelState, ids: np.ndarray) -> ForwardTrace:
 
 
 def sequence_logprobs(state: ModelState, ids: np.ndarray) -> np.ndarray:
-    """log p(ids[t+1] | ids[:t+1]) for every next-token position of a 1-D
-    sequence; length is len(ids) - 1."""
-    trace = forward(state, np.asarray(ids))
-    logits = trace.logits.astype(np.float64)
-    targets = np.asarray(ids[1:], dtype=np.int64)
-    m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    return logits[np.arange(len(ids) - 1), targets] - lse[: len(ids) - 1]
+    """log p(ids[..., t+1] | ids[..., :t+1]) in float64 for every next-token
+    position of a (t,) sequence or a (k, t) stack of sequences; the result is
+    (t-1,) or (k, t-1)."""
+    ids = np.asarray(ids)
+    logits = forward(state, ids).logits.astype(np.float64)
+    m = logits.max(axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(logits - m).sum(axis=-1))
+    targets = ids[..., 1:, None].astype(np.int64)
+    picked = np.take_along_axis(logits[..., :-1, :], targets, axis=-1)[..., 0]
+    return picked - lse[..., :-1]
 
 
 def loss_and_grads(
@@ -523,7 +517,9 @@ def save_checkpoint(
     extra: dict | None = None,
 ) -> None:
     """Write the parameters, then the optimizer tensors, so that
-    load_checkpoint returns them bit for bit and in the same dtypes."""
+    load_checkpoint returns them bit for bit and in the same dtypes. The file
+    is written next to ``path`` and moved into place, so a failed save leaves
+    any earlier file at ``path`` intact."""
     names = param_order(state.config)
     tensors = [(n, state.params[n]) for n in names]
     if opt_tensors:
@@ -543,12 +539,19 @@ def save_checkpoint(
         "payload_sha256": digest.hexdigest(),
     }
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<BI", CHECKPOINT_VERSION, len(raw)))
-        f.write(raw)
-        for a in arrays:
-            f.write(a)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<BI", CHECKPOINT_VERSION, len(raw)))
+            f.write(raw)
+            for a in arrays:
+                f.write(a)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _HEADER_FIELDS = ("config", "n_params", "payload_sha256", "step", "tensors")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -212,11 +212,7 @@ class EfficiencyRow:
     extrapolated: bool
 
     def to_dict(self) -> dict:
-        return {
-            "language": self.language, "tokens": self.tokens, "ppl": self.ppl,
-            "mlte": self.mlte, "mlpe": self.mlpe, "teff": self.teff,
-            "extrapolated": self.extrapolated,
-        }
+        return asdict(self)
 
 
 def efficiency_report(

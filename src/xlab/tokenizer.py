@@ -1,6 +1,10 @@
-"""BPE vocabularies and the three vocabulary manipulations of this lab:
-cloning (full or partial, i.e. anchored), role relabelling, and merging of
-independently trained vocabularies.
+"""BPE vocabularies and the id layouts of this lab.
+
+An :class:`IdLayout` says where each language's source ids sit in the one id
+space a model sees. It is built by cloning a base vocabulary (full or
+partial, i.e. anchored), by role relabelling of a layout, by placing
+independently trained vocabularies side by side, or by merging them so that
+shared surface forms get one id.
 
 Pretokenization splits text on whitespace and prefixes every pretoken with a
 word-begin marker character. There is no byte fallback: a character never seen
@@ -12,7 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -253,91 +258,90 @@ def save_vocab(path: str | Path, vocab: Vocabulary) -> None:
 
 def load_vocab(path: str | Path) -> Vocabulary:
     lines = Path(path).read_text(encoding="utf-8").split("\n")
-    header = dict(kv.split("=", 1) for kv in lines[0].split()[1:])
-    if int(header["version"]) != VOCAB_FORMAT_VERSION:
-        raise TokenizerError(f"unsupported vocabulary version {header['version']}")
-    n_pieces, n_merges = int(header["pieces"]), int(header["merges"])
+    try:
+        header = dict(kv.split("=", 1) for kv in lines[0].split()[1:])
+        version, n_pieces, n_merges, unk = (
+            int(header[k]) for k in ("version", "pieces", "merges", "unk")
+        )
+        marker = header["marker"]
+    except KeyError as e:
+        raise TokenizerError(f"{path}: vocabulary header lacks field {e}") from e
+    except ValueError as e:
+        raise TokenizerError(f"{path}: malformed vocabulary header ({e})") from e
+    if version != VOCAB_FORMAT_VERSION:
+        raise TokenizerError(f"unsupported vocabulary version {version}")
     pieces = tuple(lines[1 : 1 + n_pieces])
     merge_lines = lines[1 + n_pieces : 1 + n_pieces + n_merges]
     merges = tuple(tuple(l.split("\t", 1)) for l in merge_lines)
-    return Vocabulary(
-        pieces=pieces, merges=merges, unk_id=int(header["unk"]), marker=header["marker"]
-    )
+    return Vocabulary(pieces=pieces, merges=merges, unk_id=unk, marker=marker)
 
 
 # ---------------------------------------------------------------------------
-# Cloned vocabularies
+# Id layouts: where each language's source ids sit in the model id space
 
 
 @dataclass(frozen=True)
-class ClonedVocabulary:
-    """A base vocabulary replicated into N language id blocks.
+class IdLayout:
+    """Per-language lookup tables into one model id space.
 
-    Anchored base ids are shared across all languages and occupy ids
-    [0, A) ordered by base id; duplicated base ids get one copy per language:
-    the copy of duplicated index j in language n sits at ``A + n*D + j`` where
-    D = |base| - A. ``lut[n, t]`` is the final id of base id t in language n.
+    ``luts[n][t]`` is the model id of language n's source id t. A clone
+    layout (:func:`clone_vocab`, :func:`relabel`) replicates one base
+    vocabulary: anchored base ids are shared by all languages and occupy ids
+    [0, A) ordered by base id; duplicated base ids get one copy per language,
+    the copy of duplicated index j in language n sitting at ``A + n*D + j``
+    where D = |base| - A. A real layout (:func:`disjoint_layout`,
+    ``merge_vocabs(...).layout``) maps separately trained vocabularies and has
+    no ``anchor_ids``.
     """
 
-    base: Vocabulary
-    n_languages: int
-    anchor_ids: np.ndarray  # sorted base ids
-    lut: np.ndarray  # (n_languages, |base|) -> final id
+    luts: tuple[np.ndarray, ...]  # int64, one per language
+    total_size: int
+    anchor_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @property
-    def n_anchors(self) -> int:
-        return len(self.anchor_ids)
+    def n_languages(self) -> int:
+        return len(self.luts)
 
-    @property
-    def n_duplicated(self) -> int:
-        return len(self.base) - self.n_anchors
-
-    @property
-    def total_size(self) -> int:
-        return self.n_anchors + self.n_languages * self.n_duplicated
-
-    def map_ids(self, base_ids: np.ndarray, language: int) -> np.ndarray:
-        """Remap a base-id sequence into the given language's id block."""
+    def map_ids(self, ids: np.ndarray, language: int) -> np.ndarray:
+        """Remap a source-id sequence into the given language's model ids."""
         if not 0 <= language < self.n_languages:
             raise TokenizerError(f"language {language} out of range")
-        return self.lut[language][np.asarray(base_ids, dtype=np.int64)]
+        return self.luts[language][np.asarray(ids, dtype=np.int64)]
 
-    def to_base(self, ids: np.ndarray) -> np.ndarray:
-        """Project final ids back to base ids (any language)."""
-        inv = self._inverse_lut()
-        return inv[np.asarray(ids, dtype=np.int64)]
-
-    def map_language(self, ids: np.ndarray, to_language: int) -> np.ndarray:
-        """Re-express a sequence in another language; anchors are unchanged."""
-        return self.map_ids(self.to_base(ids), to_language)
-
-    def _inverse_lut(self) -> np.ndarray:
+    @cached_property
+    def _inverse(self) -> np.ndarray:
         inv = np.empty(self.total_size, dtype=np.int64)
-        for n in range(self.n_languages):
-            inv[self.lut[n]] = np.arange(len(self.base))
+        for lut in self.luts:
+            inv[lut] = np.arange(len(lut))
         return inv
 
+    def to_base(self, ids: np.ndarray) -> np.ndarray:
+        """Project model ids back to base ids (any language). Clone layouts
+        only; the inverse table is built on the first call."""
+        return self._inverse[np.asarray(ids, dtype=np.int64)]
+
+    def map_language(self, ids: np.ndarray, to_language: int) -> np.ndarray:
+        """Re-express a sequence in another language; anchors are unchanged.
+        Clone layouts only."""
+        return self.map_ids(self.to_base(ids), to_language)
+
     def duplicated_base_ids(self) -> np.ndarray:
-        mask = np.ones(len(self.base), dtype=bool)
+        """Base ids that are not anchors. Clone layouts only."""
+        mask = np.ones(len(self.luts[0]), dtype=bool)
         mask[self.anchor_ids] = False
         return np.nonzero(mask)[0]
 
     def language_slices(self) -> tuple[slice, list[slice]]:
-        """(anchor block, per-language duplicated blocks) of the final id
-        space; used for clone-permutation-invariant reductions."""
-        a, d = self.n_anchors, self.n_duplicated
+        """(anchor block, per-language duplicated blocks) of the model id
+        space; used for clone-permutation-invariant reductions. Clone layouts
+        only."""
+        a = len(self.anchor_ids)
+        d = len(self.luts[0]) - a
         return slice(0, a), [slice(a + n * d, a + (n + 1) * d) for n in range(self.n_languages)]
 
 
-def _build_lut(n_base: int, n_languages: int, anchor_ids: np.ndarray) -> np.ndarray:
-    a = len(anchor_ids)
-    dup_ids = np.setdiff1d(np.arange(n_base), anchor_ids)
-    d = len(dup_ids)
-    lut = np.empty((n_languages, n_base), dtype=np.int64)
-    lut[:, anchor_ids] = np.arange(a)
-    for n in range(n_languages):
-        lut[n, dup_ids] = a + n * d + np.arange(d)
-    return lut
+# perfbench/drive.py traces ``ClonedVocabulary.to_base`` by this name
+ClonedVocabulary = IdLayout
 
 
 def clone_vocab(
@@ -347,7 +351,7 @@ def clone_vocab(
     seed: int = 0,
     selection: str = "uniform",
     counts: np.ndarray | None = None,
-) -> ClonedVocabulary:
+) -> IdLayout:
     """Clone a vocabulary into ``n_languages`` blocks sharing
     ``floor(anchor_fraction * |base|)`` anchors.
 
@@ -371,29 +375,37 @@ def clone_vocab(
         anchor_ids = np.sort(order[:n_anchor])
     else:
         raise TokenizerError(f"unknown anchor selection {selection!r}")
-    return ClonedVocabulary(
-        base=vocab,
-        n_languages=n_languages,
-        anchor_ids=anchor_ids.astype(np.int64),
-        lut=_build_lut(n_base, n_languages, anchor_ids),
+    dup_ids = np.setdiff1d(np.arange(n_base), anchor_ids)
+    a, d = len(anchor_ids), len(dup_ids)
+    lut = np.empty((n_languages, n_base), dtype=np.int64)
+    lut[:, anchor_ids] = np.arange(a)
+    for n in range(n_languages):
+        lut[n, dup_ids] = a + n * d + np.arange(d)
+    return IdLayout(
+        luts=tuple(lut), total_size=a + n_languages * d, anchor_ids=anchor_ids.astype(np.int64)
     )
 
 
-def relabel(cv: ClonedVocabulary, permutation: Sequence[int]) -> ClonedVocabulary:
+def relabel(layout: IdLayout, permutation: Sequence[int]) -> IdLayout:
     """Permute language roles: the relabelled layout maps language n the way
     the original mapped ``permutation[n]``. Anchors are unchanged."""
-    perm = np.asarray(permutation, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(cv.n_languages)):
+    perm = [int(p) for p in permutation]
+    if sorted(perm) != list(range(layout.n_languages)):
         raise TokenizerError(
             f"permutation {permutation!r} is not a bijection over "
-            f"{{0..{cv.n_languages - 1}}}"
+            f"{{0..{layout.n_languages - 1}}}"
         )
-    return ClonedVocabulary(
-        base=cv.base,
-        n_languages=cv.n_languages,
-        anchor_ids=cv.anchor_ids,
-        lut=cv.lut[perm],
-    )
+    return replace(layout, luts=tuple(layout.luts[p] for p in perm))
+
+
+def disjoint_layout(sizes: Sequence[int]) -> IdLayout:
+    """Separately trained vocabularies side by side: language n's ids are
+    offset by the sizes of the languages before it."""
+    luts, offset = [], 0
+    for size in sizes:
+        luts.append(np.arange(offset, offset + size, dtype=np.int64))
+        offset += size
+    return IdLayout(luts=tuple(luts), total_size=offset)
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +416,14 @@ def relabel(cv: ClonedVocabulary, permutation: Sequence[int]) -> ClonedVocabular
 class MergedVocabulary:
     """Union of two vocabularies where shared surface forms get one id.
 
-    Final ids: all of A's pieces keep their order in [0, |A|), then B's
-    non-shared pieces follow in B order. ``remap_a``/``remap_b`` translate each
-    source id space into the merged space.
+    Model ids: all of A's pieces keep their order in [0, |A|), then B's
+    non-shared pieces follow in B order. ``layout`` translates each source id
+    space into the merged one.
     """
 
-    vocab_a: Vocabulary
-    vocab_b: Vocabulary
     shared: frozenset[str]
     pieces: tuple[str, ...]
-    remap_a: np.ndarray
-    remap_b: np.ndarray
-
-    @property
-    def total_size(self) -> int:
-        return len(self.pieces)
+    layout: IdLayout
 
 
 def merge_vocabs(vocab_a: Vocabulary, vocab_b: Vocabulary) -> MergedVocabulary:
@@ -433,13 +438,10 @@ def merge_vocabs(vocab_a: Vocabulary, vocab_b: Vocabulary) -> MergedVocabulary:
         if p not in index:
             index[p] = len(pieces)
             pieces.append(p)
-    remap_a = np.arange(len(vocab_a.pieces), dtype=np.int64)
-    remap_b = np.asarray([index[p] for p in vocab_b.pieces], dtype=np.int64)
+    luts = (
+        np.arange(len(vocab_a.pieces), dtype=np.int64),
+        np.asarray([index[p] for p in vocab_b.pieces], dtype=np.int64),
+    )
     return MergedVocabulary(
-        vocab_a=vocab_a,
-        vocab_b=vocab_b,
-        shared=shared,
-        pieces=tuple(pieces),
-        remap_a=remap_a,
-        remap_b=remap_b,
+        shared=shared, pieces=tuple(pieces), layout=IdLayout(luts=luts, total_size=len(pieces))
     )

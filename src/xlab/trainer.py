@@ -2,9 +2,10 @@
 mixer-produced batches, with per-language token accounting, periodic
 checkpoints, and bit-exact resume.
 
-A batch source owns the data stream cursors, the sampling RNG, and the id
-remapping; the trainer only consumes (ids, targets, tags) batches. Sources
-expose their exact state so a checkpoint can restore the run mid-stream.
+A :class:`MixtureSource` owns the data stream cursors, the sampling RNG and
+the id remapping, for cloned languages and real pairs alike; the trainer only
+consumes (ids, targets, tags) batches. A source exposes its exact state so a
+checkpoint can restore the run mid-stream: ``train(..., resume_from=path)``.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .mixer import JointIdSpace, MixPolicy, StreamCursor, sample_language
+from .mixer import MixPolicy, StreamCursor, sample_language
 from .model import (
     ModelState,
     VocabGroups,
@@ -28,7 +29,7 @@ from .model import (
     loss_and_grads,
     save_checkpoint,
 )
-from .tokenizer import ClonedVocabulary
+from .tokenizer import IdLayout
 from .util import json_digest
 
 logger = logging.getLogger(__name__)
@@ -67,7 +68,7 @@ class TrainConfig:
             raise ValueError("need 0 < warmup_steps < total_steps")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        return asdict(self)
 
 
 def lr_at(config: TrainConfig, step: int) -> float:
@@ -133,16 +134,7 @@ class RunRecord:
             self.lang_token_counts = [0] * self.n_languages
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "n_languages": self.n_languages,
-            "steps": self.steps,
-            "losses": self.losses,
-            "lang_token_counts": self.lang_token_counts,
-            "step_lang_tokens": self.step_lang_tokens,
-            "evals": self.evals,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
@@ -168,21 +160,32 @@ class RunRecord:
 # Batch sources
 
 
-class ClonedMixtureSource:
-    """Sequential base-stream slices, each assigned one sampled clone
-    language and remapped into that language's id block."""
+class MixtureSource:
+    """Training slices, each assigned one sampled language and remapped into
+    that language's model ids.
+
+    ``cursors`` is one :class:`StreamCursor` shared by every language (cloned
+    languages read the same base stream) or a sequence with one cursor per
+    language (real pairs read their own corpora).
+    """
 
     def __init__(
         self,
-        cursor: StreamCursor,
-        cv: ClonedVocabulary | None,
+        cursors: StreamCursor | Sequence[StreamCursor],
+        layout: IdLayout,
         policy: MixPolicy,
         batch_size: int,
         seed: int,
         role_permutation: Sequence[int] | None = None,
     ):
-        self.cursor = cursor
-        self.cv = cv
+        shared = isinstance(cursors, StreamCursor)
+        self.cursors = [cursors] if shared else list(cursors)
+        if not shared and len(self.cursors) != policy.n_languages:
+            raise ValueError(
+                f"{len(self.cursors)} stream cursors for {policy.n_languages} languages; "
+                "pass one shared cursor or one per language"
+            )
+        self.layout = layout
         self.policy = policy
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
@@ -195,55 +198,11 @@ class ClonedMixtureSource:
     def next_batch(self, step: int, total_steps: int):
         rows, tags = [], []
         for _ in range(self.batch_size):
-            base = self.cursor.next()
             tag = sample_language(
                 self.policy, step, total_steps, self.rng, self.role_permutation
             )
-            rows.append(base if self.cv is None else self.cv.map_ids(base, tag))
-            tags.append(tag)
-        arr = np.stack(rows)
-        return arr[:, :-1], arr[:, 1:], np.asarray(tags)
-
-    def state(self) -> dict:
-        return {
-            "cursor": self.cursor.state(),
-            "rng": self.rng.bit_generator.state,
-        }
-
-    def restore(self, state: dict) -> None:
-        self.cursor.restore(state["cursor"])
-        self.rng.bit_generator.state = state["rng"]
-
-
-class BilingualMixtureSource:
-    """Per-language stream cursors over separately tokenized corpora, remapped
-    into one joint id space (disjoint offsets or a merged vocabulary)."""
-
-    def __init__(
-        self,
-        cursors: Sequence[StreamCursor],
-        joint: JointIdSpace,
-        policy: MixPolicy,
-        batch_size: int,
-        seed: int,
-    ):
-        if len(cursors) != policy.n_languages:
-            raise ValueError("one stream cursor per language is required")
-        self.cursors = list(cursors)
-        self.joint = joint
-        self.policy = policy
-        self.batch_size = batch_size
-        self.rng = np.random.default_rng(seed)
-
-    @property
-    def n_languages(self) -> int:
-        return self.policy.n_languages
-
-    def next_batch(self, step: int, total_steps: int):
-        rows, tags = [], []
-        for _ in range(self.batch_size):
-            tag = sample_language(self.policy, step, total_steps, self.rng)
-            rows.append(self.joint.map_ids(self.cursors[tag].next(), tag))
+            cursor = self.cursors[0] if len(self.cursors) == 1 else self.cursors[tag]
+            rows.append(self.layout.map_ids(cursor.next(), tag))
             tags.append(tag)
         arr = np.stack(rows)
         return arr[:, :-1], arr[:, 1:], np.asarray(tags)
@@ -255,9 +214,21 @@ class BilingualMixtureSource:
         }
 
     def restore(self, state: dict) -> None:
+        if not (isinstance(state, dict) and {"cursors", "rng"} <= state.keys()
+                and len(state["cursors"]) == len(self.cursors)):
+            got = sorted(state) if isinstance(state, dict) else type(state).__name__
+            raise ValueError(
+                f"source state {got} does not fit this source: expected 'cursors' "
+                f"({len(self.cursors)} cursor states) and 'rng'"
+            )
         for c, s in zip(self.cursors, state["cursors"]):
             c.restore(s)
         self.rng.bit_generator.state = state["rng"]
+
+
+# perfbench/drive.py builds ``trainer.ClonedMixtureSource`` and traces its
+# ``next_batch`` by this name
+ClonedMixtureSource = MixtureSource
 
 
 # ---------------------------------------------------------------------------
@@ -366,25 +337,15 @@ def train(
         for i, c in enumerate(step_counts):
             record.lang_token_counts[i] += c
         steps_done = step + 1
+        # hooks first, so what they record is in this step's checkpoint
+        for at, fn in hooks:
+            if at == steps_done:
+                fn(state, steps_done, record)
         # the last step's checkpoint is written after the loop, once
         if (out is not None and config.checkpoint_every and steps_done < config.total_steps
                 and steps_done % config.checkpoint_every == 0):
             last_ckpt = write_checkpoint(steps_done)
-        for at, fn in hooks:
-            if at == steps_done:
-                fn(state, steps_done, record)
 
     if out is not None and config.total_steps > start_step:
         last_ckpt = write_checkpoint(config.total_steps)
     return state, record
-
-
-def resume(
-    checkpoint_path: str | Path,
-    state: ModelState,
-    source,
-    config: TrainConfig,
-    **kwargs,
-) -> tuple[ModelState, RunRecord]:
-    """Continue an interrupted run from a checkpoint (see train())."""
-    return train(state, source, config, resume_from=checkpoint_path, **kwargs)

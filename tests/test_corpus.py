@@ -108,6 +108,21 @@ def test_token_stream_bad_magic(tmp_path):
         corpus.read_token_stream(p)
 
 
+def test_token_stream_truncated_is_corpus_error(tmp_path):
+    stream = corpus.TokenStream(
+        ids=np.arange(17, dtype=np.uint32),
+        doc_boundaries=np.array([5, 17], dtype=np.uint64),
+        vocab_digest="ab" * 32,
+    )
+    path = tmp_path / "s.xlts"
+    corpus.write_token_stream(path, stream)
+    raw = path.read_bytes()
+    for cut in (20, 45, len(raw) - 3):  # in the digest, the counts, the payload
+        path.write_bytes(raw[:cut])
+        with pytest.raises(corpus.CorpusError, match=f"{path.name}: truncated"):
+            corpus.read_token_stream(path)
+
+
 def test_token_stream_validates_boundaries():
     with pytest.raises(corpus.CorpusError):
         corpus.TokenStream(

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -99,6 +100,41 @@ def test_stride_larger_than_window_rejected():
         evaluator.window_spans(100, window=16, stride=32)
 
 
+@pytest.fixture
+def fail_after_half_a_second():
+    """Turn a hang into a failure: SIGALRM interrupts the test after 0.5 s."""
+    def timeout(signum, frame):
+        raise TimeoutError("timed out")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("stride", [0, -3])
+def test_non_positive_stride_rejected(fail_after_half_a_second, stride):
+    with pytest.raises(evaluator.EvalError, match=f"stride {stride}"):
+        evaluator.window_spans(100, window=16, stride=stride)
+
+
+def test_window_beyond_max_seq_len_rejected():
+    st = make_model(vocab_size=23, max_seq_len=16, seed=1)
+    ids = np.random.default_rng(0).integers(0, 23, size=60)
+    with pytest.raises(evaluator.EvalError, match="window 512 .*max_seq_len 16"):
+        evaluator.sliding_ppl(st, one_doc_stream(ids))
+
+
+def test_sequence_logprobs_scores_a_stack_row_by_row():
+    st = make_model(vocab_size=23, max_seq_len=16, seed=4)
+    stack = np.random.default_rng(5).integers(0, 23, size=(3, 16))
+    lp = model.sequence_logprobs(st, stack)
+    assert lp.shape == (3, 15) and lp.dtype == np.float64
+    for row, ids in zip(lp, stack):
+        assert np.allclose(row, model.sequence_logprobs(st, ids), rtol=0, atol=1e-12)
+
+
 def test_per_language_identical_when_fully_anchored():
     vocab = make_vocab(23)
     cv = tokenizer.clone_vocab(vocab, n_languages=2, anchor_fraction=1.0)
@@ -132,11 +168,11 @@ def test_unseen_clone_ppl_near_uniform_baseline():
 
 
 def test_real_mode_per_language_eval():
-    joint = mixer.JointIdSpace.disjoint([10, 10])
+    layout = tokenizer.disjoint_layout([10, 10])
     st = make_model(vocab_size=20, max_seq_len=16, seed=2)
     rng = np.random.default_rng(1)
     streams = [one_doc_stream(rng.integers(0, 10, size=60)) for _ in range(2)]
-    res = evaluator.per_language_eval(st, joint, streams, window=16, stride=4)
+    res = evaluator.per_language_eval(st, layout, streams, window=16, stride=4)
     assert set(res) == {0, 1}
     for r in res.values():
         assert r.ppl > 1 and r.tokens_scored == 59

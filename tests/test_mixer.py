@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xlab import mixer, tokenizer
+from xlab import mixer, tokenizer, trainer
 from xlab.corpus import TokenStream
 
 from conftest import make_vocab
@@ -64,34 +64,51 @@ def test_policy_validation():
         mixer.parse_policy("90/10", n_languages=3)
 
 
+def _stream(ids, digest="0" * 64):
+    return TokenStream(
+        ids=np.asarray(ids, dtype=np.uint32),
+        doc_boundaries=np.array([len(ids)], dtype=np.uint64),
+        vocab_digest=digest,
+    )
+
+
+def _rows(batch):
+    """Whole remapped rows and tags of a next_batch result."""
+    ids, targets, tags = batch
+    return np.concatenate([ids, targets[:, -1:]], axis=1), tags
+
+
+def _repeating_source(layout, policy, base, seed, batch_size=1, role_permutation=None):
+    """A source whose every row is ``base``, remapped into its sampled language."""
+    cursor = mixer.StreamCursor(_stream(base), seq_len=len(base) - 1)
+    return trainer.MixtureSource(cursor, layout, policy, batch_size, seed, role_permutation)
+
+
 def test_assign_single_language_unchanged():
     cv = tokenizer.clone_vocab(make_vocab(30), n_languages=1, anchor_fraction=0.0)
     policy = mixer.MixPolicy(stages=((1.0, np.array([1.0])),))
-    rng = np.random.default_rng(0)
     base = np.arange(10)
-    tag, ids = mixer.assign_and_encode(base, policy, 0, 10, cv, rng)
-    assert tag == 0
-    assert np.array_equal(ids, base)
+    rows, tags = _rows(_repeating_source(cv, policy, base, seed=0).next_batch(0, 10))
+    assert tags.tolist() == [0]
+    assert np.array_equal(rows[0], base)
 
 
 def test_assign_fully_anchored_unchanged():
     cv = tokenizer.clone_vocab(make_vocab(30), n_languages=2, anchor_fraction=1.0)
-    rng = np.random.default_rng(1)
     base = np.arange(10)
-    tag, ids = mixer.assign_and_encode(base, mixer.parse_policy("50/50"), 0, 10, cv, rng)
-    assert tag in (0, 1)
-    assert np.array_equal(ids, base)
+    source = _repeating_source(cv, mixer.parse_policy("50/50"), base, seed=1, batch_size=4)
+    rows, tags = _rows(source.next_batch(0, 10))
+    assert set(tags.tolist()) <= {0, 1}
+    assert all(np.array_equal(row, base) for row in rows)
 
 
 def test_assign_empirical_frequencies_within_3_sigma():
     cv = tokenizer.clone_vocab(make_vocab(20), n_languages=2, anchor_fraction=0.0)
-    policy = mixer.parse_policy("90/10")
-    rng = np.random.default_rng(3)
     n = 10_000
-    tags = [
-        mixer.assign_and_encode(np.arange(4), policy, 0, 1, cv, rng)[0] for _ in range(n)
-    ]
-    freq1 = np.mean(np.array(tags) == 1)
+    source = _repeating_source(cv, mixer.parse_policy("90/10"), np.arange(4), seed=3,
+                               batch_size=n)
+    _, tags = _rows(source.next_batch(0, 1))
+    freq1 = np.mean(tags == 1)
     sigma = np.sqrt(0.9 * 0.1 / n)
     assert abs(freq1 - 0.1) < 3 * sigma
 
@@ -112,56 +129,55 @@ def test_relabeling_equivariance():
     cv = tokenizer.clone_vocab(make_vocab(40), n_languages=2, anchor_fraction=0.25, seed=2)
     policy = mixer.parse_policy("90/10")
     base = np.arange(12)
-    out_plain, out_perm = [], []
-    rng = np.random.default_rng(11)
-    for step in range(200):
-        out_plain.append(mixer.assign_and_encode(base, policy, step, 200, cv, rng))
-    rng = np.random.default_rng(11)  # same stream
-    for step in range(200):
-        out_perm.append(
-            mixer.assign_and_encode(base, policy, step, 200, cv, rng, role_permutation=[1, 0])
-        )
+    plain = _repeating_source(cv, policy, base, seed=11)
+    permuted = _repeating_source(cv, policy, base, seed=11, role_permutation=[1, 0])
     perm = [1, 0]
-    for (tag_a, ids_a), (tag_b, ids_b) in zip(out_plain, out_perm):
+    for step in range(200):
+        (ids_a,), (tag_a,) = _rows(plain.next_batch(step, 200))
+        (ids_b,), (tag_b,) = _rows(permuted.next_batch(step, 200))
         assert tag_b == perm[tag_a]
+        assert np.array_equal(ids_a, cv.map_ids(base, tag_a))
         assert np.array_equal(ids_b, cv.map_ids(base, perm[tag_a]))
-
-
-def _stream(ids, digest="0" * 64):
-    return TokenStream(
-        ids=np.asarray(ids, dtype=np.uint32),
-        doc_boundaries=np.array([len(ids)], dtype=np.uint64),
-        vocab_digest=digest,
-    )
 
 
 def test_bilingual_all_from_language_zero():
     policy = mixer.MixPolicy(stages=((1.0, np.array([1.0, 0.0])),))
-    joint = mixer.JointIdSpace.disjoint([50, 50])
+    layout = tokenizer.disjoint_layout([50, 50])
     cursors = [
         mixer.StreamCursor(_stream(np.arange(40) % 50), seq_len=8),
         mixer.StreamCursor(_stream(np.arange(40) % 50), seq_len=8),
     ]
-    rng = np.random.default_rng(0)
+    source = trainer.MixtureSource(cursors, layout, policy, batch_size=1, seed=0)
     for step in range(10):
-        tag, ids = mixer.bilingual_sample(policy, step, 10, cursors, joint, rng)
-        assert tag == 0
-        assert ids.max() < 50
+        rows, tags = _rows(source.next_batch(step, 10))
+        assert tags.tolist() == [0]
+        assert rows.max() < 50
+    assert cursors[1].position == 0  # language 1's stream was never read
 
 
 def test_bilingual_disjoint_offsets():
-    joint = mixer.JointIdSpace.disjoint([2000, 2000])
-    assert joint.map_ids(np.array([7]), 1)[0] == 2007
-    assert joint.map_ids(np.array([7]), 0)[0] == 7
-    assert joint.total_size == 4000
+    layout = tokenizer.disjoint_layout([2000, 2000])
+    assert layout.map_ids(np.array([7]), 1)[0] == 2007
+    assert layout.map_ids(np.array([7]), 0)[0] == 7
+    assert layout.total_size == 4000
+    assert layout.n_languages == 2 and len(layout.anchor_ids) == 0
+    with pytest.raises(tokenizer.TokenizerError, match="language 2 out of range"):
+        layout.map_ids(np.array([7]), 2)
 
 
 def test_bilingual_anchored_shared_id():
     a = tokenizer.Vocabulary(pieces=(tokenizer.MARKER + "the", "chat"), merges=())
     b = tokenizer.Vocabulary(pieces=("chien", tokenizer.MARKER + "the"), merges=())
-    joint = mixer.JointIdSpace.anchored(tokenizer.merge_vocabs(a, b))
+    layout = tokenizer.merge_vocabs(a, b).layout
     # "the" is id 0 in A and id 1 in B; both map to the same joint id
-    assert joint.map_ids(np.array([0]), 0)[0] == joint.map_ids(np.array([1]), 1)[0]
+    assert layout.map_ids(np.array([0]), 0)[0] == layout.map_ids(np.array([1]), 1)[0]
+
+
+def test_source_needs_one_cursor_per_language_or_one_shared():
+    cursors = [mixer.StreamCursor(_stream(np.arange(20)), seq_len=8)] * 3
+    with pytest.raises(ValueError, match="3 stream cursors for 2 languages"):
+        trainer.MixtureSource(cursors, tokenizer.disjoint_layout([20, 20]),
+                              mixer.parse_policy("50/50"), batch_size=1, seed=0)
 
 
 def test_cursor_wraps_with_epoch(caplog):

@@ -328,6 +328,39 @@ def test_checkpoint_corruption_detected(tmp_path):
         model.load_checkpoint(path)
 
 
+def test_failed_checkpoint_save_keeps_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.xlck"
+    model.save_checkpoint(path, make_model(dtype="float32", seed=1), step=1)
+    before = path.read_bytes()
+
+    class DiskFullAfterHeader:
+        """A file whose fourth write fails, after magic, prefix and header."""
+
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 4:
+                raise OSError("no space left on device")
+            return self.f.write(data)
+
+    monkeypatch.setattr(model, "open", lambda p, mode: DiskFullAfterHeader(open(p, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space left"):
+        model.save_checkpoint(path, make_model(dtype="float32", seed=2), step=2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.xlck"]
+    assert model.load_checkpoint(path)[1] == 1
+
+
 def _write_raw_checkpoint(path, header: dict, payload: bytes):
     raw = json.dumps(header).encode("utf-8")
     prefix = struct.pack("<BI", model.CHECKPOINT_VERSION, len(raw))

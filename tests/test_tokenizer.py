@@ -114,6 +114,16 @@ def test_vocab_file_roundtrip(tmp_path, tiny_vocab):
     assert tokenizer.vocab_digest(back) == tokenizer.vocab_digest(tiny_vocab)
 
 
+def test_load_vocab_header_without_pieces_is_tokenizer_error(tmp_path, tiny_vocab):
+    p = tmp_path / "v.vocab"
+    tokenizer.save_vocab(p, tiny_vocab)
+    lines = p.read_text(encoding="utf-8").split("\n")
+    lines[0] = " ".join(kv for kv in lines[0].split() if not kv.startswith("pieces="))
+    p.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(tokenizer.TokenizerError, match="lacks field 'pieces'"):
+        tokenizer.load_vocab(p)
+
+
 # ---------------------------------------------------------------------------
 # Cloning
 
@@ -121,27 +131,28 @@ def test_vocab_file_roundtrip(tmp_path, tiny_vocab):
 def test_clone_layout_arithmetic():
     cv = tokenizer.clone_vocab(make_vocab(100), n_languages=2, anchor_fraction=0.0)
     assert cv.total_size == 200
-    assert cv.lut[1, 5] == 105
-    assert cv.lut[0, 5] == 5
+    assert cv.luts[1][5] == 105
+    assert cv.luts[0][5] == 5
 
 
 def test_clone_fully_anchored_degenerate():
     cv = tokenizer.clone_vocab(make_vocab(100), n_languages=3, anchor_fraction=1.0)
     assert cv.total_size == 100
-    assert np.array_equal(cv.lut[0], cv.lut[2])
+    assert np.array_equal(cv.luts[0], cv.luts[2])
 
 
 def test_clone_partial_anchor_size():
     cv = tokenizer.clone_vocab(make_vocab(100), n_languages=2, anchor_fraction=0.4, seed=5)
-    assert cv.n_anchors == 40
+    assert len(cv.anchor_ids) == 40
     assert cv.total_size == 160
 
 
 def test_clone_anchor_ids_keep_low_ids():
     cv = tokenizer.clone_vocab(make_vocab(50), n_languages=2, anchor_fraction=0.3, seed=2)
     # anchors occupy [0, A) in anchor_id order
-    assert np.array_equal(np.sort(cv.lut[0, cv.anchor_ids]), np.arange(cv.n_anchors))
-    assert np.array_equal(cv.lut[0, cv.anchor_ids], cv.lut[1, cv.anchor_ids])
+    anchors = cv.luts[0][cv.anchor_ids]
+    assert np.array_equal(np.sort(anchors), np.arange(len(cv.anchor_ids)))
+    assert np.array_equal(anchors, cv.luts[1][cv.anchor_ids])
 
 
 def test_clone_frequency_selection():
@@ -161,18 +172,27 @@ def test_language_mapping_roundtrip():
     assert np.array_equal(cv.to_base(s), base)
 
 
+def test_to_base_builds_its_inverse_once():
+    cv = tokenizer.clone_vocab(make_vocab(64), n_languages=2, anchor_fraction=0.25, seed=1)
+    ids = cv.map_ids(np.arange(64), 1)
+    first = cv.to_base(ids)
+    inverse = cv._inverse
+    assert np.array_equal(cv.to_base(ids), first)
+    assert cv._inverse is inverse
+
+
 def test_relabel_identity_and_involution():
     cv = tokenizer.clone_vocab(make_vocab(100), n_languages=2, anchor_fraction=0.0)
     ident = tokenizer.relabel(cv, [0, 1])
-    assert np.array_equal(ident.lut, cv.lut)
+    assert np.array_equal(ident.luts, cv.luts)
     twice = tokenizer.relabel(tokenizer.relabel(cv, [1, 0]), [1, 0])
-    assert np.array_equal(twice.lut, cv.lut)
+    assert np.array_equal(twice.luts, cv.luts)
 
 
 def test_relabel_swaps_blocks():
     cv = tokenizer.clone_vocab(make_vocab(100), n_languages=2, anchor_fraction=0.0)
     swapped = tokenizer.relabel(cv, [1, 0])
-    assert swapped.lut[0, 5] == 105 and swapped.lut[1, 5] == 5
+    assert swapped.luts[0][5] == 105 and swapped.luts[1][5] == 5
 
 
 def test_relabel_rejects_non_bijection():
@@ -193,15 +213,15 @@ def test_merge_small_union():
     a = _vocab_from([MARKER + "the", "chat"])
     b = _vocab_from([MARKER + "the", "chien"])
     mv = tokenizer.merge_vocabs(a, b)
-    assert mv.total_size == 3
+    assert mv.layout.total_size == 3
     assert mv.shared == {MARKER + "the"}
 
 
 def test_merge_identical_vocabs():
     a = _vocab_from(["x", "y", "z"])
     mv = tokenizer.merge_vocabs(a, a)
-    assert mv.total_size == 3
-    assert np.array_equal(mv.remap_a, mv.remap_b)
+    assert mv.layout.total_size == 3
+    assert np.array_equal(mv.layout.luts[0], mv.layout.luts[1])
 
 
 def test_merge_size_identity_and_remap_roundtrip():
@@ -210,15 +230,16 @@ def test_merge_size_identity_and_remap_roundtrip():
     a = _vocab_from([f"a{i}" for i in range(200)] + common)
     b = _vocab_from(common + [f"b{i}" for i in range(170)])
     mv = tokenizer.merge_vocabs(a, b)
+    remap_a, remap_b = mv.layout.luts
     overlap = len(set(a.pieces) & set(b.pieces))  # independent recount
-    assert mv.total_size == len(a.pieces) + len(b.pieces) - overlap
+    assert mv.layout.total_size == len(a.pieces) + len(b.pieces) - overlap
     for i, p in enumerate(a.pieces):
-        assert mv.pieces[mv.remap_a[i]] == p
+        assert mv.pieces[remap_a[i]] == p
     for i, p in enumerate(b.pieces):
-        assert mv.pieces[mv.remap_b[i]] == p
+        assert mv.pieces[remap_b[i]] == p
     # a shared surface form has exactly one final id
     for p in mv.shared:
-        assert mv.remap_a[a.pieces.index(p)] == mv.remap_b[b.pieces.index(p)]
+        assert remap_a[a.pieces.index(p)] == remap_b[b.pieces.index(p)]
 
 
 def test_merge_rejects_marker_mismatch():

@@ -103,7 +103,8 @@ def test_resume_bit_identical(tmp_path):
     assert ckpt.exists()
 
     st_b, src_b, _, _ = small_setup(seed=9, batch_size=4)
-    st_b, rec_b = trainer.resume(ckpt, st_b, src_b, cfg, out_dir=tmp_path / "resumed")
+    st_b, rec_b = trainer.train(st_b, src_b, cfg, resume_from=ckpt,
+                                out_dir=tmp_path / "resumed")
     assert rec_b.losses == rec_full.losses
     for k in st_full.params:
         assert np.array_equal(st_full.params[k], st_b.params[k]), k
@@ -167,7 +168,7 @@ def test_resume_refuses_config_mismatch(tmp_path):
                                 warmup_steps=5, seed=2)
     st2, src2, _, _ = small_setup(seed=2, batch_size=4)
     with pytest.raises(ValueError, match="refusing to resume"):
-        trainer.resume(ckpt, st2, src2, other)
+        trainer.train(st2, src2, other, resume_from=ckpt)
 
 
 def test_resume_rejects_corrupt_checkpoint(tmp_path):
@@ -181,7 +182,64 @@ def test_resume_rejects_corrupt_checkpoint(tmp_path):
     ckpt.write_bytes(bytes(raw))
     st2, src2, _, _ = small_setup(seed=2, batch_size=4)
     with pytest.raises(model.CheckpointError):
-        trainer.resume(ckpt, st2, src2, cfg)
+        trainer.train(st2, src2, cfg, resume_from=ckpt)
+
+
+def test_evals_at_a_checkpoint_step_survive_resume(tmp_path):
+    cfg = trainer.TrainConfig(total_steps=6, batch_size=4, seq_len=16,
+                              warmup_steps=1, seed=2, checkpoint_every=3)
+
+    def record_step(state, steps_done, record):
+        record.evals[str(steps_done)] = {"steps": steps_done}
+
+    hooks = [(3, record_step), (6, record_step)]
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    _, full = trainer.train(st, src, cfg, eval_hooks=hooks, out_dir=tmp_path / "full")
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    _, resumed = trainer.train(st, src, cfg, eval_hooks=hooks, out_dir=tmp_path / "resumed",
+                               resume_from=tmp_path / "full" / "checkpoint_0000003.xlck")
+    assert sorted(full.evals) == ["3", "6"]
+    assert resumed.evals == full.evals
+
+
+def _two_cursor_setup(seed):
+    """A real-pair source: two corpora of 10 ids each, side by side."""
+    streams = [markov_stream(1500, 10, seed=seed + k)[0] for k in range(2)]
+    layout = tokenizer.disjoint_layout([10, 10])
+    cursors = [mixer.StreamCursor(s, seq_len=16) for s in streams]
+    source = trainer.MixtureSource(cursors, layout, mixer.parse_policy("90v10"),
+                                   batch_size=4, seed=seed)
+    st = make_model(n_layers=1, d_model=32, n_heads=2, d_ff=64,
+                    vocab_size=layout.total_size, max_seq_len=16, dtype="float32", seed=seed)
+    return st, source
+
+
+def test_resume_bit_identical_two_cursors(tmp_path):
+    cfg = trainer.TrainConfig(total_steps=20, batch_size=4, seq_len=16,
+                              warmup_steps=4, seed=7, lr_max=3e-3, lr_min=3e-4,
+                              checkpoint_every=10)
+    st_full, src_full = _two_cursor_setup(7)
+    st_full, rec_full = trainer.train(st_full, src_full, cfg, out_dir=tmp_path / "full")
+    assert all(c.position > 0 for c in src_full.cursors)  # both corpora were read
+
+    st_b, src_b = _two_cursor_setup(7)
+    st_b, rec_b = trainer.train(st_b, src_b, cfg, out_dir=tmp_path / "resumed",
+                                resume_from=tmp_path / "full" / "checkpoint_0000010.xlck")
+    assert rec_b.losses == rec_full.losses
+    assert rec_b.lang_token_counts == rec_full.lang_token_counts
+    assert [c.state() for c in src_b.cursors] == [c.state() for c in src_full.cursors]
+    for k in st_full.params:
+        assert np.array_equal(st_full.params[k], st_b.params[k]), k
+
+
+def test_source_restore_rejects_foreign_state():
+    _, src, _, _ = small_setup(seed=1)
+    old_layout = {"cursor": {"position": 0, "epoch": 0}, "rng": src.state()["rng"]}
+    with pytest.raises(ValueError, match="does not fit this source"):
+        src.restore(old_layout)
+    _, two = _two_cursor_setup(1)
+    with pytest.raises(ValueError, match="2 cursor states"):
+        two.restore(src.state())
 
 
 def test_abort_on_non_finite_loss():
