@@ -61,20 +61,11 @@ class EmbeddingSimilarity:
     n_pairs: int
     by_frequency_decade: dict[int, float] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "baseline": self.baseline,
-            "n_pairs": self.n_pairs,
-            "by_frequency_decade": {str(k): v for k, v in self.by_frequency_decade.items()},
-        }
-
 
 def embedding_similarity(
     state: ModelState,
     cv: IdLayout,
     freq: np.ndarray | None = None,
-    n_baseline_pairs: int | None = None,
     seed: int = 0,
 ) -> EmbeddingSimilarity:
     """Mean cosine over all equivalent duplicated-id pairs (every unordered
@@ -101,9 +92,8 @@ def embedding_similarity(
 
     pool = np.concatenate([cv.luts[n][dup] for n in range(cv.n_languages)])
     rng = np.random.default_rng(seed)
-    k = n_baseline_pairs if n_baseline_pairs is not None else n_pairs
-    left = pool[rng.integers(0, len(pool), size=k)]
-    right = pool[rng.integers(0, len(pool), size=k)]
+    left = pool[rng.integers(0, len(pool), size=n_pairs)]
+    right = pool[rng.integers(0, len(pool), size=n_pairs)]
     clash = left == right
     while np.any(clash):
         right[clash] = pool[rng.integers(0, len(pool), size=int(clash.sum()))]
@@ -229,16 +219,8 @@ class GradientSimilarity:
     embedding_groups: dict[str, float]
     undefined_groups: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "per_group": self.per_group,
-            "macro_average": self.macro_average,
-            "embedding_groups": self.embedding_groups,
-            "undefined_groups": list(self.undefined_groups),
-        }
 
-
-def _group_vectors(state: ModelState, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def _group_vectors(grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     groups: dict[str, list[np.ndarray]] = {}
     for name in sorted(grads):
         groups.setdefault(group_of(name), []).append(grads[name].ravel())
@@ -256,7 +238,7 @@ def gradient_similarity(state: ModelState, pair: ParallelPair) -> GradientSimila
         if len(seq) < 2:
             raise AlignmentError("sequences need at least 2 tokens for a loss")
         _, g = loss_and_grads(state, seq[:-1], seq[1:])
-        grads.append(_group_vectors(state, g))
+        grads.append(_group_vectors(g))
     per_group: dict[str, float] = {}
     embedding: dict[str, float] = {}
     undefined: list[str] = []

@@ -4,8 +4,8 @@ Context never crosses document boundaries. Within one document of n tokens
 the window layout is:
 
 * first window starts at 0 and scores every predictable token it covers;
-* each later window advances by ``stride`` and scores only its trailing
-  ``stride`` targets;
+* each later window advances by ``stride`` (below ``window``) and scores only
+  its trailing ``stride`` targets;
 * if a tail remains, one final window is right-aligned to the document end
   and scores exactly the not-yet-scored targets (their context is therefore
   at least ``window - stride`` tokens).
@@ -20,7 +20,7 @@ summation, so the perplexity is invariant under document order permutation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,10 @@ from .corpus import TokenStream
 # ``forward`` through ``sequence_logprobs``, so it is imported but not called
 from .model import ModelState, forward, sequence_logprobs  # noqa: F401
 from .tokenizer import IdLayout
+
+
+# windows scored per sequence_logprobs call
+BATCH_WINDOWS = 8
 
 
 class EvalError(ValueError):
@@ -43,15 +47,15 @@ class EvalResult:
     window: int
     stride: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def window_spans(n: int, window: int, stride: int) -> list[tuple[int, int, int]]:
     """(window_start, first_scored_target, scored_end) spans for a document of
     n tokens; target p means predicting token p from tokens [start, p)."""
-    if not 1 <= stride <= window:
-        raise EvalError(f"stride {stride} must be in [1, window {window}]")
+    if not 1 <= stride < window:
+        raise EvalError(
+            f"stride {stride} must be in [1, window {window}): a later window's "
+            "first token has no context to be scored from"
+        )
     if n < 2:
         return []
     if n <= window:
@@ -71,7 +75,6 @@ def sliding_logprobs(
     doc_ids: np.ndarray,
     window: int = 512,
     stride: int = 128,
-    batch_windows: int = 8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-token log-probabilities for one document under the sliding layout.
 
@@ -86,8 +89,8 @@ def sliding_logprobs(
     spans = window_spans(len(ids), window, stride)
     positions: list[np.ndarray] = []
     values: list[np.ndarray] = []
-    for i in range(0, len(spans), batch_windows):
-        chunk = spans[i : i + batch_windows]
+    for i in range(0, len(spans), BATCH_WINDOWS):
+        chunk = spans[i : i + BATCH_WINDOWS]
         length = min(window, len(ids))
         stack = np.stack([ids[ws : ws + length] for ws, _, _ in chunk])
         lp = sequence_logprobs(state, stack)

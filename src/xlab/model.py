@@ -6,11 +6,12 @@ positional embeddings, tanh-approximated GELU, weight tying on by default.
 Hidden states are captured after every block's residual sum (before the next
 norm), plus the embedding output, so a trace has n_layers + 1 entries.
 
-Cross-entropy and the head matmuls optionally take ``vocab_groups`` (an
-anchor slice plus one slice per language block). When given, every reduction
-over the vocabulary axis is computed per block and combined in a value-sorted
-order, which makes training bit-exactly equivariant under permutations of
-clone roles; see :func:`grouped_vocab_reduce`.
+Cross-entropy and the head matmuls take ``vocab_groups`` (an anchor slice
+plus one slice per language block); ``None`` means no anchor and one block
+over the whole vocabulary. Every reduction over the vocabulary axis is
+computed per block and combined in a value-sorted order, which makes training
+bit-exactly equivariant under permutations of clone roles; see
+:func:`grouped_vocab_reduce`.
 
 Dtype contract: a model computes in ``config.dtype`` end to end. Parameters,
 hidden states, layer caches, logits, ``softmax_xent`` outputs and every
@@ -69,12 +70,17 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
+        if self.n_layers < 0:
+            raise ValueError(f"n_layers must be >= 0, got {self.n_layers}")
+        for name in ("d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if self.max_seq_len < 1:
-            raise ValueError("max_seq_len must be >= 1")
 
     @property
     def np_dtype(self):
@@ -90,21 +96,7 @@ class ModelConfig:
 
 def param_order(config: ModelConfig) -> list[str]:
     """Canonical parameter names, in checkpoint order."""
-    names = ["token_embedding", "position_embedding"]
-    for i in range(config.n_layers):
-        p = f"layers.{i}."
-        names += [
-            p + "ln1.gain", p + "ln1.offset",
-            p + "attn_qkv.weight", p + "attn_qkv.bias",
-            p + "attn_proj.weight", p + "attn_proj.bias",
-            p + "ln2.gain", p + "ln2.offset",
-            p + "mlp_fc1.weight", p + "mlp_fc1.bias",
-            p + "mlp_fc2.weight", p + "mlp_fc2.bias",
-        ]
-    names += ["final_ln.gain", "final_ln.offset"]
-    if not config.tie_embeddings:
-        names.append("output_head.weight")
-    return names
+    return list(_param_shapes(config))
 
 
 def group_of(param_name: str) -> str:
@@ -189,6 +181,11 @@ def init(config: ModelConfig, seed: int) -> ModelState:
 # Permutation-exact grouped reductions over the vocabulary axis
 
 
+def _as_groups(vocab_groups: VocabGroups | None, size: int) -> VocabGroups:
+    """``None`` is the one-block grouping: no anchor, one block of ``size``."""
+    return vocab_groups or (slice(0, 0), [slice(0, size)])
+
+
 def grouped_vocab_reduce(parts_by_group: list[np.ndarray], anchor_part: np.ndarray | None):
     """Combine per-language partial results into a total that is bit-exactly
     invariant under any permutation of the language blocks.
@@ -206,6 +203,14 @@ def grouped_vocab_reduce(parts_by_group: list[np.ndarray], anchor_part: np.ndarr
     return total
 
 
+def _reduce_blocks(part, vocab_groups: VocabGroups):
+    """``part(s)`` of the anchor and of every language block, combined by
+    :func:`grouped_vocab_reduce`; an empty anchor contributes nothing."""
+    anchor, blocks = vocab_groups
+    anchor_part = part(anchor) if anchor.stop > anchor.start else None
+    return grouped_vocab_reduce([part(b) for b in blocks], anchor_part)
+
+
 def softmax_xent(
     logits: np.ndarray,
     targets: np.ndarray,
@@ -213,18 +218,13 @@ def softmax_xent(
 ):
     """Mean token cross-entropy with max-subtracted softmax.
 
-    Returns (loss, dlogits, per-token log-probabilities). With vocab_groups,
-    the log-sum-exp denominator uses the grouped permutation-exact reduction.
+    Returns (loss, dlogits, per-token log-probabilities). The log-sum-exp
+    denominator uses the grouped permutation-exact reduction.
     """
     n, v = logits.shape
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
-    if vocab_groups is None:
-        denom = e.sum(axis=1)
-    else:
-        anchor, blocks = vocab_groups
-        anchor_sum = e[:, anchor].sum(axis=1) if anchor.stop > anchor.start else None
-        denom = grouped_vocab_reduce([e[:, b].sum(axis=1) for b in blocks], anchor_sum)
+    denom = _reduce_blocks(lambda s: e[:, s].sum(axis=1), _as_groups(vocab_groups, v))
     idx = np.arange(n)
     logp = (logits[idx, targets] - m[:, 0]) - np.log(denom)
     loss = -logp.mean()
@@ -234,52 +234,37 @@ def softmax_xent(
     return loss, dlogits, logp
 
 
-def _head_logits(x2d: np.ndarray, w: np.ndarray, vocab_groups: VocabGroups | None):
-    """x2d @ w.T, computed per vocab block when groups are given so a block's
-    logits depend only on that block's rows (identical GEMM shapes per block)."""
-    if vocab_groups is None:
-        return x2d @ w.T
+def _head_logits(x2d: np.ndarray, w: np.ndarray, vocab_groups: VocabGroups):
+    """x2d @ w.T, one GEMM per vocab block, so a block's logits depend only
+    on that block's rows (identical GEMM shapes per block)."""
     logits = np.empty((x2d.shape[0], w.shape[0]), dtype=x2d.dtype)
     anchor, blocks = vocab_groups
-    if anchor.stop > anchor.start:
-        logits[:, anchor] = x2d @ w[anchor].T
-    for b in blocks:
-        logits[:, b] = x2d @ w[b].T
+    for s in (anchor, *blocks):
+        logits[:, s] = x2d @ w[s].T
     return logits
 
 
 def _head_backward(dlogits: np.ndarray, x2d: np.ndarray, w: np.ndarray,
-                   vocab_groups: VocabGroups | None):
-    """Gradients through logits = x @ w.T: returns (dx, dw). With groups, dx
-    is a sum over blocks combined with the permutation-exact reduction and dw
-    is computed block-wise."""
-    if vocab_groups is None:
-        return dlogits @ w, dlogits.T @ x2d
+                   vocab_groups: VocabGroups):
+    """Gradients through logits = x @ w.T: returns (dx, dw). dw is computed
+    block-wise and dx is the permutation-exact sum of the blocks' parts."""
     dw = np.empty_like(w)
-    anchor, blocks = vocab_groups
-    anchor_dx = None
-    if anchor.stop > anchor.start:
-        da = np.ascontiguousarray(dlogits[:, anchor])
-        anchor_dx = da @ w[anchor]
-        dw[anchor] = da.T @ x2d
-    parts = []
-    for b in blocks:
-        db = np.ascontiguousarray(dlogits[:, b])
-        parts.append(db @ w[b])
-        dw[b] = db.T @ x2d
-    return grouped_vocab_reduce(parts, anchor_dx), dw
+
+    def part(s):
+        ds = np.ascontiguousarray(dlogits[:, s])
+        dw[s] = ds.T @ x2d
+        return ds @ w[s]
+
+    return _reduce_blocks(part, vocab_groups), dw
 
 
 def grouped_sumsq(a: np.ndarray, vocab_groups: VocabGroups | None) -> float:
-    """Sum of squares of a vocab-indexed tensor, permutation-exact when
-    grouped (used by global-norm gradient clipping)."""
-    if vocab_groups is None:
-        return float((a.astype(np.float64) ** 2).sum())
+    """Sum of squares of a vocab-indexed tensor in float64, permutation-exact
+    over the groups (used by global-norm gradient clipping)."""
     a64 = a.astype(np.float64)
-    anchor, blocks = vocab_groups
-    anchor_part = (a64[anchor] ** 2).sum() if anchor.stop > anchor.start else None
-    parts = [np.array([(a64[b] ** 2).sum()]) for b in blocks]
-    return float(grouped_vocab_reduce(parts, None)[0] + (anchor_part or 0.0))
+    total = _reduce_blocks(lambda s: np.array([(a64[s] ** 2).sum()]),
+                           _as_groups(vocab_groups, len(a)))
+    return float(total[0])
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +409,8 @@ def loss_and_grads(
     """Mean token-level cross-entropy and gradients for every parameter.
 
     ``ids`` and ``targets`` are (batch, seq) or (seq,) and must have equal
-    shape. Raises NumericError on a non-finite loss.
+    shape. Every gradient is a new array, keyed in parameter order. Raises
+    NumericError on a non-finite loss.
     """
     c = state.config
     p = state.params
@@ -432,51 +418,47 @@ def loss_and_grads(
     targets = np.asarray(targets)
     if ids.shape != targets.shape:
         raise ValueError(f"ids shape {ids.shape} != targets shape {targets.shape}")
+    groups = _as_groups(vocab_groups, c.vocab_size)
     cache = _forward_core(state, ids, keep_cache=True)
     b, t = cache["b"], cache["t"]
     xf2 = cache["xf"].reshape(b * t, c.d_model)
     w = state.head_weight()
-    logits = _head_logits(xf2, w, vocab_groups)
-    loss, dlogits, _ = softmax_xent(logits, targets.reshape(-1), vocab_groups)
+    logits = _head_logits(xf2, w, groups)
+    loss, dlogits, _ = softmax_xent(logits, targets.reshape(-1), groups)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss {loss!r} (batch {b}x{t})")
 
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-    dxf2, dw_head = _head_backward(dlogits, xf2, w, vocab_groups)
-    if c.tie_embeddings:
-        grads["token_embedding"] += dw_head
-    else:
-        grads["output_head.weight"] += dw_head
+    grads: dict[str, np.ndarray] = {}
+    dxf2, dw_head = _head_backward(dlogits, xf2, w, groups)
+    grads["token_embedding" if c.tie_embeddings else "output_head.weight"] = dw_head
 
-    dx, dg, do = _layer_norm_backward(
+    dx, grads["final_ln.gain"], grads["final_ln.offset"] = _layer_norm_backward(
         dxf2.reshape(b, t, c.d_model), cache["lnf"], p["final_ln.gain"]
     )
-    grads["final_ln.gain"] += dg
-    grads["final_ln.offset"] += do
 
     for i in reversed(range(c.n_layers)):
         pre = f"layers.{i}."
         lc = cache["layer_caches"][i]
         # MLP branch
         df2 = dx.reshape(b * t, c.d_model)
-        grads[pre + "mlp_fc2.weight"] += lc["g"].T @ df2
-        grads[pre + "mlp_fc2.bias"] += df2.sum(axis=0)
+        grads[pre + "mlp_fc2.weight"] = lc["g"].T @ df2
+        grads[pre + "mlp_fc2.bias"] = df2.sum(axis=0)
         dg_ = df2 @ p[pre + "mlp_fc2.weight"].T
         df1 = _gelu_backward(dg_, lc["f1"], lc["tanh"])
         h2_2d = lc["h2"].reshape(b * t, c.d_model)
-        grads[pre + "mlp_fc1.weight"] += h2_2d.T @ df1
-        grads[pre + "mlp_fc1.bias"] += df1.sum(axis=0)
+        grads[pre + "mlp_fc1.weight"] = h2_2d.T @ df1
+        grads[pre + "mlp_fc1.bias"] = df1.sum(axis=0)
         dh2 = (df1 @ p[pre + "mlp_fc1.weight"].T).reshape(b, t, c.d_model)
-        dx_mid, dg2, do2 = _layer_norm_backward(dh2, lc["ln2"], p[pre + "ln2.gain"])
-        grads[pre + "ln2.gain"] += dg2
-        grads[pre + "ln2.offset"] += do2
+        dx_mid, grads[pre + "ln2.gain"], grads[pre + "ln2.offset"] = _layer_norm_backward(
+            dh2, lc["ln2"], p[pre + "ln2.gain"]
+        )
         dx = dx + dx_mid  # residual
 
         # attention branch
         dproj = dx.reshape(b * t, c.d_model)
         att2d = lc["att"].reshape(b * t, c.d_model)
-        grads[pre + "attn_proj.weight"] += att2d.T @ dproj
-        grads[pre + "attn_proj.bias"] += dproj.sum(axis=0)
+        grads[pre + "attn_proj.weight"] = att2d.T @ dproj
+        grads[pre + "attn_proj.bias"] = dproj.sum(axis=0)
         datt = (dproj @ p[pre + "attn_proj.weight"].T).reshape(b, t, c.d_model)
         datt_h = _split_heads(datt, c.n_heads)
         probs, q, k, v = lc["probs"], lc["q"], lc["k"], lc["v"]
@@ -489,17 +471,21 @@ def loss_and_grads(
             [_merge_heads(dq), _merge_heads(dk), _merge_heads(dv)], axis=-1
         ).reshape(b * t, 3 * c.d_model)
         a2d = lc["a"].reshape(b * t, c.d_model)
-        grads[pre + "attn_qkv.weight"] += a2d.T @ dqkv
-        grads[pre + "attn_qkv.bias"] += dqkv.sum(axis=0)
+        grads[pre + "attn_qkv.weight"] = a2d.T @ dqkv
+        grads[pre + "attn_qkv.bias"] = dqkv.sum(axis=0)
         da = (dqkv @ p[pre + "attn_qkv.weight"].T).reshape(b, t, c.d_model)
-        dx_in, dg1, do1 = _layer_norm_backward(da, lc["ln1"], p[pre + "ln1.gain"])
-        grads[pre + "ln1.gain"] += dg1
-        grads[pre + "ln1.offset"] += do1
+        dx_in, grads[pre + "ln1.gain"], grads[pre + "ln1.offset"] = _layer_norm_backward(
+            da, lc["ln1"], p[pre + "ln1.gain"]
+        )
         dx = dx + dx_in  # residual
 
+    # the rows that no position or id of this batch touches stay zero
+    grads["position_embedding"] = np.zeros_like(p["position_embedding"])
     grads["position_embedding"][:t] += dx.sum(axis=0)
+    if not c.tie_embeddings:
+        grads["token_embedding"] = np.zeros_like(p["token_embedding"])
     np.add.at(grads["token_embedding"], cache["ids"].reshape(-1), dx.reshape(-1, c.d_model))
-    return float(loss), grads
+    return float(loss), {name: grads[name] for name in p}
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +498,6 @@ def save_checkpoint(
     path: str | Path,
     state: ModelState,
     step: int,
-    rng_state: dict | None = None,
     opt_tensors: dict[str, np.ndarray] | None = None,
     extra: dict | None = None,
 ) -> None:
@@ -532,7 +517,6 @@ def save_checkpoint(
         "config": state.config.to_dict(),
         "config_digest": json_digest(state.config.to_dict()),
         "step": step,
-        "rng_state": rng_state,
         "extra": extra or {},
         "tensors": [[n, list(a.shape), a.dtype.str] for (n, _), a in zip(tensors, arrays)],
         "n_params": len(names),
@@ -586,7 +570,7 @@ def _parse_header(raw: bytes, path) -> tuple[dict, ModelConfig, list, int]:
 
 
 def load_checkpoint(path: str | Path):
-    """Returns (state, step, rng_state, opt_tensors, extra), every tensor in
+    """Returns (state, step, opt_tensors, extra), every tensor in
     the dtype it was saved in. Raises CheckpointError, and loads nothing, on a
     bad magic, version, header or payload digest."""
     with open(path, "rb") as f:
@@ -615,4 +599,4 @@ def load_checkpoint(path: str | Path):
             raise CheckpointError(f"{path}: checkpoint payload digest mismatch")
     state = ModelState(config=config, params={n: tensors[n] for n, _, _ in specs[:n_params]})
     opt = {n: tensors[n] for n, _, _ in specs[n_params:]}
-    return state, header["step"], header.get("rng_state"), opt, header.get("extra", {})
+    return state, header["step"], opt, header.get("extra", {})

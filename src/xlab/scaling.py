@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+# the grid over the exponent b that golden-section refinement starts from
+B_MIN, B_MAX, B_STEP = 0.05, 2.0, 0.001
 
 
 class FitError(ValueError):
@@ -115,8 +118,6 @@ def _log_objective(t: np.ndarray, p: np.ndarray, b: float, floor: bool):
 def fit_power_law(
     points: Sequence[tuple[float, float]],
     floor: bool = True,
-    b_range: tuple[float, float] = (0.05, 2.0),
-    b_step: float = 0.001,
 ) -> ScalingFit:
     """Fit ppl(t) = a*t^(-b) + c to >= 3 (tokens, ppl) points.
 
@@ -139,8 +140,7 @@ def fit_power_law(
     if np.any(t <= 0) or np.any(p <= 1):
         raise FitError("token counts must be positive and perplexities > 1")
 
-    lo, hi = b_range
-    grid = np.arange(lo, hi + b_step / 2, b_step)
+    grid = np.arange(B_MIN, B_MAX + B_STEP / 2, B_STEP)
     scores = [_log_objective(t, p, b, floor)[0] for b in grid]
     best_i = int(np.argmin(scores))
 
@@ -210,9 +210,6 @@ class EfficiencyRow:
     mlpe: float
     teff: float | None
     extrapolated: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def efficiency_report(

@@ -17,9 +17,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .corpus import DocumentStore, TokenStream
 MARKER = "▁"  # word-begin marker, prefixed to every pretoken
 UNK_PIECE = "<unk>"
 VOCAB_FORMAT_VERSION = 1
+WORD_CACHE_SIZE = 1 << 16  # encoded words remembered per vocabulary
 
 
 class TokenizerError(ValueError):
@@ -47,18 +48,10 @@ class Vocabulary:
     merges: tuple[tuple[str, str], ...]
     unk_id: int = 0
     marker: str = MARKER
-    _piece_to_id: dict = field(default=None, repr=False, compare=False)
-    _word_cache: dict = field(default=None, repr=False, compare=False)
-    _merge_rank: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.pieces)) != len(self.pieces):
             raise TokenizerError("vocabulary pieces must be unique")
-        object.__setattr__(self, "_piece_to_id", {p: i for i, p in enumerate(self.pieces)})
-        object.__setattr__(self, "_word_cache", {})
-        object.__setattr__(
-            self, "_merge_rank", {pair: r for r, pair in enumerate(self.merges)}
-        )
         for left, right in self.merges:
             if left + right not in self._piece_to_id:
                 raise TokenizerError(f"merge result {left + right!r} is not a piece")
@@ -66,8 +59,23 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.pieces)
 
-    def piece_id(self, piece: str) -> int | None:
-        return self._piece_to_id.get(piece)
+    @cached_property
+    def _piece_to_id(self) -> dict[str, int]:
+        return {p: i for i, p in enumerate(self.pieces)}
+
+    @cached_property
+    def _merge_rank(self) -> dict[tuple[str, str], int]:
+        return {pair: r for r, pair in enumerate(self.merges)}
+
+    @cached_property
+    def _word_encoder(self):
+        """Encodes one pretoken, remembering the last WORD_CACHE_SIZE
+        distinct words. It holds this vocabulary's tables, not the
+        vocabulary, so no reference cycle keeps a dropped vocabulary and its
+        cache alive until the cyclic garbage collector runs."""
+        return lru_cache(maxsize=WORD_CACHE_SIZE)(
+            partial(_encode_word, self.merges, self._merge_rank, self._piece_to_id, self.unk_id)
+        )
 
 
 def _pretokenize(text: str, marker: str) -> list[str]:
@@ -182,12 +190,8 @@ def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
     return Vocabulary(pieces=tuple(pieces), merges=tuple(merges))
 
 
-def _encode_word(vocab: Vocabulary, word: str) -> list[int]:
-    cached = vocab._word_cache.get(word)
-    if cached is not None:
-        return cached
+def _encode_word(merges, rank, piece_to_id, unk_id, word: str) -> tuple[int, ...]:
     syms = list(word)
-    rank = vocab._merge_rank
     while len(syms) > 1:
         best_rank = None
         for pair in zip(syms, syms[1:]):
@@ -196,11 +200,10 @@ def _encode_word(vocab: Vocabulary, word: str) -> list[int]:
                 best_rank = r
         if best_rank is None:
             break
-        left, right = vocab.merges[best_rank]
+        left, right = merges[best_rank]
         syms = _merge_symbols(syms, left, right)
-    ids = [vocab._piece_to_id.get(s, vocab.unk_id) for s in syms]
-    vocab._word_cache[word] = ids
-    return ids
+    # a tuple, so the cached result cannot be changed by a caller
+    return tuple([piece_to_id.get(s, unk_id) for s in syms])
 
 
 def encode(vocab: Vocabulary, text: str) -> list[int]:
@@ -208,7 +211,7 @@ def encode(vocab: Vocabulary, text: str) -> list[int]:
     marker-prefixed pretoken; unseen characters map to unk, one id each."""
     ids: list[int] = []
     for word in _pretokenize(text, vocab.marker):
-        ids.extend(_encode_word(vocab, word))
+        ids.extend(vocab._word_encoder(word))
     return ids
 
 
@@ -269,10 +272,18 @@ def load_vocab(path: str | Path) -> Vocabulary:
     except ValueError as e:
         raise TokenizerError(f"{path}: malformed vocabulary header ({e})") from e
     if version != VOCAB_FORMAT_VERSION:
-        raise TokenizerError(f"unsupported vocabulary version {version}")
-    pieces = tuple(lines[1 : 1 + n_pieces])
-    merge_lines = lines[1 + n_pieces : 1 + n_pieces + n_merges]
-    merges = tuple(tuple(l.split("\t", 1)) for l in merge_lines)
+        raise TokenizerError(f"{path}: unsupported vocabulary version {version}")
+    body = lines[1:-1] if lines[-1] == "" else lines[1:]
+    if len(body) != n_pieces + n_merges:
+        raise TokenizerError(
+            f"{path}: {len(body)} piece and merge lines, but the header declares "
+            f"{n_pieces} pieces and {n_merges} merges"
+        )
+    pieces = tuple(body[:n_pieces])
+    merges = tuple(tuple(l.split("\t", 1)) for l in body[n_pieces:])
+    for k, merge in enumerate(merges):
+        if len(merge) != 2:
+            raise TokenizerError(f"{path}: merge {k} {merge[0]!r} is not two tab-separated pieces")
     return Vocabulary(pieces=pieces, merges=merges, unk_id=unk, marker=marker)
 
 

@@ -257,7 +257,6 @@ def train(
     eval_hooks: Sequence[tuple[int, Callable]] = (),
     out_dir: str | Path | None = None,
     resume_from: str | Path | None = None,
-    run_digest: str | None = None,
 ) -> tuple[ModelState, RunRecord]:
     """Run the optimization loop; mutates and returns ``state``.
 
@@ -267,16 +266,14 @@ def train(
     A resumed run continues the RunRecord and, with the restored RNG and
     cursors, matches the uninterrupted run bit for bit.
     """
-    digest = run_digest or json_digest(
-        {"train": config.to_dict(), "model": state.config.to_dict()}
-    )
+    digest = json_digest({"train": config.to_dict(), "model": state.config.to_dict()})
     record = RunRecord(seed=config.seed, config_digest=digest, n_languages=source.n_languages)
     adam = Adam(state.params, config.beta1, config.beta2, config.eps)
     start_step = 0
     last_ckpt: str | None = None
 
     if resume_from is not None:
-        ck_state, ck_step, _, opt, extra = load_checkpoint(resume_from)
+        ck_state, ck_step, opt, extra = load_checkpoint(resume_from)
         if extra.get("run_digest") != digest:
             raise ValueError(
                 f"checkpoint {resume_from} was produced by a different run config "
@@ -296,17 +293,15 @@ def train(
 
     def write_checkpoint(steps_done: int) -> str:
         path = out / f"checkpoint_{steps_done:07d}.xlck"
-        src_state = source.state()
         save_checkpoint(
             path,
             state,
             step=steps_done,
-            rng_state=src_state.get("rng"),
             opt_tensors=adam.tensors(),
             extra={
                 "run_digest": digest,
                 "adam_t": adam.t,
-                "source": src_state,
+                "source": source.state(),
                 "record": record.to_dict(),
             },
         )

@@ -100,6 +100,14 @@ def test_stride_larger_than_window_rejected():
         evaluator.window_spans(100, window=16, stride=32)
 
 
+def test_stride_equal_to_window_rejected():
+    # such windows are disjoint, and a window's first token has no context
+    with pytest.raises(evaluator.EvalError, match="stride 16 must be in"):
+        evaluator.window_spans(100, window=16, stride=16)
+    with pytest.raises(evaluator.EvalError, match="stride 1 must be in"):
+        evaluator.window_spans(5, window=1, stride=1)
+
+
 @pytest.fixture
 def fail_after_half_a_second():
     """Turn a hang into a failure: SIGALRM interrupts the test after 0.5 s."""

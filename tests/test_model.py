@@ -308,10 +308,9 @@ def test_loss_and_grads_bitwise_equivariant_under_block_swap(n_anchor):
 def test_checkpoint_roundtrip(tmp_path):
     st = make_model(dtype="float32", seed=21)
     opt = {"adam_m.x": np.ones(3, dtype=np.float32)}
-    model.save_checkpoint(tmp_path / "c.xlck", st, step=5,
-                          rng_state={"k": 1}, opt_tensors=opt, extra={"e": 2})
-    st2, step, rng_state, opt2, extra = model.load_checkpoint(tmp_path / "c.xlck")
-    assert step == 5 and rng_state == {"k": 1} and extra == {"e": 2}
+    model.save_checkpoint(tmp_path / "c.xlck", st, step=5, opt_tensors=opt, extra={"e": 2})
+    st2, step, opt2, extra = model.load_checkpoint(tmp_path / "c.xlck")
+    assert step == 5 and extra == {"e": 2}
     for k in st.params:
         assert np.array_equal(st.params[k], st2.params[k])
     assert np.array_equal(opt2["adam_m.x"], opt["adam_m.x"])
@@ -378,7 +377,7 @@ def test_checkpoint_float64_roundtrip_keeps_dtype_and_bits(tmp_path):
     st = make_model(dtype="float64", seed=22)
     opt = {"adam_v.x": np.random.default_rng(0).standard_normal(5)}
     model.save_checkpoint(tmp_path / "c.xlck", st, step=1, opt_tensors=opt)
-    st2, _, _, opt2, _ = model.load_checkpoint(tmp_path / "c.xlck")
+    st2, _, opt2, _ = model.load_checkpoint(tmp_path / "c.xlck")
     for k in st.params:
         assert st2.params[k].dtype == np.float64
         assert np.array_equal(st.params[k], st2.params[k]), k
@@ -416,6 +415,26 @@ def test_checkpoint_header_missing_field_is_checkpoint_error(tmp_path, field):
     model.save_checkpoint(path, st, step=0)
     header, offset = _read_header(path)
     del header[field]
+    _write_raw_checkpoint(path, header, path.read_bytes()[offset:])
+    with pytest.raises(model.CheckpointError, match=field):
+        model.load_checkpoint(path)
+
+
+_GOOD_CONFIG = dict(n_layers=1, d_model=8, n_heads=2, d_ff=16, vocab_size=5, max_seq_len=4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dtype", "int64"), ("dtype", "float16"), ("n_layers", -1), ("d_model", 0),
+    ("n_heads", 0), ("d_ff", 0), ("vocab_size", 0), ("max_seq_len", 0),
+])
+def test_config_rejects_what_it_cannot_run(tmp_path, field, value):
+    with pytest.raises(ValueError, match=field):
+        model.ModelConfig(**{**_GOOD_CONFIG, field: value})
+    # a checkpoint header carrying such a config is a CheckpointError
+    path = tmp_path / "c.xlck"
+    model.save_checkpoint(path, model.init(model.ModelConfig(**_GOOD_CONFIG), seed=0), step=0)
+    header, offset = _read_header(path)
+    header["config"][field] = value
     _write_raw_checkpoint(path, header, path.read_bytes()[offset:])
     with pytest.raises(model.CheckpointError, match=field):
         model.load_checkpoint(path)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,53 @@ def test_load_vocab_header_without_pieces_is_tokenizer_error(tmp_path, tiny_voca
     p.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(tokenizer.TokenizerError, match="lacks field 'pieces'"):
         tokenizer.load_vocab(p)
+
+
+def test_load_vocab_missing_last_merge_is_tokenizer_error(tmp_path, tiny_vocab):
+    p = tmp_path / "v.vocab"
+    tokenizer.save_vocab(p, tiny_vocab)
+    lines = p.read_text(encoding="utf-8").split("\n")
+    assert lines[-1] == "" and "\t" in lines[-2]
+    p.write_text("\n".join(lines[:-2]) + "\n", encoding="utf-8")
+    n_merges = len(tiny_vocab.merges)
+    with pytest.raises(tokenizer.TokenizerError, match=f"{p}: .*{n_merges} merges"):
+        tokenizer.load_vocab(p)
+
+
+def test_load_vocab_merge_without_tab_is_tokenizer_error(tmp_path, tiny_vocab):
+    p = tmp_path / "v.vocab"
+    tokenizer.save_vocab(p, tiny_vocab)
+    lines = p.read_text(encoding="utf-8").split("\n")
+    lines[-2] = lines[-2].replace("\t", "")
+    p.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(tokenizer.TokenizerError, match=f"{p}: merge .* not two tab-separated"):
+        tokenizer.load_vocab(p)
+
+
+def test_word_cache_is_bounded():
+    vocab = tokenizer.Vocabulary(pieces=("<unk>", MARKER, "w", "0", "1"), merges=())
+    n_words = tokenizer.WORD_CACHE_SIZE + 100
+    tokenizer.encode(vocab, " ".join(f"w{i:b}" for i in range(n_words)))
+    info = vocab._word_encoder.cache_info()
+    assert info.misses == n_words
+    assert info.currsize == info.maxsize == tokenizer.WORD_CACHE_SIZE
+    # the first word was evicted and encodes the same again; the last is a hit
+    last = f"w{n_words - 1:b}"
+    ids = tokenizer.encode(vocab, f"w0 {last}")
+    assert ids[:3] == [1, 2, 3] and len(ids) == 3 + len(last) + 1
+    assert vocab._word_encoder.cache_info().hits == 1
+
+
+def test_dropped_vocabulary_is_freed_without_the_cycle_collector(tiny_store):
+    vocab = tokenizer.train_bpe(tiny_store, vocab_size=40)
+    tokenizer.encode(vocab, "the cat sat")
+    ref = weakref.ref(vocab)
+    gc.disable()
+    try:
+        del vocab
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
