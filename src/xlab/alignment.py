@@ -31,6 +31,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .model import ModelState, forward, group_of, loss_and_grads
 from .tokenizer import IdLayout
+from .util import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -185,11 +186,6 @@ def hidden_similarity(
     return np.array([_cosine_rows(la[ia], lb[ib]).mean() for la, lb in zip(ha, hb)])
 
 
-def delta_row(table_a: np.ndarray, table_b: np.ndarray) -> np.ndarray:
-    """Per-layer difference (first minus second), the tables' delta row."""
-    return np.asarray(table_a) - np.asarray(table_b)
-
-
 def write_layer_table_csv(
     path: str | Path,
     rows: dict[str, np.ndarray],
@@ -198,13 +194,13 @@ def write_layer_table_csv(
     """CSV with columns label, layer_1..layer_L, plus a delta row."""
     labels = list(rows)
     n_layers = len(rows[labels[0]])
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(["label"] + [f"layer_{i + 1}" for i in range(n_layers)])
         for label in labels:
             w.writerow([label] + [repr(float(x)) for x in rows[label]])
         if delta is not None:
-            d = delta_row(rows[delta[0]], rows[delta[1]])
+            d = np.asarray(rows[delta[0]]) - np.asarray(rows[delta[1]])
             w.writerow([f"delta({delta[0]}-{delta[1]})"] + [repr(float(x)) for x in d])
 
 

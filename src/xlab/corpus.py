@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .util import atomic_write
+
 STREAM_MAGIC = b"XLTS"
 STREAM_VERSION = 1
 
@@ -158,7 +160,7 @@ def write_token_stream(path: str | Path, stream: TokenStream) -> None:
     digest = bytes.fromhex(stream.vocab_digest)
     if len(digest) != 32:
         raise CorpusError("vocab_digest must be a 32-byte hex digest")
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(STREAM_MAGIC)
         f.write(struct.pack("<B", STREAM_VERSION))
         f.write(digest)

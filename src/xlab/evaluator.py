@@ -113,11 +113,10 @@ def sliding_ppl(
     if len(stream) == 0:
         raise EvalError("cannot evaluate an empty token stream")
     nll_terms: list[float] = []
-    scored = 0
     for i in range(stream.n_documents):
         _, lp = sliding_logprobs(state, stream.document(i), window, stride)
         nll_terms.extend((-lp).tolist())
-        scored += len(lp)
+    scored = len(nll_terms)
     if scored == 0:
         raise EvalError("stream has no predictable tokens (all documents < 2 tokens)")
     ppl = math.exp(math.fsum(nll_terms) / scored)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -118,25 +117,17 @@ def marginal(policy: MixPolicy) -> np.ndarray:
 
 
 def sample_language(
-    policy: MixPolicy,
-    step: int,
-    total_steps: int,
-    rng: np.random.Generator,
-    role_permutation: Sequence[int] | None = None,
+    policy: MixPolicy, step: int, total_steps: int, rng: np.random.Generator
 ) -> int:
     """Draw one language tag (one uniform variate consumed per call).
 
-    ``role_permutation`` relabels clone roles after sampling, so a permuted
-    run consuming the same random stream produces exactly the permuted tag
-    sequence (the permutation is metadata: at 50/50 it is invisible in the
-    probabilities themselves).
+    Tag n is the policy's language n. To swap clone roles, keep the policy and
+    relabel the id layout (:func:`xlab.tokenizer.relabel`): the same random
+    stream then feeds the other clone's ids under the same tags.
     """
     p = probs_at(policy, step, total_steps)
     tag = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
-    tag = min(tag, len(p) - 1)
-    if role_permutation is not None:
-        tag = int(role_permutation[tag])
-    return tag
+    return min(tag, len(p) - 1)
 
 
 class StreamCursor:
@@ -151,7 +142,6 @@ class StreamCursor:
 
     def __init__(self, stream: TokenStream, seq_len: int, separator_id: int | None = None):
         self.seq_len = seq_len
-        self.separator_id = separator_id
         self.data = concat_with_separator(stream, separator_id)
         if len(self.data) < seq_len + 1:
             # tiny corpora: tile until one slice fits
@@ -180,12 +170,7 @@ class StreamCursor:
 def concat_with_separator(stream: TokenStream, separator_id: int | None) -> np.ndarray:
     """Flatten a stream's documents into one id array, inserting the separator
     between consecutive documents (none at the ends)."""
-    if separator_id is None or stream.n_documents <= 1:
-        return stream.ids.astype(np.int64)
-    parts: list[np.ndarray] = []
-    sep = np.array([separator_id], dtype=np.int64)
-    for i in range(stream.n_documents):
-        if i:
-            parts.append(sep)
-        parts.append(stream.document(i).astype(np.int64))
-    return np.concatenate(parts)
+    ids = stream.ids.astype(np.int64)
+    if separator_id is None:
+        return ids
+    return np.insert(ids, stream.doc_boundaries[:-1].astype(np.intp), separator_id)

@@ -33,14 +33,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .util import json_digest
+from .util import atomic_write
 
 CHECKPOINT_MAGIC = b"XLCK"
 CHECKPOINT_VERSION = 2
@@ -92,11 +91,6 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(**d)
-
-
-def param_order(config: ModelConfig) -> list[str]:
-    """Canonical parameter names, in checkpoint order."""
-    return list(_param_shapes(config))
 
 
 def group_of(param_name: str) -> str:
@@ -502,11 +496,9 @@ def save_checkpoint(
     extra: dict | None = None,
 ) -> None:
     """Write the parameters, then the optimizer tensors, so that
-    load_checkpoint returns them bit for bit and in the same dtypes. The file
-    is written next to ``path`` and moved into place, so a failed save leaves
-    any earlier file at ``path`` intact."""
-    names = param_order(state.config)
-    tensors = [(n, state.params[n]) for n in names]
+    load_checkpoint returns them bit for bit and in the same dtypes. The write
+    is atomic (:func:`~xlab.util.atomic_write`)."""
+    tensors = [(n, state.params[n]) for n in _param_shapes(state.config)]
     if opt_tensors:
         tensors += [(n, opt_tensors[n]) for n in sorted(opt_tensors)]
     arrays = [np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")) for _, a in tensors]
@@ -515,36 +507,30 @@ def save_checkpoint(
         digest.update(a)
     header = {
         "config": state.config.to_dict(),
-        "config_digest": json_digest(state.config.to_dict()),
         "step": step,
         "extra": extra or {},
         "tensors": [[n, list(a.shape), a.dtype.str] for (n, _), a in zip(tensors, arrays)],
-        "n_params": len(names),
         "payload_sha256": digest.hexdigest(),
     }
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<BI", CHECKPOINT_VERSION, len(raw)))
-            f.write(raw)
-            for a in arrays:
-                f.write(a)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<BI", CHECKPOINT_VERSION, len(raw)))
+        f.write(raw)
+        for a in arrays:
+            f.write(a)
 
 
-_HEADER_FIELDS = ("config", "n_params", "payload_sha256", "step", "tensors")
+# other header fields are ignored, so headers that still carry n_params and
+# config_digest load
+_HEADER_FIELDS = ("config", "payload_sha256", "step", "tensors")
 
 
 def _parse_header(raw: bytes, path) -> tuple[dict, ModelConfig, list, int]:
     """Decode and validate a checkpoint header; returns (header, config,
     [(name, shape, dtype)], n_params). The first n_params entries must be
-    the config's parameters, in order and in the config's dtype."""
+    the config's parameters, in order and in the config's dtype; the rest are
+    optimizer tensors."""
     try:
         header = json.loads(raw.decode("utf-8"))
     except ValueError as e:
@@ -556,11 +542,12 @@ def _parse_header(raw: bytes, path) -> tuple[dict, ModelConfig, list, int]:
         config = ModelConfig.from_dict(header["config"])
         specs = [(str(n), tuple(int(d) for d in shape), np.dtype(dt))
                  for n, shape, dt in header["tensors"]]
-        n_params = int(header["n_params"])
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad checkpoint header ({e})") from e
-    shapes = _param_shapes(config)
-    expected = [(n, shapes[n], config.np_dtype) for n in param_order(config)]
+    if type(header["step"]) is not int or header["step"] < 0:
+        raise CheckpointError(f"{path}: checkpoint step {header['step']!r} is not a step count")
+    expected = [(n, shape, config.np_dtype) for n, shape in _param_shapes(config).items()]
+    n_params = len(expected)
     if specs[:n_params] != expected:
         raise CheckpointError(f"{path}: parameter tensors do not match the model config")
     for name, shape, dt in specs[n_params:]:

@@ -28,6 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .util import atomic_write
+
 # the grid over the exponent b that golden-section refinement starts from
 B_MIN, B_MAX, B_STEP = 0.05, 2.0, 0.001
 
@@ -69,15 +71,22 @@ class ScalingFit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalingFit":
-        return cls(a=d["a"], b=d["b"], c=d["c"], residual=d["residual"],
-                   t_min=d["domain"][0], t_max=d["domain"][1])
+        try:
+            return cls(a=d["a"], b=d["b"], c=d["c"], residual=d["residual"],
+                       t_min=d["domain"][0], t_max=d["domain"][1])
+        except (KeyError, TypeError, IndexError) as e:
+            raise FitError(f"scaling fit with a missing or malformed field: {e}") from e
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1))
+        with atomic_write(path) as f:
+            f.write(json.dumps(self.to_dict(), sort_keys=True, indent=1))
 
     @classmethod
     def load(cls, path: str | Path) -> "ScalingFit":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except ValueError as e:  # FitError and JSONDecodeError alike
+            raise FitError(f"{path}: {e}") from e
 
 
 def _solve_ac(u: np.ndarray, p: np.ndarray, w: np.ndarray, floor: bool):

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DocumentStore, TokenStream
+from .util import atomic_write
 
 MARKER = "▁"  # word-begin marker, prefixed to every pretoken
 UNK_PIECE = "<unk>"
@@ -256,7 +257,8 @@ def _serialize_vocab(vocab: Vocabulary) -> str:
 
 
 def save_vocab(path: str | Path, vocab: Vocabulary) -> None:
-    Path(path).write_text(_serialize_vocab(vocab), encoding="utf-8")
+    with atomic_write(path, encoding="utf-8") as f:
+        f.write(_serialize_vocab(vocab))
 
 
 def load_vocab(path: str | Path) -> Vocabulary:

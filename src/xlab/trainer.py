@@ -14,7 +14,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -30,7 +30,7 @@ from .model import (
     save_checkpoint,
 )
 from .tokenizer import IdLayout
-from .util import json_digest
+from .util import atomic_write, json_digest
 
 logger = logging.getLogger(__name__)
 
@@ -118,42 +118,57 @@ class Adam:
 
 @dataclass
 class RunRecord:
-    """Everything a finished (or interrupted) run reports about itself."""
+    """Everything a finished (or interrupted) run reports about itself. Step
+    count and per-language token totals are derived, not stored."""
 
     seed: int
     config_digest: str
     n_languages: int
-    steps: int = 0
     losses: list[float] = field(default_factory=list)
-    lang_token_counts: list[int] = field(default_factory=list)
     step_lang_tokens: list[list[int]] = field(default_factory=list)
     evals: dict[str, dict] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.lang_token_counts:
-            self.lang_token_counts = [0] * self.n_languages
+    @property
+    def steps(self) -> int:
+        return len(self.losses)
+
+    @property
+    def lang_token_counts(self) -> list[int]:
+        """Tokens seen per language: the column sums of ``step_lang_tokens``."""
+        return [sum(col) for col in zip(*self.step_lang_tokens)] or [0] * self.n_languages
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
+        """Raises ValueError naming every missing or unknown field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a run record is a JSON object, got {type(d).__name__}")
+        names = {f.name for f in fields(cls)}
+        missing, unknown = sorted(names - d.keys()), sorted(d.keys() - names)
+        if missing or unknown:
+            raise ValueError(
+                f"run record with missing fields {missing} and unknown fields {unknown}"
+            )
         return cls(**d)
 
     def save(self, path: str | Path, csv_sidecar: bool = False) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1))
+        with atomic_write(path) as f:
+            f.write(json.dumps(self.to_dict(), sort_keys=True, indent=1))
         if csv_sidecar:
-            side = Path(path).with_suffix(".csv")
-            with open(side, "w", newline="") as f:
+            with atomic_write(Path(path).with_suffix(".csv"), newline="") as f:
                 w = csv.writer(f)
                 w.writerow(["step", "loss"] + [f"tokens_lang{i}" for i in range(self.n_languages)])
-                for i, loss in enumerate(self.losses):
-                    counts = self.step_lang_tokens[i] if i < len(self.step_lang_tokens) else []
+                for i, (loss, counts) in enumerate(zip(self.losses, self.step_lang_tokens)):
                     w.writerow([i, repr(loss)] + list(counts))
 
     @classmethod
     def load(cls, path: str | Path) -> "RunRecord":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +181,9 @@ class MixtureSource:
 
     ``cursors`` is one :class:`StreamCursor` shared by every language (cloned
     languages read the same base stream) or a sequence with one cursor per
-    language (real pairs read their own corpora).
+    language (real pairs read their own corpora). Tag n is language n of
+    ``layout``; to swap clone roles, pass a layout from
+    :func:`xlab.tokenizer.relabel`.
     """
 
     def __init__(
@@ -176,7 +193,6 @@ class MixtureSource:
         policy: MixPolicy,
         batch_size: int,
         seed: int,
-        role_permutation: Sequence[int] | None = None,
     ):
         shared = isinstance(cursors, StreamCursor)
         self.cursors = [cursors] if shared else list(cursors)
@@ -189,7 +205,6 @@ class MixtureSource:
         self.policy = policy
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
-        self.role_permutation = role_permutation
 
     @property
     def n_languages(self) -> int:
@@ -198,9 +213,7 @@ class MixtureSource:
     def next_batch(self, step: int, total_steps: int):
         rows, tags = [], []
         for _ in range(self.batch_size):
-            tag = sample_language(
-                self.policy, step, total_steps, self.rng, self.role_permutation
-            )
+            tag = sample_language(self.policy, step, total_steps, self.rng)
             cursor = self.cursors[0] if len(self.cursors) == 1 else self.cursors[tag]
             rows.append(self.layout.map_ids(cursor.next(), tag))
             tags.append(tag)
@@ -274,15 +287,18 @@ def train(
 
     if resume_from is not None:
         ck_state, ck_step, opt, extra = load_checkpoint(resume_from)
-        if extra.get("run_digest") != digest:
+        try:
+            record = RunRecord.from_dict(extra.get("record"))
+        except ValueError as e:
+            raise ValueError(f"cannot resume from checkpoint {resume_from}: {e}") from e
+        if record.config_digest != digest:
             raise ValueError(
                 f"checkpoint {resume_from} was produced by a different run config "
-                f"({extra.get('run_digest')} != {digest}); refusing to resume"
+                f"({record.config_digest} != {digest}); refusing to resume"
             )
         state.params = ck_state.params  # in the config dtype, checked by the loader
-        adam.restore(opt, t=extra["adam_t"])
+        adam.restore(opt, t=ck_step)  # Adam takes one step per training step
         source.restore(extra["source"])
-        record = RunRecord.from_dict(extra["record"])
         start_step = ck_step
         last_ckpt = str(resume_from)
 
@@ -293,18 +309,8 @@ def train(
 
     def write_checkpoint(steps_done: int) -> str:
         path = out / f"checkpoint_{steps_done:07d}.xlck"
-        save_checkpoint(
-            path,
-            state,
-            step=steps_done,
-            opt_tensors=adam.tensors(),
-            extra={
-                "run_digest": digest,
-                "adam_t": adam.t,
-                "source": source.state(),
-                "record": record.to_dict(),
-            },
-        )
+        save_checkpoint(path, state, step=steps_done, opt_tensors=adam.tensors(),
+                        extra={"source": source.state(), "record": record.to_dict()})
         return str(path)
 
     for step in range(start_step, config.total_steps):
@@ -324,13 +330,8 @@ def train(
         _clip_gradients(grads, config.grad_clip, vocab_groups)
         adam.step(state.params, grads, lr_at(config, step))
         record.losses.append(loss)
-        record.steps = step + 1
-        step_counts = [0] * record.n_languages
-        for tag in tags:
-            step_counts[int(tag)] += ids.shape[1]
-        record.step_lang_tokens.append(step_counts)
-        for i, c in enumerate(step_counts):
-            record.lang_token_counts[i] += c
+        tokens = np.bincount(tags, minlength=record.n_languages) * ids.shape[1]
+        record.step_lang_tokens.append(tokens.tolist())
         steps_done = step + 1
         # hooks first, so what they record is in this step's checkpoint
         for at, fn in hooks:

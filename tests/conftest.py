@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -66,3 +69,16 @@ def markov_stream(
         vocab_digest="0" * 64,
     )
     return stream, pi
+
+
+def write_raw_checkpoint(path, header: dict, payload: bytes):
+    raw = json.dumps(header).encode("utf-8")
+    prefix = struct.pack("<BI", model.CHECKPOINT_VERSION, len(raw))
+    path.write_bytes(model.CHECKPOINT_MAGIC + prefix + raw + payload)
+
+
+def read_checkpoint_header(path) -> tuple[dict, int]:
+    """(header, payload offset) of a checkpoint file."""
+    raw = path.read_bytes()
+    _, hlen = struct.unpack("<BI", raw[4:9])
+    return json.loads(raw[9 : 9 + hlen]), 9 + hlen

@@ -1,13 +1,11 @@
-import json
 import math
-import struct
 
 import numpy as np
 import pytest
 
-from xlab import model
+from xlab import model, util
 
-from conftest import make_model
+from conftest import make_model, read_checkpoint_header, write_raw_checkpoint
 
 
 def cleanroom_forward(state: model.ModelState, ids: np.ndarray) -> np.ndarray:
@@ -350,7 +348,7 @@ def test_failed_checkpoint_save_keeps_earlier_file(tmp_path, monkeypatch):
                 raise OSError("no space left on device")
             return self.f.write(data)
 
-    monkeypatch.setattr(model, "open", lambda p, mode: DiskFullAfterHeader(open(p, mode)),
+    monkeypatch.setattr(util, "open", lambda p, mode: DiskFullAfterHeader(open(p, mode)),
                         raising=False)
     with pytest.raises(OSError, match="no space left"):
         model.save_checkpoint(path, make_model(dtype="float32", seed=2), step=2)
@@ -358,19 +356,6 @@ def test_failed_checkpoint_save_keeps_earlier_file(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["c.xlck"]
     assert model.load_checkpoint(path)[1] == 1
-
-
-def _write_raw_checkpoint(path, header: dict, payload: bytes):
-    raw = json.dumps(header).encode("utf-8")
-    prefix = struct.pack("<BI", model.CHECKPOINT_VERSION, len(raw))
-    path.write_bytes(model.CHECKPOINT_MAGIC + prefix + raw + payload)
-
-
-def _read_header(path) -> tuple[dict, int]:
-    """(header, payload offset) of a checkpoint file."""
-    raw = path.read_bytes()
-    _, hlen = struct.unpack("<BI", raw[4:9])
-    return json.loads(raw[9 : 9 + hlen]), 9 + hlen
 
 
 def test_checkpoint_float64_roundtrip_keeps_dtype_and_bits(tmp_path):
@@ -390,7 +375,7 @@ def test_checkpoint_float32_payload_is_four_bytes_per_value(tmp_path):
     opt = {"adam_m.x": np.ones(7, dtype=np.float32)}
     path = tmp_path / "c.xlck"
     model.save_checkpoint(path, st, step=0, opt_tensors=opt)
-    header, offset = _read_header(path)
+    header, offset = read_checkpoint_header(path)
     n_values = sum(a.size for a in st.params.values()) + 7
     assert path.stat().st_size - offset == 4 * n_values
     assert {dt for _, _, dt in header["tensors"]} == {"<f4"}
@@ -408,16 +393,41 @@ def test_checkpoint_rejects_version_1(tmp_path):
         model.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("field", ["tensors", "payload_sha256", "n_params", "step", "config"])
+@pytest.mark.parametrize("field", ["tensors", "payload_sha256", "step", "config"])
 def test_checkpoint_header_missing_field_is_checkpoint_error(tmp_path, field):
     st = make_model(dtype="float32")
     path = tmp_path / "c.xlck"
     model.save_checkpoint(path, st, step=0)
-    header, offset = _read_header(path)
+    header, offset = read_checkpoint_header(path)
     del header[field]
-    _write_raw_checkpoint(path, header, path.read_bytes()[offset:])
+    write_raw_checkpoint(path, header, path.read_bytes()[offset:])
     with pytest.raises(model.CheckpointError, match=field):
         model.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("step", ["3", -5, 2.5, None, True])
+def test_checkpoint_header_bad_step_is_checkpoint_error(tmp_path, step):
+    path = tmp_path / "c.xlck"
+    model.save_checkpoint(path, make_model(dtype="float32"), step=3)
+    header, offset = read_checkpoint_header(path)
+    header["step"] = step
+    write_raw_checkpoint(path, header, path.read_bytes()[offset:])
+    with pytest.raises(model.CheckpointError, match="not a step count"):
+        model.load_checkpoint(path)
+
+
+def test_checkpoint_header_with_dropped_fields_loads(tmp_path):
+    """Files whose headers still carry ``n_params`` and ``config_digest`` load."""
+    st = make_model(dtype="float32", seed=4)
+    path = tmp_path / "c.xlck"
+    model.save_checkpoint(path, st, step=3, opt_tensors={"adam_m.x": np.ones(2, np.float32)})
+    header, offset = read_checkpoint_header(path)
+    header.update(n_params=len(st.params), config_digest="0" * 64)
+    write_raw_checkpoint(path, header, path.read_bytes()[offset:])
+    st2, step, opt, _ = model.load_checkpoint(path)
+    assert step == 3 and list(opt) == ["adam_m.x"]
+    for k in st.params:
+        assert np.array_equal(st.params[k], st2.params[k]), k
 
 
 _GOOD_CONFIG = dict(n_layers=1, d_model=8, n_heads=2, d_ff=16, vocab_size=5, max_seq_len=4)
@@ -433,9 +443,9 @@ def test_config_rejects_what_it_cannot_run(tmp_path, field, value):
     # a checkpoint header carrying such a config is a CheckpointError
     path = tmp_path / "c.xlck"
     model.save_checkpoint(path, model.init(model.ModelConfig(**_GOOD_CONFIG), seed=0), step=0)
-    header, offset = _read_header(path)
+    header, offset = read_checkpoint_header(path)
     header["config"][field] = value
-    _write_raw_checkpoint(path, header, path.read_bytes()[offset:])
+    write_raw_checkpoint(path, header, path.read_bytes()[offset:])
     with pytest.raises(model.CheckpointError, match=field):
         model.load_checkpoint(path)
 
@@ -444,15 +454,15 @@ def test_checkpoint_truncated_or_mismatched_is_checkpoint_error(tmp_path):
     st = make_model(dtype="float32")
     path = tmp_path / "c.xlck"
     model.save_checkpoint(path, st, step=0)
-    header, offset = _read_header(path)
+    header, offset = read_checkpoint_header(path)
     payload = path.read_bytes()[offset:]
-    _write_raw_checkpoint(path, header, payload[:-4])
+    write_raw_checkpoint(path, header, payload[:-4])
     with pytest.raises(model.CheckpointError, match="truncated"):
         model.load_checkpoint(path)
-    _write_raw_checkpoint(path, header, payload + b"\0")
+    write_raw_checkpoint(path, header, payload + b"\0")
     with pytest.raises(model.CheckpointError, match="digest"):
         model.load_checkpoint(path)
     header["tensors"][0][2] = "<f8"  # parameter dtype differs from the config's
-    _write_raw_checkpoint(path, header, payload)
+    write_raw_checkpoint(path, header, payload)
     with pytest.raises(model.CheckpointError, match="do not match"):
         model.load_checkpoint(path)

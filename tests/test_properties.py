@@ -1,13 +1,16 @@
 """Property tests: the window layout, the vocabulary and token-stream file
-round trips, and the one-block meaning of ``vocab_groups=None``."""
+round trips, the one-block meaning of ``vocab_groups=None``, the document
+join, the BPE round trip, role relabelling and the policy marginal."""
+
+import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from xlab import corpus, evaluator, model, tokenizer
+from xlab import corpus, evaluator, mixer, model, tokenizer
 
-from conftest import make_model
+from conftest import make_model, make_vocab
 
 FAST = settings(max_examples=40, deadline=None)
 WITH_TMP_PATH = settings(
@@ -108,3 +111,110 @@ def test_no_groups_is_the_one_block_grouping(seed, tie, dtype, n_layers, shape):
     arrays = list(grads_none.values())
     for i, g in enumerate(arrays):
         assert not any(np.shares_memory(g, h) for h in arrays[i + 1 :])
+
+
+@FAST
+@given(token_streams(), st.one_of(st.none(), st.integers(0, 2**40)))
+def test_document_join_matches_per_document_reference(stream, separator_id):
+    joined = mixer.concat_with_separator(stream, separator_id)
+    docs = [stream.document(i).astype(np.int64) for i in range(stream.n_documents)]
+    reference = []
+    for i, doc in enumerate(docs):
+        if i and separator_id is not None:
+            reference.append(separator_id)
+        reference.extend(doc.tolist())
+    assert joined.dtype == np.int64
+    assert joined.tolist() == reference
+
+
+_WORD = st.text(alphabet="abcdeé", min_size=1, max_size=6)
+_SPACE = st.sampled_from([" ", "  ", "\t", "\n"])
+
+
+@st.composite
+def bpe_cases(draw):
+    """A vocabulary trained on drawn words, and text over the corpus alphabet
+    with arbitrary whitespace."""
+    words = draw(st.lists(_WORD, min_size=3, max_size=30))
+    store = corpus.DocumentStore.from_documents([" ".join(words)])
+    alphabet = sorted(set("".join(words)))
+    extra_merges = draw(st.integers(0, 12))
+    try:
+        vocab = tokenizer.train_bpe(store, 2 + len(alphabet) + extra_merges)
+    except tokenizer.TokenizerError:  # too few distinct pairs for that many merges
+        assume(False)
+    pieces = draw(st.lists(st.tuples(_SPACE, st.text(alphabet=alphabet, min_size=1)),
+                           max_size=8))
+    text = "".join(space + word for space, word in pieces) + draw(_SPACE)
+    return vocab, text
+
+
+@FAST
+@given(bpe_cases())
+def test_bpe_round_trip_on_the_training_alphabet(case):
+    vocab, text = case
+    ids = tokenizer.encode(vocab, text)
+    assert vocab.unk_id not in ids
+    assert tokenizer.decode(vocab, ids) == " ".join(text.split())
+
+
+@st.composite
+def layouts_and_permutations(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        layout = tokenizer.clone_vocab(
+            make_vocab(draw(st.integers(2, 30))), n,
+            anchor_fraction=draw(st.sampled_from([0.0, 0.25, 1.0])), seed=draw(st.integers(0, 99)),
+        )
+    else:
+        layout = tokenizer.disjoint_layout(draw(st.lists(st.integers(1, 20), min_size=n,
+                                                         max_size=n)))
+    p = draw(st.permutations(range(n)))
+    q = draw(st.permutations(range(n)))
+    return layout, p, q
+
+
+@FAST
+@given(layouts_and_permutations(), st.data())
+def test_relabel_is_the_role_swap(case, data):
+    layout, p, q = case
+    base_size = min(len(lut) for lut in layout.luts)
+    x = np.asarray(data.draw(st.lists(st.integers(0, base_size - 1), max_size=20)), np.int64)
+    relabelled = tokenizer.relabel(layout, p)
+    for n in range(layout.n_languages):
+        assert np.array_equal(relabelled.map_ids(x, n), layout.map_ids(x, p[n]))
+    twice = tokenizer.relabel(relabelled, q)
+    once = tokenizer.relabel(layout, [p[q[n]] for n in range(len(q))])
+    assert len(twice.luts) == len(once.luts)
+    for a, b in zip(twice.luts, once.luts):
+        assert np.array_equal(a, b)
+    assert twice.total_size == once.total_size == layout.total_size
+    assert np.array_equal(twice.anchor_ids, layout.anchor_ids)
+
+
+@st.composite
+def staged_policies(draw):
+    n = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.sets(st.integers(1, 19), max_size=3)))
+    ends = [c / 20 for c in cuts] + [1.0]
+    stages = []
+    for end in ends:
+        weights = np.asarray(draw(st.lists(st.integers(0, 10), min_size=n, max_size=n)), float)
+        assume(weights.sum() > 0)
+        stages.append({"until": end, "probs": (weights / weights.sum()).tolist()})
+    return mixer.parse_policy(stages)
+
+
+# fixed before running: five binomial standard deviations at the worst case
+# p = 1/2, plus one step per stage for the stage ends falling between steps
+SAMPLE_STEPS = 4000
+
+
+@settings(max_examples=20, deadline=None)
+@given(staged_policies(), st.integers(0, 2**32 - 1))
+def test_marginal_matches_sampled_tag_frequencies(policy, seed):
+    rng = np.random.default_rng(seed)
+    tags = [mixer.sample_language(policy, step, SAMPLE_STEPS, rng) for step in range(SAMPLE_STEPS)]
+    freq = np.bincount(tags, minlength=policy.n_languages) / SAMPLE_STEPS
+    tolerance = 5 * math.sqrt(0.25 / SAMPLE_STEPS) + len(policy.stages) / SAMPLE_STEPS
+    assert np.all(np.abs(freq - mixer.marginal(policy)) <= tolerance)

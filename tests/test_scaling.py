@@ -122,6 +122,18 @@ def test_fit_json_roundtrip(tmp_path):
     assert back == fit
 
 
+@pytest.mark.parametrize("text, match", [
+    ('{"a": 1.0, "b": 0.5, "c": 1.0, "domain": [1, 10]}', "malformed field: 'residual'"),
+    ('{"a": 1.0, "b": 0.5', "Expecting"),
+])
+def test_fit_load_errors_name_file_and_field(tmp_path, text, match):
+    path = tmp_path / "fit.json"
+    path.write_text(text)
+    with pytest.raises(scaling.FitError, match=match) as info:
+        scaling.ScalingFit.load(path)
+    assert str(path) in str(info.value)
+
+
 def test_efficiency_report_rows():
     fit = scaling.fit_power_law(PAPER_MONO_POINTS)
     per_lang = {0: (1.08e9, 22.5), 1: (0.12e9, 32.8)}

@@ -1,9 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from xlab import mixer, model, tokenizer, trainer
 
-from conftest import make_model, make_vocab, markov_stream
+from conftest import (
+    make_model,
+    make_vocab,
+    markov_stream,
+    read_checkpoint_header,
+    write_raw_checkpoint,
+)
 
 
 def small_setup(vocab_size=10, n_tokens=4000, seq_len=16, batch_size=8, seed=0,
@@ -171,6 +179,51 @@ def test_resume_refuses_config_mismatch(tmp_path):
         trainer.train(st2, src2, other, resume_from=ckpt)
 
 
+def test_trainer_checkpoint_stores_each_fact_once(tmp_path):
+    cfg = trainer.TrainConfig(total_steps=4, batch_size=4, seq_len=16,
+                              warmup_steps=1, seed=2)
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    _, record = trainer.train(st, src, cfg, out_dir=tmp_path)
+    header, _ = read_checkpoint_header(tmp_path / "checkpoint_0000004.xlck")
+    assert set(header) == {"config", "extra", "payload_sha256", "step", "tensors"}
+    assert set(header["extra"]) == {"source", "record"}
+    assert header["extra"]["record"] == record.to_dict()
+    assert header["step"] == record.steps == 4
+
+
+def _rewrite_extra(path, edit):
+    header, offset = read_checkpoint_header(path)
+    edit(header["extra"])
+    write_raw_checkpoint(path, header, path.read_bytes()[offset:])
+
+
+def _with_stored_totals(extra):
+    """The extra of a checkpoint that stored the step count and token totals
+    beside the per-step lists."""
+    rec = extra["record"]
+    rec["steps"] = len(rec["losses"])
+    rec["lang_token_counts"] = [sum(c) for c in zip(*rec["step_lang_tokens"])]
+    extra.update(adam_t=rec["steps"], run_digest=rec["config_digest"])
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda extra: extra.pop("record"), "got NoneType"),
+    (_with_stored_totals, r"unknown fields \['lang_token_counts', 'steps'\]"),
+    (lambda extra: extra["record"].pop("losses"), r"missing fields \['losses'\]"),
+])
+def test_resume_needs_this_run_record(tmp_path, edit, match):
+    cfg = trainer.TrainConfig(total_steps=6, batch_size=4, seq_len=16,
+                              warmup_steps=1, seed=2, checkpoint_every=3)
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    trainer.train(st, src, cfg, out_dir=tmp_path)
+    ckpt = tmp_path / "checkpoint_0000003.xlck"
+    _rewrite_extra(ckpt, edit)
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    with pytest.raises(ValueError, match=match) as info:
+        trainer.train(st, src, cfg, resume_from=ckpt)
+    assert str(ckpt) in str(info.value)
+
+
 def test_resume_rejects_corrupt_checkpoint(tmp_path):
     cfg = trainer.TrainConfig(total_steps=30, batch_size=4, seq_len=16,
                               warmup_steps=5, seed=2, checkpoint_every=30)
@@ -264,10 +317,10 @@ def test_eval_hooks_fire_on_snapshots():
 
 def test_run_record_roundtrip(tmp_path):
     rec = trainer.RunRecord(seed=1, config_digest="abc", n_languages=2)
+    assert rec.steps == 0 and rec.lang_token_counts == [0, 0]
     rec.losses = [3.0, 2.5]
-    rec.steps = 2
-    rec.lang_token_counts = [10, 22]
     rec.step_lang_tokens = [[10, 6], [0, 16]]
+    assert rec.steps == 2 and rec.lang_token_counts == [10, 22]
     rec.evals["2"] = {"0": {"ppl": 9.0}}
     rec.save(tmp_path / "r.json", csv_sidecar=True)
     back = trainer.RunRecord.load(tmp_path / "r.json")
@@ -275,6 +328,30 @@ def test_run_record_roundtrip(tmp_path):
     lines = (tmp_path / "r.csv").read_text().strip().splitlines()
     assert lines[0] == "step,loss,tokens_lang0,tokens_lang1"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.pop("seed"), r"missing fields \['seed'\] and unknown fields \[\]"),
+    (lambda d: d.update(steps=2), r"missing fields \[\] and unknown fields \['steps'\]"),
+])
+def test_run_record_rejects_missing_and_unknown_fields(tmp_path, edit, match):
+    d = trainer.RunRecord(seed=1, config_digest="abc", n_languages=2).to_dict()
+    edit(d)
+    with pytest.raises(ValueError, match=match):
+        trainer.RunRecord.from_dict(d)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=match) as info:
+        trainer.RunRecord.load(path)
+    assert str(path) in str(info.value)
+
+
+def test_run_record_load_names_file_on_bad_json(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text('{"seed": 1,')
+    with pytest.raises(ValueError, match="Expecting") as info:
+        trainer.RunRecord.load(path)
+    assert str(path) in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +372,21 @@ def test_clone_symmetry_short_run():
     b0, b1 = groups[1]
     perm_ids[b0], perm_ids[b1] = np.arange(cv.total_size)[b1], np.arange(cv.total_size)[b0]
 
-    def run(role_permutation, swap_rows):
+    def run(layout, swap_rows):
         st = make_model(n_layers=1, d_model=16, n_heads=2, d_ff=24,
                         vocab_size=cv.total_size, max_seq_len=seq_len,
                         dtype="float32", seed=23)
         if swap_rows:
             st.params["token_embedding"] = st.params["token_embedding"][perm_ids]
         cursor = mixer.StreamCursor(stream, seq_len=seq_len)
-        source = trainer.ClonedMixtureSource(cursor, cv, policy, batch_size=4,
-                                             seed=17, role_permutation=role_permutation)
+        source = trainer.ClonedMixtureSource(cursor, layout, policy, batch_size=4, seed=17)
         return trainer.train(st, source, cfg, vocab_groups=groups)
 
-    st_a, rec_a = run(None, swap_rows=False)
-    st_b, rec_b = run([1, 0], swap_rows=True)
+    st_a, rec_a = run(cv, swap_rows=False)
+    st_b, rec_b = run(tokenizer.relabel(cv, [1, 0]), swap_rows=True)
     assert rec_a.losses == rec_b.losses
-    assert rec_a.lang_token_counts == rec_b.lang_token_counts[::-1]
+    # tags name roles, so role n saw the same tokens in both runs
+    assert rec_a.lang_token_counts == rec_b.lang_token_counts
     for name in st_a.params:
         if name == "token_embedding":
             assert np.array_equal(st_a.params[name][perm_ids], st_b.params[name])
