@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import ModelState, forward, group_of, loss_and_grads
+# ``forward`` stays importable here because perfbench/drive.py traces it by name
+from .model import ModelState, forward, group_of, hidden_states, loss_and_grads  # noqa: F401
 from .tokenizer import IdLayout
 from .util import atomic_write
 
@@ -171,8 +172,8 @@ def hidden_similarity(
     """
     if len(pair.seq_a) == 0 or len(pair.seq_b) == 0:
         raise AlignmentError("cannot compare empty sequences")
-    ha = forward(state, pair.seq_a).hidden_states[1:]
-    hb = forward(state, pair.seq_b).hidden_states[1:]
+    ha = hidden_states(state, pair.seq_a)[1:]
+    hb = hidden_states(state, pair.seq_b)[1:]
     if matching == "positional":
         if len(pair.seq_a) != len(pair.seq_b):
             raise AlignmentError("positional matching requires equal-length sequences")

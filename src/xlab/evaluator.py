@@ -10,11 +10,11 @@ the window layout is:
   and scores exactly the not-yet-scored targets (their context is therefore
   at least ``window - stride`` tokens).
 
-Windows are scored in stacks of equal length by
-:func:`xlab.model.sequence_logprobs`, whose log-softmax is float64. Every
+Windows are scored in stacks of equal length by :func:`xlab.model.scored_logprobs`,
+whose float64 log-softmax runs only on each window's scored rows. Every
 predictable token of every document is scored exactly once, and the total
-negative log-likelihood is accumulated with exact (fsum) 64-bit
-summation, so the perplexity is invariant under document order permutation.
+negative log-likelihood is accumulated with exact (fsum) 64-bit summation, so
+the perplexity is invariant under document order permutation.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ import numpy as np
 
 from .corpus import TokenStream
 # perfbench/drive.py traces ``evaluator.forward`` by name; the windows reach
-# ``forward`` through ``sequence_logprobs``, so it is imported but not called
-from .model import ModelState, forward, sequence_logprobs  # noqa: F401
+# ``forward`` through ``scored_logprobs``, so it is imported but not called
+from .model import ModelState, forward, scored_logprobs  # noqa: F401
 from .tokenizer import IdLayout
 
 
-# windows scored per sequence_logprobs call
+# windows scored per scored_logprobs call
 BATCH_WINDOWS = 8
 
 
@@ -93,10 +93,9 @@ def sliding_logprobs(
         chunk = spans[i : i + BATCH_WINDOWS]
         length = min(window, len(ids))
         stack = np.stack([ids[ws : ws + length] for ws, _, _ in chunk])
-        lp = sequence_logprobs(state, stack)
-        for row, (ws, first, end) in zip(lp, chunk):
-            positions.append(np.arange(first, end))
-            values.append(row[first - ws - 1 : end - ws - 1])
+        ws, first, end = np.array(chunk).T
+        values.append(scored_logprobs(state, stack, first - ws - 1, end - ws - 1))
+        positions.extend(np.arange(first, end) for _, first, end in chunk)
     if not positions:
         return np.empty(0, dtype=np.int64), np.empty(0)
     return np.concatenate(positions), np.concatenate(values)

@@ -20,8 +20,8 @@ Python floats so that NumPy's promotion rules (NEP 50) never widen float32
 work. Float64 is used on purpose in three places only:
 
 * :func:`grouped_sumsq`, the sum of squares behind the gradient-clipping norm;
-* the log-softmax of :func:`sequence_logprobs`, which also scores the
-  evaluator's sliding windows;
+* the log-softmax of :func:`scored_logprobs`, which scores the evaluator's
+  sliding windows and :func:`sequence_logprobs`;
 * the evaluator's ``fsum`` of the negative log-likelihood.
 
 Checkpoints store every tensor in its own dtype, so a resumed run matches the
@@ -190,6 +190,9 @@ def grouped_vocab_reduce(parts_by_group: list[np.ndarray], anchor_part: np.ndarr
     """
     if len(parts_by_group) == 1:
         total = parts_by_group[0]
+    elif len(parts_by_group) == 2:
+        # bitwise the sorted sum (numpy's +0.0 + min + max): addition commutes
+        total = parts_by_group[0] + parts_by_group[1] + 0.0
     else:
         total = np.sort(np.stack(parts_by_group, axis=0), axis=0).sum(axis=0)
     if anchor_part is not None:
@@ -293,14 +296,35 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def _gelu(x):
-    u = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(u)
-    return 0.5 * x * (1.0 + t), t
+    """``0.5 * x * (1.0 + t)`` and ``t = tanh(_GELU_C * (x + 0.044715 * (x * x * x)))``,
+    computed in place in that operation order, so bitwise; ``x`` is not written."""
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 0.5 * x
+    y *= 1.0 + t
+    return y, t
 
 
 def _gelu_backward(dy, x, t):
-    du = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    """``dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)`` with ``du = _GELU_C
+    * (1.0 + 3 * 0.044715 * x * x)``, in place in that order; writes no input."""
+    du = 3 * 0.044715 * x
+    du *= x
+    du += 1.0
+    du *= _GELU_C
+    s = t * t
+    g = 0.5 * x
+    g *= np.subtract(1.0, s, out=s)
+    g *= du
+    np.add(1.0, t, out=s)
+    s *= 0.5
+    s += g
+    s *= dy
+    return s
 
 
 def _split_heads(x, n_heads):
@@ -360,8 +384,8 @@ def _forward_core(state: ModelState, ids: np.ndarray, keep_cache: bool):
             )
     xf, lnf_cache = _layer_norm(x, p["final_ln.gain"], p["final_ln.offset"])
     cache = dict(
-        ids=ids2, hiddens=hiddens, layer_caches=caches, xf=xf, lnf=lnf_cache,
-        b=b, t=t, squeeze=squeeze, scale=scale,
+        ids=ids2, hiddens=[h[0] for h in hiddens] if squeeze else hiddens,
+        layer_caches=caches, xf=xf, lnf=lnf_cache, b=b, t=t, scale=scale,
     )
     return cache
 
@@ -370,28 +394,40 @@ def forward(state: ModelState, ids: np.ndarray) -> ForwardTrace:
     """Causal logits plus per-layer hidden states (read-only; snapshots of a
     state may be evaluated concurrently)."""
     cache = _forward_core(state, ids, keep_cache=False)
-    w = state.head_weight()
-    logits = (cache["xf"].reshape(-1, state.config.d_model) @ w.T).reshape(
-        cache["b"], cache["t"], -1
-    )
-    hiddens = cache["hiddens"]
-    if cache["squeeze"]:
-        logits = logits[0]
-        hiddens = [h[0] for h in hiddens]
-    return ForwardTrace(logits=logits, hidden_states=hiddens)
+    logits = cache["xf"].reshape(-1, state.config.d_model) @ state.head_weight().T
+    return ForwardTrace(logits=logits.reshape(*np.shape(ids), -1), hidden_states=cache["hiddens"])
+
+
+def hidden_states(state: ModelState, ids: np.ndarray) -> list[np.ndarray]:
+    """The hidden states of :func:`forward`, without the head."""
+    return _forward_core(state, ids, keep_cache=False)["hiddens"]
+
+
+def scored_logprobs(state: ModelState, ids: np.ndarray, lo, hi) -> np.ndarray:
+    """log p(ids[r, j+1] | ids[r, :j+1]) in float64 for j in [lo[r], hi[r]), row
+    r after row r of a (k, t) stack (a scalar bound holds for every row). Only
+    these rows reach the float64 log-softmax; the head GEMM covers every row,
+    as a BLAS may round a row differently in a GEMM over fewer rows."""
+    ids2 = np.atleast_2d(ids)
+    k, t = ids2.shape
+    lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
+    if np.any(lo < 0) or np.any(hi > t - 1):
+        raise ValueError(f"scored positions must lie in [0, {t - 1}) for sequences of {t}")
+    j = np.arange(t)
+    rows = np.flatnonzero(np.broadcast_to((j >= lo) & (j < hi), (k, t)))
+    logits = forward(state, ids2).logits.reshape(k * t, -1)[rows].astype(np.float64)
+    m = logits.max(axis=-1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=-1))
+    picked = logits[np.arange(len(rows)), ids2.reshape(-1)[rows + 1]]
+    return picked - lse
 
 
 def sequence_logprobs(state: ModelState, ids: np.ndarray) -> np.ndarray:
     """log p(ids[..., t+1] | ids[..., :t+1]) in float64 for every next-token
     position of a (t,) sequence or a (k, t) stack of sequences; the result is
     (t-1,) or (k, t-1)."""
-    ids = np.asarray(ids)
-    logits = forward(state, ids).logits.astype(np.float64)
-    m = logits.max(axis=-1, keepdims=True)
-    lse = m[..., 0] + np.log(np.exp(logits - m).sum(axis=-1))
-    targets = ids[..., 1:, None].astype(np.int64)
-    picked = np.take_along_axis(logits[..., :-1, :], targets, axis=-1)[..., 0]
-    return picked - lse[..., :-1]
+    *k, t = np.shape(ids)
+    return scored_logprobs(state, ids, 0, t - 1).reshape(*k, t - 1)
 
 
 def loss_and_grads(

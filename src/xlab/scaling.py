@@ -90,38 +90,37 @@ class ScalingFit:
 
 
 def _solve_ac(u: np.ndarray, p: np.ndarray, w: np.ndarray, floor: bool):
-    """Weighted least squares for (a, c) in p ~ a*u + c; c clamped to the
-    floor (1.0) or fixed at 0 for the pure form. Returns None if no a > 0."""
+    """Weighted least squares for (a, c) in p ~ a*u + c along u's last axis;
+    c clamped to the floor (1.0) or fixed at 0 for the pure form. Returns
+    (a, c) with a NaN where no a > 0 fits."""
+    swuu = (w * u * u).sum(axis=-1)
     if floor:
-        sw, swu, swuu = w.sum(), (w * u).sum(), (w * u * u).sum()
-        swp, swup = (w * p).sum(), (w * u * p).sum()
+        sw, swu = w.sum(), (w * u).sum(axis=-1)
+        swp, swup = (w * p).sum(), (w * u * p).sum(axis=-1)
         det = swuu * sw - swu * swu
-        if det <= 0:
-            return None
         a = (swup * sw - swp * swu) / det
         c = (swuu * swp - swu * swup) / det
-        if c < 1.0:
-            c = 1.0
-            a = ((w * u * (p - c)).sum()) / max((w * u * u).sum(), 1e-300)
+        low = c < 1.0
+        c = np.where(low, 1.0, c)
+        a = np.where(low, (w * u * (p - 1.0)).sum(axis=-1) / np.maximum(swuu, 1e-300), a)
+        a = np.where(det > 0, a, np.nan)
     else:
-        c = 0.0
-        a = (w * u * p).sum() / max((w * u * u).sum(), 1e-300)
-    if not np.isfinite(a) or a <= 0:
-        return None
-    return float(a), float(c)
+        c = np.zeros_like(swuu)
+        a = (w * u * p).sum(axis=-1) / np.maximum(swuu, 1e-300)
+    return np.where(np.isfinite(a) & (a > 0), a, np.nan), c
 
 
-def _log_objective(t: np.ndarray, p: np.ndarray, b: float, floor: bool):
-    u = t ** (-b)
-    sol = _solve_ac(u, p, 1.0 / p**2, floor)
-    if sol is None:
-        return math.inf, None
-    a, c = sol
-    pred = a * u + c
-    if np.any(pred <= 0):
-        return math.inf, None
-    resid = float(((np.log(pred) - np.log(p)) ** 2).sum())
-    return resid, (a, c)
+def _log_objective(t: np.ndarray, p: np.ndarray, b, floor: bool):
+    """(residual, a, c) of the best fit at each exponent of the array ``b``;
+    the residual is inf and a NaN where no fit with a > 0 exists."""
+    u = t ** -np.asarray(b)[..., None]
+    # the rows that divide by zero or take the log of a non-positive are masked
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, c = _solve_ac(u, p, 1.0 / p**2, floor)
+        pred = a[..., None] * u + c[..., None]
+        resid = ((np.log(pred) - np.log(p)) ** 2).sum(axis=-1)
+    ok = ~np.isnan(a) & ~np.any(pred <= 0, axis=-1)
+    return np.where(ok, resid, np.inf), np.where(ok, a, np.nan), c
 
 
 def fit_power_law(
@@ -150,7 +149,7 @@ def fit_power_law(
         raise FitError("token counts must be positive and perplexities > 1")
 
     grid = np.arange(B_MIN, B_MAX + B_STEP / 2, B_STEP)
-    scores = [_log_objective(t, p, b, floor)[0] for b in grid]
+    scores = _log_objective(t, p, grid, floor)[0]
     best_i = int(np.argmin(scores))
 
     if np.any(np.diff(p) >= 0):
@@ -179,11 +178,11 @@ def fit_power_law(
             x2 = x_lo + gr * (x_hi - x_lo)
             f2 = _log_objective(t, p, x2, floor)[0]
     b = (x_lo + x_hi) / 2
-    resid, sol = _log_objective(t, p, b, floor)
-    if sol is None:
+    resid, a, c = _log_objective(t, p, b, floor)
+    if np.isnan(a):
         raise FitError("no feasible fit with a > 0 after refinement")
-    a, c = sol
-    return ScalingFit(a=a, b=b, c=c, residual=resid, t_min=float(t[0]), t_max=float(t[-1]))
+    return ScalingFit(a=float(a), b=b, c=float(c), residual=float(resid),
+                      t_min=float(t[0]), t_max=float(t[-1]))
 
 
 def mlte(fit: ScalingFit, ppl: float) -> float:

@@ -3,6 +3,7 @@ import signal
 
 import numpy as np
 import pytest
+from scipy.special import log_softmax
 
 from xlab import evaluator, mixer, model, tokenizer, trainer
 from xlab.corpus import TokenStream
@@ -141,6 +142,47 @@ def test_sequence_logprobs_scores_a_stack_row_by_row():
     assert lp.shape == (3, 15) and lp.dtype == np.float64
     for row, ids in zip(lp, stack):
         assert np.allclose(row, model.sequence_logprobs(st, ids), rtol=0, atol=1e-12)
+
+
+def test_scored_logprobs_rows_are_slices_of_sequence_logprobs():
+    st = make_model(vocab_size=23, max_seq_len=16, dtype="float32", seed=4)
+    stack = np.random.default_rng(6).integers(0, 23, size=(4, 16))
+    lo, hi = [0, 3, 14, 7], [15, 9, 15, 7]
+    full = model.sequence_logprobs(st, stack)
+    logp = log_softmax(model.forward(st, stack).logits.astype(np.float64), axis=-1)
+    oracle = np.take_along_axis(logp[:, :-1], stack[:, 1:, None], axis=-1)[..., 0]
+    assert np.allclose(full, oracle, rtol=0, atol=1e-12)
+    got = model.scored_logprobs(st, stack, lo, hi)
+    want = np.concatenate([row[a:b] for row, a, b in zip(full, lo, hi)])
+    assert got.dtype == np.float64 and got.shape == want.shape == (22,)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    for ids in (stack[0, :2], stack[0, :1]):  # a document of 2 tokens, and t = 1
+        got = model.scored_logprobs(st, ids[None], [0], [len(ids) - 1])
+        want = model.sequence_logprobs(st, ids)
+        assert got.shape == want.shape == (len(ids) - 1,)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert model.sequence_logprobs(st, stack[:, :1]).shape == (4, 0)
+    with pytest.raises(ValueError, match="scored positions"):
+        model.scored_logprobs(st, stack, 0, 16)  # target 16 is past the row
+
+
+def test_log_softmax_sees_each_scored_row_once(monkeypatch):
+    st = make_model(vocab_size=23, max_seq_len=16, seed=5)
+    rows = []
+    scored_logprobs = evaluator.scored_logprobs
+
+    def spy(state, ids, lo, hi):
+        out = scored_logprobs(state, ids, lo, hi)
+        assert len(out) == np.sum(np.subtract(hi, lo))
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(evaluator, "scored_logprobs", spy)
+    for n in (2, 15, 16, 17, 40, 41, 63, 200):
+        rows.clear()
+        ids = np.random.default_rng(n).integers(0, 23, size=n)
+        res = evaluator.sliding_ppl(st, one_doc_stream(ids), window=16, stride=4)
+        assert sum(rows) == res.tokens_scored == n - 1
 
 
 def test_per_language_identical_when_fully_anchored():

@@ -181,6 +181,41 @@ def test_hidden_state_count_and_finiteness():
     for h in trace.hidden_states:
         assert h.shape == (6, 16)
         assert np.all(np.isfinite(h))
+    for got, want in zip(model.hidden_states(st, np.arange(6)), trace.hidden_states):
+        assert np.array_equal(got, want)
+
+
+def gelu_reference(x):
+    """Textbook tanh-GELU and the tanh it caches."""
+    t = np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def gelu_backward_reference(dy, x, t):
+    du = math.sqrt(2.0 / math.pi) * (1.0 + 3 * 0.044715 * x * x)
+    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_gelu_pair_is_bitwise_the_reference_and_writes_no_input(dtype):
+    rng = np.random.default_rng(0)
+    x = (rng.standard_normal((64, 48)) * 4).astype(dtype)
+    x[0, :6] = [0.0, -0.0, 1e-30, -1e-30, 30.0, -30.0]
+    dy = rng.standard_normal(x.shape).astype(dtype)
+    x_before, dy_before = x.copy(), dy.copy()
+
+    y, t = model._gelu(x)
+    want_y, want_t = gelu_reference(x)
+    assert y.dtype == t.dtype == dtype
+    assert y.tobytes() == want_y.tobytes() and t.tobytes() == want_t.tobytes()
+    assert not np.shares_memory(y, t)
+
+    t_before = t.copy()
+    dx = model._gelu_backward(dy, x, t)
+    assert dx.dtype == dtype
+    assert dx.tobytes() == gelu_backward_reference(dy, x, t).tobytes()
+    for arr, before in ((x, x_before), (t, t_before), (dy, dy_before)):
+        assert arr.tobytes() == before.tobytes()
 
 
 def test_uniform_logit_loss_is_log_vocab():
@@ -301,6 +336,21 @@ def test_loss_and_grads_bitwise_equivariant_under_block_swap(n_anchor):
             assert np.array_equal(grads_a[name][perm], grads_b[name])
         else:
             assert np.array_equal(grads_a[name], grads_b[name]), name
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_two_block_reduce_is_bitwise_the_sorted_sum(dtype):
+    # every ordered pair of these values, signed zeros and infinities included
+    vals = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.5, 1e-40, 3e38], dtype=dtype)
+    a, b = (g.ravel() for g in np.meshgrid(vals, vals))
+    anchor = np.full_like(a, -0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for anchor_part in (None, anchor):
+            got = model.grouped_vocab_reduce([a, b], anchor_part)
+            want = np.sort(np.stack([a, b]), axis=0).sum(axis=0)
+            if anchor_part is not None:
+                want = want + anchor_part
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlab import scaling
 
@@ -152,3 +156,53 @@ def test_efficiency_report_below_asymptote():
     fit = scaling.fit_power_law(PAPER_MONO_POINTS)
     rows = scaling.efficiency_report(fit, {0: (1e9, fit.c * 0.99)})
     assert rows[0].mlte is None and rows[0].teff is None and rows[0].extrapolated
+
+
+def scalar_log_objective(t, p, b, floor):
+    """The fit objective written out for one exponent b: weighted least
+    squares for (a, c), then the squared log-ppl error (inf if infeasible)."""
+    u = t ** (-b)
+    w = 1.0 / p**2
+    if floor:
+        sw, swu, swuu = w.sum(), (w * u).sum(), (w * u * u).sum()
+        swp, swup = (w * p).sum(), (w * u * p).sum()
+        det = swuu * sw - swu * swu
+        if det <= 0:
+            return math.inf
+        a = (swup * sw - swp * swu) / det
+        c = (swuu * swp - swu * swup) / det
+        if c < 1.0:
+            c = 1.0
+            a = (w * u * (p - c)).sum() / max((w * u * u).sum(), 1e-300)
+    else:
+        c = 0.0
+        a = (w * u * p).sum() / max((w * u * u).sum(), 1e-300)
+    if not np.isfinite(a) or a <= 0:
+        return math.inf
+    pred = a * u + c
+    if np.any(pred <= 0):
+        return math.inf
+    return float(((np.log(pred) - np.log(p)) ** 2).sum())
+
+
+@st.composite
+def curves(draw):
+    """Noisy power-law points, log10 token counts in [3, 10] and ppl above 1;
+    a negative b makes rising curves, for which many grid cells are infeasible."""
+    exps = draw(st.lists(st.floats(3.0, 10.0), min_size=3, max_size=12, unique=True))
+    t = 10.0 ** np.sort(np.array(exps))
+    a, b = draw(st.floats(1.0, 1e4)), draw(st.floats(-1.0, 1.5))
+    c = draw(st.floats(0.0, 10.0))
+    noise = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=len(t), max_size=len(t))))
+    return t, 1.0 + c + a * (t / t[0]) ** -b * np.exp(noise)
+
+
+@settings(max_examples=20, deadline=None)
+@given(curves(), st.booleans())
+def test_vectorised_fit_grid_is_bitwise_the_scalar_objective(curve, floor):
+    t, p = curve
+    grid = np.arange(scaling.B_MIN, scaling.B_MAX + scaling.B_STEP / 2, scaling.B_STEP)
+    got = scaling._log_objective(t, p, grid, floor)[0]
+    want = np.array([scalar_log_objective(t, p, b, floor) for b in grid])
+    assert got.tobytes() == want.tobytes()
+    assert scaling._log_objective(t, p, grid[7], floor)[0] == want[7]
