@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TokenStream
+from .corpus import CorpusError, TokenStream
 
 logger = logging.getLogger(__name__)
 
@@ -137,10 +137,12 @@ class StreamCursor:
     covers positions [k*seq_len, k*seq_len + seq_len] so consecutive slices
     share one token (the next-token target of the previous slice). When the
     tail cannot fill a slice the cursor wraps to the start and logs an epoch
-    increment.
+    increment. Raises CorpusError on a stream with no tokens.
     """
 
     def __init__(self, stream: TokenStream, seq_len: int, separator_id: int | None = None):
+        if len(stream.ids) == 0:
+            raise CorpusError("cannot read training slices from a stream of 0 tokens")
         self.seq_len = seq_len
         self.data = concat_with_separator(stream, separator_id)
         if len(self.data) < seq_len + 1:
@@ -163,8 +165,10 @@ class StreamCursor:
         return {"position": self.position, "epoch": self.epoch}
 
     def restore(self, state: dict) -> None:
-        self.position = int(state["position"])
-        self.epoch = int(state["epoch"])
+        position, epoch = int(state["position"]), int(state["epoch"])
+        if not 0 <= position <= len(self.data):
+            raise CorpusError(f"cursor position {position} outside [0, {len(self.data)}]")
+        self.position, self.epoch = position, epoch
 
 
 def concat_with_separator(stream: TokenStream, separator_id: int | None) -> np.ndarray:

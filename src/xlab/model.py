@@ -24,6 +24,10 @@ work. Float64 is used on purpose in three places only:
   sliding windows and :func:`sequence_logprobs`;
 * the evaluator's ``fsum`` of the negative log-likelihood.
 
+The training step allocates what it keeps: one (n, V) logits buffer becomes
+``dlogits`` in place, and layer norm, attention and GELU work in place, each in
+the operation order of the expression it computes, so bitwise.
+
 Checkpoints store every tensor in its own dtype, so a resumed run matches the
 uninterrupted one bit for bit in float32 and in float64.
 """
@@ -216,19 +220,21 @@ def softmax_xent(
     """Mean token cross-entropy with max-subtracted softmax.
 
     Returns (loss, dlogits, per-token log-probabilities). The log-sum-exp
-    denominator uses the grouped permutation-exact reduction.
+    denominator uses the grouped permutation-exact reduction. The (n, V)
+    ``logits`` buffer is consumed: ``dlogits`` is computed in it, in place.
     """
     n, v = logits.shape
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    denom = _reduce_blocks(lambda s: e[:, s].sum(axis=1), _as_groups(vocab_groups, v))
     idx = np.arange(n)
-    logp = (logits[idx, targets] - m[:, 0]) - np.log(denom)
+    picked = logits[idx, targets]
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(np.subtract(logits, m, out=logits), out=logits)
+    denom = _reduce_blocks(lambda s: e[:, s].sum(axis=1), _as_groups(vocab_groups, v))
+    logp = (picked - m[:, 0]) - np.log(denom)
     loss = -logp.mean()
-    dlogits = e / denom[:, None]
-    dlogits[idx, targets] -= 1.0
-    dlogits /= n
-    return loss, dlogits, logp
+    e /= denom[:, None]
+    e[idx, targets] -= 1.0
+    e /= n
+    return loss, e, logp
 
 
 def _head_logits(x2d: np.ndarray, w: np.ndarray, vocab_groups: VocabGroups):
@@ -237,7 +243,7 @@ def _head_logits(x2d: np.ndarray, w: np.ndarray, vocab_groups: VocabGroups):
     logits = np.empty((x2d.shape[0], w.shape[0]), dtype=x2d.dtype)
     anchor, blocks = vocab_groups
     for s in (anchor, *blocks):
-        logits[:, s] = x2d @ w[s].T
+        np.matmul(x2d, w[s].T, out=logits[:, s])
     return logits
 
 
@@ -248,9 +254,8 @@ def _head_backward(dlogits: np.ndarray, x2d: np.ndarray, w: np.ndarray,
     dw = np.empty_like(w)
 
     def part(s):
-        ds = np.ascontiguousarray(dlogits[:, s])
-        dw[s] = ds.T @ x2d
-        return ds @ w[s]
+        np.matmul(dlogits[:, s].T, x2d, out=dw[s])
+        return dlogits[:, s] @ w[s]
 
     return _reduce_blocks(part, vocab_groups), dw
 
@@ -258,8 +263,8 @@ def _head_backward(dlogits: np.ndarray, x2d: np.ndarray, w: np.ndarray,
 def grouped_sumsq(a: np.ndarray, vocab_groups: VocabGroups | None) -> float:
     """Sum of squares of a vocab-indexed tensor in float64, permutation-exact
     over the groups (used by global-norm gradient clipping)."""
-    a64 = a.astype(np.float64)
-    total = _reduce_blocks(lambda s: np.array([(a64[s] ** 2).sum()]),
+    a64 = np.square(a, dtype=np.float64)
+    total = _reduce_blocks(lambda s: np.array([a64[s].sum()]),
                            _as_groups(vocab_groups, len(a)))
     return float(total[0])
 
@@ -269,24 +274,28 @@ def grouped_sumsq(a: np.ndarray, vocab_groups: VocabGroups | None) -> float:
 
 
 def _layer_norm(x, gain, offset):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * rstd
-    return xhat * gain + offset, (xhat, rstd)
+    """``xhat * gain + offset`` with ``xhat = (x - mu) * rstd``, ``rstd = 1.0 /
+    sqrt(mean((x - mu) ** 2) + LN_EPS)``, in place in that order; writes no input."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    y = xhat * xhat
+    rstd = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= rstd
+    return np.add(np.multiply(xhat, gain, out=y), offset, out=y), (xhat, rstd)
 
 
 def _layer_norm_backward(dy, cache, gain):
+    """``dx = rstd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))`` with
+    ``dxhat = dy * gain``, in place in that order; writes no input."""
     xhat, rstd = cache
-    dgain = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    dxhat = dy * xhat
+    dgain = dxhat.sum(axis=tuple(range(dy.ndim - 1)))
     doffset = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * gain
-    dx = rstd * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    np.multiply(dy, gain, out=dxhat)
+    dx = dxhat * xhat
+    np.multiply(xhat, dx.mean(axis=-1, keepdims=True), out=dx)
+    dxhat -= dxhat.mean(axis=-1, keepdims=True)
+    np.subtract(dxhat, dx, out=dx)
+    dx *= rstd
     return dx, dgain, doffset
 
 
@@ -363,14 +372,15 @@ def _forward_core(state: ModelState, ids: np.ndarray, keep_cache: bool):
             _split_heads(qkv[..., j * c.d_model : (j + 1) * c.d_model], c.n_heads)
             for j in range(3)
         )
-        scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale + mask
+        scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+        scores *= scale
+        scores += mask
         scores -= scores.max(axis=-1, keepdims=True)
-        probs = np.exp(scores)
+        probs = np.exp(scores, out=scores)
         probs /= probs.sum(axis=-1, keepdims=True)
         att = _merge_heads(np.matmul(probs, v))
         proj = att.reshape(b * t, -1) @ p[pre + "attn_proj.weight"] + p[pre + "attn_proj.bias"]
         x = x + proj.reshape(b, t, c.d_model)
-        x_mid = x
         h2, ln2_cache = _layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.offset"])
         f1 = h2.reshape(b * t, -1) @ p[pre + "mlp_fc1.weight"] + p[pre + "mlp_fc1.bias"]
         g, tanh_cache = _gelu(f1)
@@ -380,7 +390,7 @@ def _forward_core(state: ModelState, ids: np.ndarray, keep_cache: bool):
         if keep_cache:
             caches.append(
                 dict(a=a, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, att=att,
-                     x_mid=x_mid, h2=h2, ln2=ln2_cache, f1=f1, g=g, tanh=tanh_cache)
+                     h2=h2, ln2=ln2_cache, f1=f1, g=g, tanh=tanh_cache)
             )
     xf, lnf_cache = _layer_norm(x, p["final_ln.gain"], p["final_ln.offset"])
     cache = dict(
@@ -416,9 +426,10 @@ def scored_logprobs(state: ModelState, ids: np.ndarray, lo, hi) -> np.ndarray:
     j = np.arange(t)
     rows = np.flatnonzero(np.broadcast_to((j >= lo) & (j < hi), (k, t)))
     logits = forward(state, ids2).logits.reshape(k * t, -1)[rows].astype(np.float64)
-    m = logits.max(axis=-1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=-1))
     picked = logits[np.arange(len(rows)), ids2.reshape(-1)[rows + 1]]
+    m = logits.max(axis=-1, keepdims=True)
+    logits -= m
+    lse = m[:, 0] + np.log(np.exp(logits, out=logits).sum(axis=-1))
     return picked - lse
 
 
@@ -482,7 +493,7 @@ def loss_and_grads(
         dx_mid, grads[pre + "ln2.gain"], grads[pre + "ln2.offset"] = _layer_norm_backward(
             dh2, lc["ln2"], p[pre + "ln2.gain"]
         )
-        dx = dx + dx_mid  # residual
+        dx += dx_mid  # residual
 
         # attention branch
         dproj = dx.reshape(b * t, c.d_model)
@@ -494,9 +505,11 @@ def loss_and_grads(
         probs, q, k, v = lc["probs"], lc["q"], lc["k"], lc["v"]
         dprobs = np.matmul(datt_h, v.transpose(0, 1, 3, 2))
         dv = np.matmul(probs.transpose(0, 1, 3, 2), datt_h)
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-        dq = np.matmul(dscores, k) * cache["scale"]
-        dk = np.matmul(dscores.transpose(0, 1, 3, 2), q) * cache["scale"]
+        dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
+        dscores = np.multiply(probs, dprobs, out=dprobs)  # probs * (dprobs - sum)
+        dq, dk = np.matmul(dscores, k), np.matmul(dscores.transpose(0, 1, 3, 2), q)
+        dq *= cache["scale"]
+        dk *= cache["scale"]
         dqkv = np.concatenate(
             [_merge_heads(dq), _merge_heads(dk), _merge_heads(dv)], axis=-1
         ).reshape(b * t, 3 * c.d_model)
@@ -507,7 +520,7 @@ def loss_and_grads(
         dx_in, grads[pre + "ln1.gain"], grads[pre + "ln1.offset"] = _layer_norm_backward(
             da, lc["ln1"], p[pre + "ln1.gain"]
         )
-        dx = dx + dx_in  # residual
+        dx += dx_in  # residual
 
     # the rows that no position or id of this batch touches stay zero
     grads["position_embedding"] = np.zeros_like(p["position_embedding"])

@@ -11,9 +11,11 @@ checkpoint can restore the run mid-stream: ``train(..., resume_from=path)``.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -85,24 +87,32 @@ def lr_at(config: TrainConfig, step: int) -> float:
 
 
 class Adam:
-    """Vanilla Adam with bias correction; moments live in the model dtype."""
+    """Vanilla Adam with bias correction; moments live in the model dtype. A step
+    works in two scratch buffers the size of the largest parameter, made once."""
 
     def __init__(self, params: dict[str, np.ndarray], beta1: float, beta2: float, eps: float):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        dtype = next(iter(params.values())).dtype
+        self._scratch = np.empty((2, max(v.size for v in params.values())), dtype)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
+        """``m += (1 - beta1) * (g - m)``, ``v += (1 - beta2) * (g * g - v)``, ``p -=
+        (lr / b1c) * m / (sqrt(v / b2c) + eps)``, in that order; writes no grad."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         for k, p in params.items():
             g = grads[k]
             m, v = self.m[k], self.v[k]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p -= (lr / b1c) * m / (np.sqrt(v / b2c) + self.eps)
+            s, u = (buf[: p.size].reshape(p.shape) for buf in self._scratch)
+            m += np.multiply(np.subtract(g, m, out=s), 1.0 - self.beta1, out=s)
+            np.subtract(np.multiply(g, g, out=s), v, out=s)
+            v += np.multiply(s, 1.0 - self.beta2, out=s)
+            np.add(np.sqrt(np.divide(v, b2c, out=s), out=s), self.eps, out=s)
+            p -= np.divide(np.multiply(m, lr / b1c, out=u), s, out=u)
 
     def tensors(self) -> dict[str, np.ndarray]:
         out = {f"adam_m.{k}": v for k, v in self.m.items()}
@@ -261,6 +271,15 @@ def _clip_gradients(grads, clip: float, vocab_groups: VocabGroups | None) -> flo
     return norm
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed memory for the process (arrays up to 32 MiB from its
+    heap, no trimming); by default it returns the free top of the heap to the OS,
+    and every step faults its caches back in. Without ``mallopt``, a no-op."""
+    mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
+    if mallopt is not None and mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD, else 128 KiB once the above is set
+
+
 def train(
     state: ModelState,
     source,
@@ -279,6 +298,7 @@ def train(
     A resumed run continues the RunRecord and, with the restored RNG and
     cursors, matches the uninterrupted run bit for bit.
     """
+    _keep_freed_memory()
     digest = json_digest({"train": config.to_dict(), "model": state.config.to_dict()})
     record = RunRecord(seed=config.seed, config_digest=digest, n_languages=source.n_languages)
     adam = Adam(state.params, config.beta1, config.beta2, config.eps)
@@ -296,6 +316,11 @@ def train(
                 f"checkpoint {resume_from} was produced by a different run config "
                 f"({record.config_digest} != {digest}); refusing to resume"
             )
+        lacking = sorted(adam.tensors().keys() - opt.keys())
+        lacking += [f"extra.{k}" for k in {"source"} - extra.keys()]
+        if lacking:
+            raise ValueError(f"cannot resume from checkpoint {resume_from}: it lacks "
+                             + ", ".join(lacking[:3]) + (" ..." if len(lacking) > 3 else ""))
         state.params = ck_state.params  # in the config dtype, checked by the loader
         adam.restore(opt, t=ck_step)  # Adam takes one step per training step
         source.restore(extra["source"])

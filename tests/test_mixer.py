@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xlab import mixer, tokenizer, trainer
-from xlab.corpus import TokenStream
+from xlab.corpus import CorpusError, TokenStream
 
 from conftest import make_vocab
 
@@ -198,3 +198,21 @@ def test_cursor_inserts_separator():
     cursor = mixer.StreamCursor(stream, seq_len=10, separator_id=99)
     assert 99 in cursor.data
     assert len(cursor.data) == 11
+
+
+@pytest.mark.parametrize("separator_id", [None, 99])
+def test_cursor_rejects_a_stream_without_tokens(separator_id):
+    empty = TokenStream(ids=np.empty(0, dtype=np.uint32),
+                        doc_boundaries=np.empty(0, dtype=np.uint64), vocab_digest="0" * 64)
+    with pytest.raises(CorpusError, match="0 tokens"):
+        mixer.StreamCursor(empty, seq_len=8, separator_id=separator_id)
+
+
+def test_cursor_restore_rejects_a_position_outside_the_data():
+    cursor = mixer.StreamCursor(_stream(np.arange(20)), seq_len=8)
+    for position in (-1, 21):
+        with pytest.raises(CorpusError, match=rf"position {position} outside \[0, 20\]"):
+            cursor.restore({"position": position, "epoch": 3})
+        assert cursor.state() == {"position": 0, "epoch": 0}
+    cursor.restore({"position": 20, "epoch": 3})
+    assert len(cursor.next()) == 9 and cursor.state() == {"position": 8, "epoch": 4}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,104 @@ def test_gelu_pair_is_bitwise_the_reference_and_writes_no_input(dtype):
     assert dx.tobytes() == gelu_backward_reference(dy, x, t).tobytes()
     for arr, before in ((x, x_before), (t, t_before), (dy, dy_before)):
         assert arr.tobytes() == before.tobytes()
+
+
+def layer_norm_reference(x, gain, offset):
+    """Textbook layer norm and the (xhat, rstd) it caches."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt(var + model.LN_EPS)
+    xhat = xc * rstd
+    return xhat * gain + offset, xhat, rstd
+
+
+def layer_norm_backward_reference(dy, xhat, rstd, gain):
+    dgain = (dy * xhat).sum(axis=(0, 1))
+    doffset = dy.sum(axis=(0, 1))
+    dxhat = dy * gain
+    dx = rstd * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, dgain, doffset
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_layer_norm_pair_is_bitwise_the_reference_and_writes_no_input(dtype):
+    rng = np.random.default_rng(1)
+    x = (rng.standard_normal((3, 17, 48)) * 5 + 2).astype(dtype)
+    x[0, 0] = 0.0  # a constant row: rstd = 1 / sqrt(LN_EPS)
+    gain, offset, dy = (rng.standard_normal(s).astype(dtype) for s in (48, 48, x.shape))
+    inputs = (x, gain, offset, dy)
+    before = [a.copy() for a in inputs]
+
+    y, (xhat, rstd) = model._layer_norm(x, gain, offset)
+    want = layer_norm_reference(x, gain, offset)
+    for got, ref in zip((y, xhat, rstd), want):
+        assert got.dtype == dtype and got.tobytes() == ref.tobytes()
+    cache_before = xhat.copy(), rstd.copy()
+
+    got = model._layer_norm_backward(dy, (xhat, rstd), gain)
+    for g, ref in zip(got, layer_norm_backward_reference(dy, xhat, rstd, gain)):
+        assert g.dtype == dtype and g.tobytes() == ref.tobytes()
+    for arr, b in zip((*inputs, xhat, rstd), (*before, *cache_before)):
+        assert arr.tobytes() == b.tobytes()
+
+
+def softmax_xent_reference(logits, targets, groups):
+    """The cross-entropy expressions, each step into a new array."""
+    n, v = logits.shape
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    denom = model._reduce_blocks(lambda s: e[:, s].sum(axis=1), model._as_groups(groups, v))
+    idx = np.arange(n)
+    logp = (logits[idx, targets] - m[:, 0]) - np.log(denom)
+    dlogits = e / denom[:, None]
+    dlogits[idx, targets] -= 1.0
+    dlogits /= n
+    return -logp.mean(), dlogits, logp
+
+
+@pytest.mark.parametrize("groups", [None, (slice(0, 5), [slice(5, 30), slice(30, 55)])])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_softmax_xent_returns_dlogits_in_its_input_buffer(dtype, groups):
+    rng = np.random.default_rng(2)
+    logits = (rng.standard_normal((40, 55)) * 6).astype(dtype)
+    targets = rng.integers(0, 55, size=40)
+    want = softmax_xent_reference(logits.copy(), targets, groups)
+
+    buf = logits.copy()
+    got = model.softmax_xent(buf, targets, groups)
+    assert np.shares_memory(got[1], buf)
+    for g, ref in zip(got, want):
+        assert np.asarray(g).dtype == dtype and np.asarray(g).tobytes() == ref.tobytes()
+
+
+def _peak_traced_bytes(vocab_size: int, n_rows: int) -> int:
+    st = make_model(n_layers=1, d_model=16, n_heads=2, d_ff=32, vocab_size=vocab_size,
+                    max_seq_len=64, dtype="float32", seed=4)
+    rng = np.random.default_rng(4)
+    ids, targets = rng.integers(0, vocab_size, size=(2, n_rows // 64, 64))
+    half = vocab_size // 2
+    groups = (slice(0, 0), [slice(0, half), slice(half, vocab_size)])
+    tracemalloc.start()
+    try:
+        model.loss_and_grads(st, ids, targets, vocab_groups=groups)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_head_and_cross_entropy_hold_one_logits_buffer():
+    # one (n, V) buffer carries logits and dlogits; the tied head's (V, d)
+    # gradient adds d/n = 1/32 of a buffer per vocabulary column
+    n, itemsize = 512, 4
+    v_small, v_large = 1024, 3072
+    growth = _peak_traced_bytes(v_large, n) - _peak_traced_bytes(v_small, n)
+    per_column = growth / ((v_large - v_small) * n * itemsize)
+    assert per_column <= 1.25, f"peak grows by {per_column:.2f} n*itemsize per vocab column"
 
 
 def test_uniform_logit_loss_is_log_vocab():

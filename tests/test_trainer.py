@@ -1,4 +1,5 @@
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -50,6 +51,58 @@ def test_train_config_validation():
         trainer.TrainConfig(total_steps=10, batch_size=1, seq_len=8, warmup_steps=10)
     with pytest.raises(ValueError):
         trainer.TrainConfig(total_steps=10, batch_size=0, seq_len=8, warmup_steps=2)
+
+
+def adam_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One textbook Adam step on copies; returns (params, m, v)."""
+    b1c, b2c = 1.0 - beta1**t, 1.0 - beta2**t
+    params, m, v = ({k: a[k].copy() for k in a} for a in (params, m, v))
+    for k, p in params.items():
+        g = grads[k]
+        m[k] += (1.0 - beta1) * (g - m[k])
+        v[k] += (1.0 - beta2) * (g * g - v[k])
+        p -= (lr / b1c) * m[k] / (np.sqrt(v[k] / b2c) + eps)
+    return params, m, v
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_adam_step_is_bitwise_the_reference_and_writes_no_grad(dtype):
+    rng = np.random.default_rng(5)
+    shapes = {"w": (7, 5), "b": (5,), "big": (40, 3)}
+    params = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+    adam = trainer.Adam(params, 0.9, 0.999, 1e-8)
+    want_p, want_m, want_v = params, adam.m, adam.v
+    for t, lr in enumerate((1e-3, 3e-2, 7e-4), start=1):
+        grads = {k: (rng.standard_normal(s) * 10.0**-t).astype(dtype) for k, s in shapes.items()}
+        grads["b"][:2] = [0.0, -0.0]
+        grads_before = {k: g.copy() for k, g in grads.items()}
+        want_p, want_m, want_v = adam_reference(want_p, grads, want_m, want_v, t, lr)
+        adam.step(params, grads, lr)
+        for k in shapes:
+            assert grads[k].tobytes() == grads_before[k].tobytes(), k
+            for got, want in ((params, want_p), (adam.m, want_m), (adam.v, want_v)):
+                assert got[k].dtype == dtype and got[k].tobytes() == want[k].tobytes(), k
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's heap thresholds")
+def test_training_steps_reuse_freed_memory():
+    # the caches of a step are several times its largest array, the case in
+    # which glibc's default trimming makes every step fault them back in
+    resource = pytest.importorskip("resource")
+    stream, _ = markov_stream(2000, 50, seed=0)
+    source = trainer.MixtureSource(mixer.StreamCursor(stream, seq_len=32),
+                                   tokenizer.clone_vocab(make_vocab(50), 1),
+                                   mixer.parse_policy([{"until": 1.0, "probs": [1.0]}]), 8, 0)
+    st = make_model(n_layers=3, d_model=32, n_heads=2, d_ff=256, vocab_size=50,
+                    max_seq_len=32, dtype="float32")
+    cfg = trainer.TrainConfig(total_steps=10, batch_size=8, seq_len=32, warmup_steps=1)
+    faults = []
+
+    def count_faults(*_):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+    trainer.train(st, source, cfg, eval_hooks=[(k, count_faults) for k in range(5, 11)])
+    assert np.median(np.diff(faults)) <= 10, np.diff(faults)  # pages faulted per step
 
 
 def test_zero_steps_is_identity():
@@ -218,6 +271,29 @@ def test_resume_needs_this_run_record(tmp_path, edit, match):
     trainer.train(st, src, cfg, out_dir=tmp_path)
     ckpt = tmp_path / "checkpoint_0000003.xlck"
     _rewrite_extra(ckpt, edit)
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    with pytest.raises(ValueError, match=match) as info:
+        trainer.train(st, src, cfg, resume_from=ckpt)
+    assert str(ckpt) in str(info.value)
+
+
+def _drop_adam_moment(path):
+    state, step, opt, extra = model.load_checkpoint(path)
+    del opt["adam_m.token_embedding"]
+    model.save_checkpoint(path, state, step, opt_tensors=opt, extra=extra)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_drop_adam_moment, r"lacks adam_m\.token_embedding$"),
+    (lambda path: _rewrite_extra(path, lambda extra: extra.pop("source")), r"lacks extra\.source$"),
+])
+def test_resume_names_what_the_checkpoint_lacks(tmp_path, edit, match):
+    cfg = trainer.TrainConfig(total_steps=6, batch_size=4, seq_len=16,
+                              warmup_steps=1, seed=2, checkpoint_every=3)
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    trainer.train(st, src, cfg, out_dir=tmp_path)
+    ckpt = tmp_path / "checkpoint_0000003.xlck"
+    edit(ckpt)
     st, src, _, _ = small_setup(seed=2, batch_size=4)
     with pytest.raises(ValueError, match=match) as info:
         trainer.train(st, src, cfg, resume_from=ckpt)
