@@ -95,8 +95,8 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        dtype = next(iter(params.values())).dtype
-        self._scratch = np.empty((2, max(v.size for v in params.values())), dtype)
+        largest = max(params.values(), key=np.size)
+        self._scratch = np.empty((2, largest.size), largest.dtype)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
         """``m += (1 - beta1) * (g - m)``, ``v += (1 - beta2) * (g * g - v)``, ``p -=
