@@ -20,10 +20,8 @@ part of the forward trace but not of the tables or the matching weights.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +30,6 @@ from scipy.optimize import linear_sum_assignment
 # ``forward`` stays importable here because perfbench/drive.py traces it by name
 from .model import ModelState, forward, group_of, hidden_states, loss_and_grads  # noqa: F401
 from .tokenizer import IdLayout
-from .util import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -185,24 +182,6 @@ def hidden_similarity(
     ia = np.array([i for i, _ in pairs])
     ib = np.array([j for _, j in pairs])
     return np.array([_cosine_rows(la[ia], lb[ib]).mean() for la, lb in zip(ha, hb)])
-
-
-def write_layer_table_csv(
-    path: str | Path,
-    rows: dict[str, np.ndarray],
-    delta: tuple[str, str] | None = None,
-) -> None:
-    """CSV with columns label, layer_1..layer_L, plus a delta row."""
-    labels = list(rows)
-    n_layers = len(rows[labels[0]])
-    with atomic_write(path, newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["label"] + [f"layer_{i + 1}" for i in range(n_layers)])
-        for label in labels:
-            w.writerow([label] + [repr(float(x)) for x in rows[label]])
-        if delta is not None:
-            d = np.asarray(rows[delta[0]]) - np.asarray(rows[delta[1]])
-            w.writerow([f"delta({delta[0]}-{delta[1]})"] + [repr(float(x)) for x in d])
 
 
 # ---------------------------------------------------------------------------

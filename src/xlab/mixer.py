@@ -164,11 +164,15 @@ class StreamCursor:
     def state(self) -> dict:
         return {"position": self.position, "epoch": self.epoch}
 
-    def restore(self, state: dict) -> None:
+    def check(self, state: dict) -> tuple[int, int]:
+        """(position, epoch) of ``state``; CorpusError if this cursor cannot take it."""
         position, epoch = int(state["position"]), int(state["epoch"])
         if not 0 <= position <= len(self.data):
             raise CorpusError(f"cursor position {position} outside [0, {len(self.data)}]")
-        self.position, self.epoch = position, epoch
+        return position, epoch
+
+    def restore(self, state: dict) -> None:
+        self.position, self.epoch = self.check(state)
 
 
 def concat_with_separator(stream: TokenStream, separator_id: int | None) -> np.ndarray:

@@ -6,6 +6,13 @@ positional embeddings, tanh-approximated GELU, weight tying on by default.
 Hidden states are captured after every block's residual sum (before the next
 norm), plus the embedding output, so a trace has n_layers + 1 entries.
 
+Each block component is one module-level pair, ``_linear``, ``_attention``,
+``_layer_norm`` or ``_gelu`` and its ``_backward``; ``_block`` and
+``_block_backward`` are built from them and take a layer's parameters under
+their short names (``ln1.gain``, ...). Forward and backward passes call them
+once per layer by module-global name, so a tracer that rebinds
+``model._attention`` or any other pair sees every call.
+
 Cross-entropy and the head matmuls take ``vocab_groups`` (an anchor slice
 plus one slice per language block); ``None`` means no anchor and one block
 over the whole vocabulary. Every reduction over the vocabulary axis is
@@ -132,25 +139,28 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         "token_embedding": (c.vocab_size, c.d_model),
         "position_embedding": (c.max_seq_len, c.d_model),
     }
+    d, f = c.d_model, c.d_ff
+    block = {  # one block's parameters under their short names
+        "ln1.gain": (d,), "ln1.offset": (d,),
+        "attn_qkv.weight": (d, 3 * d), "attn_qkv.bias": (3 * d,),
+        "attn_proj.weight": (d, d), "attn_proj.bias": (d,),
+        "ln2.gain": (d,), "ln2.offset": (d,),
+        "mlp_fc1.weight": (d, f), "mlp_fc1.bias": (f,),
+        "mlp_fc2.weight": (f, d), "mlp_fc2.bias": (d,),
+    }
     for i in range(c.n_layers):
-        p = f"layers.{i}."
-        shapes[p + "ln1.gain"] = (c.d_model,)
-        shapes[p + "ln1.offset"] = (c.d_model,)
-        shapes[p + "attn_qkv.weight"] = (c.d_model, 3 * c.d_model)
-        shapes[p + "attn_qkv.bias"] = (3 * c.d_model,)
-        shapes[p + "attn_proj.weight"] = (c.d_model, c.d_model)
-        shapes[p + "attn_proj.bias"] = (c.d_model,)
-        shapes[p + "ln2.gain"] = (c.d_model,)
-        shapes[p + "ln2.offset"] = (c.d_model,)
-        shapes[p + "mlp_fc1.weight"] = (c.d_model, c.d_ff)
-        shapes[p + "mlp_fc1.bias"] = (c.d_ff,)
-        shapes[p + "mlp_fc2.weight"] = (c.d_ff, c.d_model)
-        shapes[p + "mlp_fc2.bias"] = (c.d_model,)
+        shapes.update({f"layers.{i}.{k}": s for k, s in block.items()})
     shapes["final_ln.gain"] = (c.d_model,)
     shapes["final_ln.offset"] = (c.d_model,)
     if not c.tie_embeddings:
         shapes["output_head.weight"] = (c.vocab_size, c.d_model)
     return shapes
+
+
+def _layer_params(params: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray]:
+    """Layer ``i``'s parameters under their short names (``ln1.gain``, ...)."""
+    pre = f"layers.{i}."
+    return {k[len(pre):]: v for k, v in params.items() if k.startswith(pre)}
 
 
 def init(config: ModelConfig, seed: int) -> ModelState:
@@ -346,13 +356,90 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
+def _linear(x, w, bias):
+    """``x @ w + bias`` as one GEMM over the rows of every leading axis."""
+    return (x.reshape(-1, x.shape[-1]) @ w + bias).reshape(*x.shape[:-1], w.shape[1])
+
+
+def _linear_backward(dy, x, w):
+    """Gradients through :func:`_linear`: returns (dx, dw, dbias)."""
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    return (dy2 @ w.T).reshape(x.shape), x.reshape(-1, x.shape[-1]).T @ dy2, dy2.sum(axis=0)
+
+
+def _attention(qkv, n_heads):
+    """Causal softmax attention over the packed ``(b, t, 3d)`` q, k, v; returns
+    the ``(b, t, d)`` output and the cache (q, k, v, probs). The scores are
+    scaled, masked, max-subtracted, exponentiated and normalised in place."""
+    t, d = qkv.shape[1], qkv.shape[2] // 3
+    q, k, v = (_split_heads(qkv[..., j * d : (j + 1) * d], n_heads) for j in range(3))
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    scores *= 1.0 / math.sqrt(d // n_heads)  # Python float: see _GELU_C
+    scores += np.triu(np.full((t, t), -np.inf, dtype=qkv.dtype), k=1)
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return _merge_heads(np.matmul(probs, v)), (q, k, v, probs)
+
+
+def _attention_backward(datt, cache):
+    """Gradient through :func:`_attention`: the packed ``(b, t, 3d)`` dqkv, with
+    ``dscores = probs * (dprobs - sum(dprobs * probs))`` in place; writes no input."""
+    q, k, v, probs = cache
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    datt_h = _split_heads(datt, q.shape[1])
+    dprobs = np.matmul(datt_h, v.transpose(0, 1, 3, 2))
+    dv = np.matmul(probs.transpose(0, 1, 3, 2), datt_h)
+    dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
+    dscores = np.multiply(probs, dprobs, out=dprobs)
+    dq, dk = np.matmul(dscores, k), np.matmul(dscores.transpose(0, 1, 3, 2), q)
+    dq *= scale
+    dk *= scale
+    return np.concatenate([_merge_heads(dq), _merge_heads(dk), _merge_heads(dv)], axis=-1)
+
+
+def _block(x, p, n_heads):
+    """One pre-norm residual block, ``x + attention(ln1(x))`` and then ``+
+    mlp(ln2(.))``, with ``p`` the layer's parameters under their short names.
+    Returns the block output and the cache of :func:`_block_backward`."""
+    a, ln1 = _layer_norm(x, p["ln1.gain"], p["ln1.offset"])
+    att, attn = _attention(_linear(a, p["attn_qkv.weight"], p["attn_qkv.bias"]), n_heads)
+    x = x + _linear(att, p["attn_proj.weight"], p["attn_proj.bias"])
+    h2, ln2 = _layer_norm(x, p["ln2.gain"], p["ln2.offset"])
+    f1 = _linear(h2, p["mlp_fc1.weight"], p["mlp_fc1.bias"])
+    g, tanh = _gelu(f1)
+    x = x + _linear(g, p["mlp_fc2.weight"], p["mlp_fc2.bias"])
+    return x, (a, ln1, att, attn, h2, ln2, f1, g, tanh)
+
+
+def _block_backward(dy, cache, p):
+    """Gradient through :func:`_block`: returns dx and the layer's parameter
+    gradients under their short names. The residual sums are added into ``dy``,
+    in place, so ``dx`` is ``dy``."""
+    a, ln1, att, attn, h2, ln2, f1, g, tanh = cache
+    grads = {}
+    dg, grads["mlp_fc2.weight"], grads["mlp_fc2.bias"] = _linear_backward(
+        dy, g, p["mlp_fc2.weight"])
+    dh2, grads["mlp_fc1.weight"], grads["mlp_fc1.bias"] = _linear_backward(
+        _gelu_backward(dg, f1, tanh), h2, p["mlp_fc1.weight"])
+    dx, grads["ln2.gain"], grads["ln2.offset"] = _layer_norm_backward(dh2, ln2, p["ln2.gain"])
+    dy += dx  # residual
+    datt, grads["attn_proj.weight"], grads["attn_proj.bias"] = _linear_backward(
+        dy, att, p["attn_proj.weight"])
+    da, grads["attn_qkv.weight"], grads["attn_qkv.bias"] = _linear_backward(
+        _attention_backward(datt, attn), a, p["attn_qkv.weight"])
+    dx, grads["ln1.gain"], grads["ln1.offset"] = _layer_norm_backward(da, ln1, p["ln1.gain"])
+    dy += dx  # residual
+    return dy, grads
+
+
 def _forward_core(state: ModelState, ids: np.ndarray, keep_cache: bool):
     c = state.config
     p = state.params
     ids = np.asarray(ids)
     squeeze = ids.ndim == 1
     ids2 = ids[None] if squeeze else ids
-    b, t = ids2.shape
+    t = ids2.shape[1]
     if t > c.max_seq_len:
         raise ValueError(f"sequence length {t} exceeds max_seq_len {c.max_seq_len}")
     if ids2.size and (ids2.min() < 0 or ids2.max() >= c.vocab_size):
@@ -360,44 +447,16 @@ def _forward_core(state: ModelState, ids: np.ndarray, keep_cache: bool):
 
     x = p["token_embedding"][ids2] + p["position_embedding"][:t]
     hiddens = [x]
-    mask = np.triu(np.full((t, t), -np.inf, dtype=x.dtype), k=1)
-    scale = 1.0 / math.sqrt(c.d_model // c.n_heads)  # Python float: see _GELU_C
     caches = []
     for i in range(c.n_layers):
-        pre = f"layers.{i}."
-        a, ln1_cache = _layer_norm(x, p[pre + "ln1.gain"], p[pre + "ln1.offset"])
-        qkv = a.reshape(b * t, -1) @ p[pre + "attn_qkv.weight"] + p[pre + "attn_qkv.bias"]
-        qkv = qkv.reshape(b, t, 3 * c.d_model)
-        q, k, v = (
-            _split_heads(qkv[..., j * c.d_model : (j + 1) * c.d_model], c.n_heads)
-            for j in range(3)
-        )
-        scores = np.matmul(q, k.transpose(0, 1, 3, 2))
-        scores *= scale
-        scores += mask
-        scores -= scores.max(axis=-1, keepdims=True)
-        probs = np.exp(scores, out=scores)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        att = _merge_heads(np.matmul(probs, v))
-        proj = att.reshape(b * t, -1) @ p[pre + "attn_proj.weight"] + p[pre + "attn_proj.bias"]
-        x = x + proj.reshape(b, t, c.d_model)
-        h2, ln2_cache = _layer_norm(x, p[pre + "ln2.gain"], p[pre + "ln2.offset"])
-        f1 = h2.reshape(b * t, -1) @ p[pre + "mlp_fc1.weight"] + p[pre + "mlp_fc1.bias"]
-        g, tanh_cache = _gelu(f1)
-        f2 = g @ p[pre + "mlp_fc2.weight"] + p[pre + "mlp_fc2.bias"]
-        x = x + f2.reshape(b, t, c.d_model)
+        x, cache = _block(x, _layer_params(p, i), c.n_heads)
         hiddens.append(x)
         if keep_cache:
-            caches.append(
-                dict(a=a, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, att=att,
-                     h2=h2, ln2=ln2_cache, f1=f1, g=g, tanh=tanh_cache)
-            )
+            caches.append(cache)
+        del cache  # else a cache not kept lives through the next block
     xf, lnf_cache = _layer_norm(x, p["final_ln.gain"], p["final_ln.offset"])
-    cache = dict(
-        ids=ids2, hiddens=[h[0] for h in hiddens] if squeeze else hiddens,
-        layer_caches=caches, xf=xf, lnf=lnf_cache, b=b, t=t, scale=scale,
-    )
-    return cache
+    return dict(ids=ids2, hiddens=[h[0] for h in hiddens] if squeeze else hiddens,
+                layer_caches=caches, xf=xf, lnf=lnf_cache)
 
 
 def forward(state: ModelState, ids: np.ndarray) -> ForwardTrace:
@@ -461,7 +520,7 @@ def loss_and_grads(
         raise ValueError(f"ids shape {ids.shape} != targets shape {targets.shape}")
     groups = _as_groups(vocab_groups, c.vocab_size)
     cache = _forward_core(state, ids, keep_cache=True)
-    b, t = cache["b"], cache["t"]
+    b, t = cache["ids"].shape
     xf2 = cache["xf"].reshape(b * t, c.d_model)
     w = state.head_weight()
     logits = _head_logits(xf2, w, groups)
@@ -476,51 +535,9 @@ def loss_and_grads(
     dx, grads["final_ln.gain"], grads["final_ln.offset"] = _layer_norm_backward(
         dxf2.reshape(b, t, c.d_model), cache["lnf"], p["final_ln.gain"]
     )
-
-    for i in reversed(range(c.n_layers)):
-        pre = f"layers.{i}."
-        lc = cache["layer_caches"][i]
-        # MLP branch
-        df2 = dx.reshape(b * t, c.d_model)
-        grads[pre + "mlp_fc2.weight"] = lc["g"].T @ df2
-        grads[pre + "mlp_fc2.bias"] = df2.sum(axis=0)
-        dg_ = df2 @ p[pre + "mlp_fc2.weight"].T
-        df1 = _gelu_backward(dg_, lc["f1"], lc["tanh"])
-        h2_2d = lc["h2"].reshape(b * t, c.d_model)
-        grads[pre + "mlp_fc1.weight"] = h2_2d.T @ df1
-        grads[pre + "mlp_fc1.bias"] = df1.sum(axis=0)
-        dh2 = (df1 @ p[pre + "mlp_fc1.weight"].T).reshape(b, t, c.d_model)
-        dx_mid, grads[pre + "ln2.gain"], grads[pre + "ln2.offset"] = _layer_norm_backward(
-            dh2, lc["ln2"], p[pre + "ln2.gain"]
-        )
-        dx += dx_mid  # residual
-
-        # attention branch
-        dproj = dx.reshape(b * t, c.d_model)
-        att2d = lc["att"].reshape(b * t, c.d_model)
-        grads[pre + "attn_proj.weight"] = att2d.T @ dproj
-        grads[pre + "attn_proj.bias"] = dproj.sum(axis=0)
-        datt = (dproj @ p[pre + "attn_proj.weight"].T).reshape(b, t, c.d_model)
-        datt_h = _split_heads(datt, c.n_heads)
-        probs, q, k, v = lc["probs"], lc["q"], lc["k"], lc["v"]
-        dprobs = np.matmul(datt_h, v.transpose(0, 1, 3, 2))
-        dv = np.matmul(probs.transpose(0, 1, 3, 2), datt_h)
-        dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
-        dscores = np.multiply(probs, dprobs, out=dprobs)  # probs * (dprobs - sum)
-        dq, dk = np.matmul(dscores, k), np.matmul(dscores.transpose(0, 1, 3, 2), q)
-        dq *= cache["scale"]
-        dk *= cache["scale"]
-        dqkv = np.concatenate(
-            [_merge_heads(dq), _merge_heads(dk), _merge_heads(dv)], axis=-1
-        ).reshape(b * t, 3 * c.d_model)
-        a2d = lc["a"].reshape(b * t, c.d_model)
-        grads[pre + "attn_qkv.weight"] = a2d.T @ dqkv
-        grads[pre + "attn_qkv.bias"] = dqkv.sum(axis=0)
-        da = (dqkv @ p[pre + "attn_qkv.weight"].T).reshape(b, t, c.d_model)
-        dx_in, grads[pre + "ln1.gain"], grads[pre + "ln1.offset"] = _layer_norm_backward(
-            da, lc["ln1"], p[pre + "ln1.gain"]
-        )
-        dx += dx_in  # residual
+    for i in reversed(range(c.n_layers)):  # popped: a cache dies after its backward
+        dx, layer_grads = _block_backward(dx, cache["layer_caches"].pop(), _layer_params(p, i))
+        grads.update((f"layers.{i}.{k}", g) for k, g in layer_grads.items())
 
     # the rows that no position or id of this batch touches stay zero
     grads["position_embedding"] = np.zeros_like(p["position_embedding"])

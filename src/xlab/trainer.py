@@ -10,7 +10,6 @@ checkpoint can restore the run mid-stream: ``train(..., resume_from=path)``.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import json
 import logging
@@ -68,6 +67,9 @@ class TrainConfig:
             raise ValueError("need 0 < lr_min <= lr_max")
         if self.total_steps > 0 and not 0 < self.warmup_steps < self.total_steps:
             raise ValueError("need 0 < warmup_steps < total_steps")
+        for name in ("grad_clip", "checkpoint_every"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0 (0 turns it off), got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -163,15 +165,9 @@ class RunRecord:
             )
         return cls(**d)
 
-    def save(self, path: str | Path, csv_sidecar: bool = False) -> None:
+    def save(self, path: str | Path) -> None:
         with atomic_write(path) as f:
             f.write(json.dumps(self.to_dict(), sort_keys=True, indent=1))
-        if csv_sidecar:
-            with atomic_write(Path(path).with_suffix(".csv"), newline="") as f:
-                w = csv.writer(f)
-                w.writerow(["step", "loss"] + [f"tokens_lang{i}" for i in range(self.n_languages)])
-                for i, (loss, counts) in enumerate(zip(self.losses, self.step_lang_tokens)):
-                    w.writerow([i, repr(loss)] + list(counts))
 
     @classmethod
     def load(cls, path: str | Path) -> "RunRecord":
@@ -237,6 +233,7 @@ class MixtureSource:
         }
 
     def restore(self, state: dict) -> None:
+        """Checks every cursor state and the RNG state before it moves anything."""
         if not (isinstance(state, dict) and {"cursors", "rng"} <= state.keys()
                 and len(state["cursors"]) == len(self.cursors)):
             got = sorted(state) if isinstance(state, dict) else type(state).__name__
@@ -244,9 +241,10 @@ class MixtureSource:
                 f"source state {got} does not fit this source: expected 'cursors' "
                 f"({len(self.cursors)} cursor states) and 'rng'"
             )
-        for c, s in zip(self.cursors, state["cursors"]):
-            c.restore(s)
-        self.rng.bit_generator.state = state["rng"]
+        checked = [c.check(s) for c, s in zip(self.cursors, state["cursors"])]
+        self.rng.bit_generator.state = state["rng"]  # checked in full before it is set
+        for c, (position, epoch) in zip(self.cursors, checked):
+            c.position, c.epoch = position, epoch
 
 
 # perfbench/drive.py builds ``trainer.ClonedMixtureSource`` and traces its

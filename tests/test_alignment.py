@@ -190,14 +190,6 @@ def alignment_forward_blocks(st, ids):
     return forward(st, ids).hidden_states[1:]
 
 
-def test_delta_row_and_csv(tmp_path):
-    rows = {"a": np.array([0.5, 0.6]), "b": np.array([0.2, 0.1])}
-    alignment.write_layer_table_csv(tmp_path / "t.csv", rows, delta=("a", "b"))
-    lines = (tmp_path / "t.csv").read_text().strip().splitlines()
-    assert lines[0] == "label,layer_1,layer_2"
-    assert lines[-1].startswith("delta(a-b),0.3")
-
-
 def test_gradient_similarity_same_sequence_is_one(trained_cloned):
     st, cv, stream = trained_cloned
     ids = cv.map_ids(stream.ids[:16], 0)

@@ -154,6 +154,11 @@ def test_forward_dtype_contract(dtype):
     floats = [a for a in _arrays(cache) if a.dtype.kind == "f"]
     assert len(floats) > 2 * 13
     assert all(a.dtype == dtype for a in floats), sorted({str(a.dtype) for a in floats})
+    for layer_cache in cache["layer_caches"]:
+        # a, ln1 (xhat, rstd), att, attention (q, k, v, probs), h2, ln2, f1, g, tanh
+        floats = [a for a in _arrays(layer_cache) if a.dtype.kind == "f"]
+        assert len(floats) == 14
+        assert all(a.dtype == dtype for a in floats), sorted({str(a.dtype) for a in floats})
 
 
 @pytest.mark.parametrize("grouped", [False, True])
@@ -263,6 +268,69 @@ def test_layer_norm_pair_is_bitwise_the_reference_and_writes_no_input(dtype):
         assert arr.tobytes() == b.tobytes()
 
 
+def attention_reference(qkv, n_heads):
+    """Textbook causal attention over packed q, k, v, each step into a new array,
+    and the (q, k, v, probs) it caches."""
+    b, t, d3 = qkv.shape
+    d = d3 // 3
+    q, k, v = (qkv[..., j * d : (j + 1) * d].reshape(b, t, n_heads, d // n_heads)
+               .transpose(0, 2, 1, 3) for j in range(3))
+    scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / math.sqrt(d // n_heads))
+    scores = scores + np.triu(np.full((t, t), -np.inf, dtype=qkv.dtype), k=1)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return (probs @ v).transpose(0, 2, 1, 3).reshape(b, t, d), (q, k, v, probs)
+
+
+def attention_backward_reference(datt, q, k, v, probs):
+    b, h, t, hd = q.shape
+    scale = 1.0 / math.sqrt(hd)
+    datt_h = datt.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
+    dprobs = datt_h @ v.transpose(0, 1, 3, 2)
+    dv = probs.transpose(0, 1, 3, 2) @ datt_h
+    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    dq, dk = (dscores @ k) * scale, (dscores.transpose(0, 1, 3, 2) @ q) * scale
+    return np.concatenate(
+        [g.transpose(0, 2, 1, 3).reshape(b, t, h * hd) for g in (dq, dk, dv)], axis=-1)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_attention_pair_is_bitwise_the_reference_and_writes_no_input(dtype):
+    rng = np.random.default_rng(3)
+    qkv = (rng.standard_normal((2, 9, 3 * 24)) * 2).astype(dtype)
+    datt = rng.standard_normal((2, 9, 24)).astype(dtype)
+    before = qkv.copy(), datt.copy()
+
+    att, cache = model._attention(qkv, 4)
+    want_att, want_cache = attention_reference(qkv, 4)
+    for got, ref in zip((att, *cache), (want_att, *want_cache)):
+        assert got.dtype == dtype and got.tobytes() == ref.tobytes()
+    cache_before = [a.copy() for a in cache]
+
+    dqkv = model._attention_backward(datt, cache)
+    assert dqkv.dtype == dtype and dqkv.shape == qkv.shape
+    assert dqkv.tobytes() == attention_backward_reference(datt, *cache).tobytes()
+    for arr, b in zip((qkv, datt, *cache), (*before, *cache_before)):
+        assert arr.tobytes() == b.tobytes()
+
+
+def test_components_are_called_by_module_global_name(monkeypatch):
+    # a tracer rebinds these names; calls through any other reference escape it
+    calls = {}
+    for name in ("_block", "_attention", "_block_backward"):
+        def counting(*args, _real=getattr(model, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(model, name, counting)
+    st = make_model(n_layers=3, seed=5)
+    ids = np.arange(8).reshape(2, 4)
+    model.forward(st, ids)
+    assert calls == {"_block": 3, "_attention": 3}
+    calls.clear()
+    model.loss_and_grads(st, ids, ids[:, ::-1])
+    assert calls == {"_block": 3, "_attention": 3, "_block_backward": 3}
+
+
 def softmax_xent_reference(logits, targets, groups):
     """The cross-entropy expressions, each step into a new array."""
     n, v = logits.shape
@@ -315,6 +383,26 @@ def test_head_and_cross_entropy_hold_one_logits_buffer():
     growth = _peak_traced_bytes(v_large, n) - _peak_traced_bytes(v_small, n)
     per_column = growth / ((v_large - v_small) * n * itemsize)
     assert per_column <= 1.25, f"peak grows by {per_column:.2f} n*itemsize per vocab column"
+
+
+def test_forward_keeps_no_layer_cache_through_the_next_block():
+    # hidden_states keeps one (b, t, d) state per layer by design; a layer's
+    # cache (q, k, v, the probabilities, the MLP activations) must die before
+    # the next block runs, so two more layers add about two states to the peak
+    def peak(n_layers):
+        st = make_model(n_layers=n_layers, d_model=16, n_heads=2, d_ff=64,
+                        max_seq_len=64, dtype="float32", seed=0)
+        ids = np.random.default_rng(0).integers(0, 23, size=(4, 64))
+        tracemalloc.start()
+        try:
+            model.hidden_states(st, ids)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    state_bytes = 4 * 64 * 16 * 4
+    growth = (peak(3) - peak(1)) / state_bytes
+    assert growth <= 3, f"two more layers add {growth:.1f} hidden states to the peak"
 
 
 def test_uniform_logit_loss_is_log_vocab():

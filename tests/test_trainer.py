@@ -53,6 +53,17 @@ def test_train_config_validation():
         trainer.TrainConfig(total_steps=10, batch_size=0, seq_len=8, warmup_steps=2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("checkpoint_every", -1), ("grad_clip", -1.0), ("grad_clip", float("nan")),
+])
+def test_train_config_rejects_settings_it_would_misread(field, value):
+    # a negative checkpoint_every would checkpoint every step; a negative or
+    # NaN grad_clip would turn clipping off like 0 does
+    with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+        trainer.TrainConfig(total_steps=10, batch_size=1, seq_len=8, warmup_steps=2,
+                            **{field: value})
+
+
 def adam_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One textbook Adam step on copies; returns (params, m, v)."""
     b1c, b2c = 1.0 - beta1**t, 1.0 - beta2**t
@@ -371,6 +382,22 @@ def test_source_restore_rejects_foreign_state():
         two.restore(src.state())
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"cursors": [{"position": 16, "epoch": 5}, {"position": 99999, "epoch": 0}]},
+     "position 99999 outside"),
+    ({"cursors": [{"position": 16, "epoch": 5}, {"position": 32, "epoch": 1}],
+      "rng": {"bit_generator": "MT19937"}}, "PCG64"),
+])
+def test_failed_source_restore_moves_nothing(bad, match):
+    _, source = _two_cursor_setup(1)
+    for _ in range(3):
+        source.next_batch(0, 10)
+    before = source.state()
+    with pytest.raises(ValueError, match=match):
+        source.restore({**before, **bad})
+    assert source.state() == before
+
+
 def test_abort_on_non_finite_loss():
     st, source, _, _ = small_setup(seed=3)
     st.params["token_embedding"][0, 0] = np.nan
@@ -398,12 +425,9 @@ def test_run_record_roundtrip(tmp_path):
     rec.step_lang_tokens = [[10, 6], [0, 16]]
     assert rec.steps == 2 and rec.lang_token_counts == [10, 22]
     rec.evals["2"] = {"0": {"ppl": 9.0}}
-    rec.save(tmp_path / "r.json", csv_sidecar=True)
+    rec.save(tmp_path / "r.json")
     back = trainer.RunRecord.load(tmp_path / "r.json")
     assert back.to_dict() == rec.to_dict()
-    lines = (tmp_path / "r.csv").read_text().strip().splitlines()
-    assert lines[0] == "step,loss,tokens_lang0,tokens_lang1"
-    assert len(lines) == 3
 
 
 @pytest.mark.parametrize("edit, match", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xlab import alignment, corpus, model, scaling, tokenizer, trainer, util
+from xlab import corpus, model, scaling, tokenizer, trainer, util
 
 from conftest import make_model, make_vocab
 
@@ -19,11 +19,9 @@ WRITERS = {
     "token_stream": lambda path, k: corpus.write_token_stream(path, corpus.TokenStream(
         ids=np.arange(k, dtype=np.uint32), doc_boundaries=np.array([k], dtype=np.uint64),
         vocab_digest="0" * 64)),
-    "run_record": lambda path, k: _run_record(k).save(path, csv_sidecar=True),
+    "run_record": lambda path, k: _run_record(k).save(path),
     "scaling_fit": lambda path, k: scaling.ScalingFit(
         a=float(k), b=0.5, c=1.0, residual=0.0, t_min=1.0, t_max=10.0).save(path),
-    "layer_table": lambda path, k: alignment.write_layer_table_csv(
-        path, {"a": np.full(2, float(k))}),
 }
 
 
@@ -45,10 +43,7 @@ class DiskFullOnClose:
         return self.f.write(data)
 
 
-@pytest.mark.parametrize("writer, target", [
-    *((name, "out.dat") for name in WRITERS),
-    ("run_record", "out.csv"),  # the sidecar fails after the record was replaced
-])
+@pytest.mark.parametrize("writer, target", [(name, "out.dat") for name in WRITERS])
 def test_failed_save_keeps_earlier_file(tmp_path, monkeypatch, writer, target):
     path = tmp_path / "out.dat"
     WRITERS[writer](path, 1)
