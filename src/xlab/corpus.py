@@ -9,17 +9,17 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import hashlib
-import struct
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .util import atomic_write
+from .util import read_arrays, write_arrays
 
 STREAM_MAGIC = b"XLTS"
-STREAM_VERSION = 1
+STREAM_VERSION = 2
 
 
 class CorpusError(ValueError):
@@ -32,7 +32,7 @@ def _digest_documents(documents: Sequence[str]) -> str:
     h = hashlib.sha256()
     for doc in documents:
         raw = doc.encode("utf-8")
-        h.update(struct.pack("<Q", len(raw)))
+        h.update(len(raw).to_bytes(8, "little"))
         h.update(raw)
     return h.hexdigest()
 
@@ -154,38 +154,25 @@ class TokenStream:
         return self.ids[start : int(self.doc_boundaries[i])]
 
 
+def _vocab_digest(value, path) -> str:
+    if not (isinstance(value, str) and re.fullmatch("[0-9a-fA-F]{64}", value)):
+        raise CorpusError(f"{path}: vocab_digest {value!r} is not a 32-byte hex digest")
+    return value
+
+
 def write_token_stream(path: str | Path, stream: TokenStream) -> None:
-    """Serialize to the XLTS format: magic, u8 version, 32-byte vocab digest,
-    u64 token count, u64 boundary count, u32-LE ids, u64-LE boundaries."""
-    digest = bytes.fromhex(stream.vocab_digest)
-    if len(digest) != 32:
-        raise CorpusError("vocab_digest must be a 32-byte hex digest")
-    with atomic_write(path, "wb") as f:
-        f.write(STREAM_MAGIC)
-        f.write(struct.pack("<B", STREAM_VERSION))
-        f.write(digest)
-        f.write(struct.pack("<QQ", len(stream.ids), len(stream.doc_boundaries)))
-        f.write(stream.ids.astype("<u4").tobytes())
-        f.write(stream.doc_boundaries.astype("<u8").tobytes())
+    """Write XLTS version 2 with :func:`~xlab.util.write_arrays`, under a payload SHA-256:
+    the ``vocab_digest`` in the header, then ``ids`` (``<u4``) and ``doc_boundaries`` (``<u8``)."""
+    header = {"vocab_digest": _vocab_digest(stream.vocab_digest, path)}
+    arrays = {"ids": stream.ids, "doc_boundaries": stream.doc_boundaries}
+    write_arrays(path, STREAM_MAGIC, STREAM_VERSION, header, arrays)
 
 
 def read_token_stream(path: str | Path) -> TokenStream:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != STREAM_MAGIC:
-            raise CorpusError(f"{path}: bad magic {magic!r}, expected {STREAM_MAGIC!r}")
-        (version,) = struct.unpack("<B", _read_exact(f, 1, path))
-        if version != STREAM_VERSION:
-            raise CorpusError(f"{path}: unsupported stream version {version}")
-        digest = _read_exact(f, 32, path).hex()
-        n_ids, n_bounds = struct.unpack("<QQ", _read_exact(f, 16, path))
-        ids = np.frombuffer(_read_exact(f, 4 * n_ids, path), dtype="<u4").astype(np.uint32)
-        bounds = np.frombuffer(_read_exact(f, 8 * n_bounds, path), dtype="<u8").astype(np.uint64)
-    return TokenStream(ids=ids, doc_boundaries=bounds, vocab_digest=digest)
-
-
-def _read_exact(f, n: int, path) -> bytes:
-    raw = f.read(n)
-    if len(raw) != n:
-        raise CorpusError(f"{path}: truncated token stream ({len(raw)} of {n} bytes read)")
-    return raw
+    """Read an XLTS version 2 file; CorpusError naming the file unless its
+    payload matches its SHA-256 and it holds what the writer writes."""
+    header, arrays = read_arrays(path, STREAM_MAGIC, STREAM_VERSION, CorpusError)
+    if [(n, a.dtype.str, a.ndim) for n, a in arrays.items()] != [
+            ("ids", "<u4", 1), ("doc_boundaries", "<u8", 1)]:
+        raise CorpusError(f"{path}: the arrays are not 1-d ids <u4 and doc_boundaries <u8")
+    return TokenStream(**arrays, vocab_digest=_vocab_digest(header.get("vocab_digest"), path))

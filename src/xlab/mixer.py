@@ -165,14 +165,18 @@ class StreamCursor:
         return {"position": self.position, "epoch": self.epoch}
 
     def check(self, state: dict) -> tuple[int, int]:
-        """(position, epoch) of ``state``; CorpusError if this cursor cannot take it."""
-        position, epoch = int(state["position"]), int(state["epoch"])
+        """(position, epoch) of ``state``, cursor unmoved; CorpusError names a bad field."""
+        if not isinstance(state, dict):
+            raise CorpusError(f"a cursor state is a dict, got {type(state).__name__}")
+        position, epoch = state.get("position"), state.get("epoch")
+        for name, value in (("position", position), ("epoch", epoch)):
+            if type(value) is not int:
+                raise CorpusError(f"cursor {name} {value!r} is not an int")
         if not 0 <= position <= len(self.data):
             raise CorpusError(f"cursor position {position} outside [0, {len(self.data)}]")
+        if epoch < 0:
+            raise CorpusError(f"cursor epoch {epoch} is negative")
         return position, epoch
-
-    def restore(self, state: dict) -> None:
-        self.position, self.epoch = self.check(state)
 
 
 def concat_with_separator(stream: TokenStream, separator_id: int | None) -> np.ndarray:

@@ -41,16 +41,13 @@ uninterrupted one bit for bit in float32 and in float64.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .util import atomic_write
+from .util import read_arrays, write_arrays
 
 CHECKPOINT_MAGIC = b"XLCK"
 CHECKPOINT_VERSION = 2
@@ -530,6 +527,7 @@ def loss_and_grads(
 
     grads: dict[str, np.ndarray] = {}
     dxf2, dw_head = _head_backward(dlogits, xf2, w, groups)
+    del logits, dlogits  # one buffer, (n, V): free it before the layer backward
     grads["token_embedding" if c.tie_embeddings else "output_head.weight"] = dw_head
 
     dx, grads["final_ln.gain"], grads["final_ln.offset"] = _layer_norm_backward(
@@ -549,9 +547,8 @@ def loss_and_grads(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: magic, version, header JSON, then the named tensors, each in
-# its own dtype, little-endian. The header records every tensor's name, shape
-# and dtype, and the SHA-256 of the payload.
+# Checkpoints: config, step and extra in the header of an array file
+# (:func:`~xlab.util.write_arrays`), the parameters, then the optimizer tensors.
 
 
 def save_checkpoint(
@@ -564,92 +561,28 @@ def save_checkpoint(
     """Write the parameters, then the optimizer tensors, so that
     load_checkpoint returns them bit for bit and in the same dtypes. The write
     is atomic (:func:`~xlab.util.atomic_write`)."""
-    tensors = [(n, state.params[n]) for n in _param_shapes(state.config)]
-    if opt_tensors:
-        tensors += [(n, opt_tensors[n]) for n in sorted(opt_tensors)]
-    arrays = [np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")) for _, a in tensors]
-    digest = hashlib.sha256()
-    for a in arrays:
-        digest.update(a)
-    header = {
-        "config": state.config.to_dict(),
-        "step": step,
-        "extra": extra or {},
-        "tensors": [[n, list(a.shape), a.dtype.str] for (n, _), a in zip(tensors, arrays)],
-        "payload_sha256": digest.hexdigest(),
-    }
-    raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    with atomic_write(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<BI", CHECKPOINT_VERSION, len(raw)))
-        f.write(raw)
-        for a in arrays:
-            f.write(a)
-
-
-# other header fields are ignored, so headers that still carry n_params and
-# config_digest load
-_HEADER_FIELDS = ("config", "payload_sha256", "step", "tensors")
-
-
-def _parse_header(raw: bytes, path) -> tuple[dict, ModelConfig, list, int]:
-    """Decode and validate a checkpoint header; returns (header, config,
-    [(name, shape, dtype)], n_params). The first n_params entries must be
-    the config's parameters, in order and in the config's dtype; the rest are
-    optimizer tensors."""
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except ValueError as e:
-        raise CheckpointError(f"{path}: corrupt checkpoint header") from e
-    missing = [k for k in _HEADER_FIELDS if not isinstance(header, dict) or k not in header]
-    if missing:
-        raise CheckpointError(f"{path}: checkpoint header lacks {', '.join(missing)}")
-    try:
-        config = ModelConfig.from_dict(header["config"])
-        specs = [(str(n), tuple(int(d) for d in shape), np.dtype(dt))
-                 for n, shape, dt in header["tensors"]]
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: bad checkpoint header ({e})") from e
-    if type(header["step"]) is not int or header["step"] < 0:
-        raise CheckpointError(f"{path}: checkpoint step {header['step']!r} is not a step count")
-    expected = [(n, shape, config.np_dtype) for n, shape in _param_shapes(config).items()]
-    n_params = len(expected)
-    if specs[:n_params] != expected:
-        raise CheckpointError(f"{path}: parameter tensors do not match the model config")
-    for name, shape, dt in specs[n_params:]:
-        if dt.kind != "f" or min(shape, default=0) < 0:
-            raise CheckpointError(f"{path}: tensor {name} has bad shape or dtype")
-    return header, config, specs, n_params
+    tensors = {n: state.params[n] for n in _param_shapes(state.config)}
+    tensors.update((n, opt_tensors[n]) for n in sorted(opt_tensors or ()))
+    header = {"config": state.config.to_dict(), "step": step, "extra": extra or {}}
+    write_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, tensors)
 
 
 def load_checkpoint(path: str | Path):
-    """Returns (state, step, opt_tensors, extra), every tensor in
-    the dtype it was saved in. Raises CheckpointError, and loads nothing, on a
-    bad magic, version, header or payload digest."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad checkpoint magic {magic!r}")
-        prefix = f.read(5)
-        if len(prefix) != 5:
-            raise CheckpointError(f"{path}: truncated checkpoint header")
-        version, hlen = struct.unpack("<BI", prefix)
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint version {version} "
-                f"(this xlab reads version {CHECKPOINT_VERSION})"
-            )
-        header, config, specs, n_params = _parse_header(f.read(hlen), path)
-        digest = hashlib.sha256()
-        tensors: dict[str, np.ndarray] = {}
-        for name, shape, dt in specs:
-            buf = bytearray(dt.itemsize * math.prod(shape))
-            if f.readinto(buf) != len(buf):
-                raise CheckpointError(f"{path}: checkpoint payload truncated at {name}")
-            digest.update(buf)
-            tensors[name] = np.frombuffer(buf, dtype=dt).reshape(shape)
-        if f.read(1) or digest.hexdigest() != header["payload_sha256"]:
-            raise CheckpointError(f"{path}: checkpoint payload digest mismatch")
-    state = ModelState(config=config, params={n: tensors[n] for n, _, _ in specs[:n_params]})
-    opt = {n: tensors[n] for n, _, _ in specs[n_params:]}
-    return state, header["step"], opt, header.get("extra", {})
+    """Returns (state, step, opt_tensors, extra), every tensor in the dtype it
+    was saved in. Raises CheckpointError, and loads nothing, on a bad file or
+    header; other header fields (n_params, config_digest) are ignored."""
+    header, tensors = read_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
+    try:
+        config, step = ModelConfig.from_dict(header["config"]), header["step"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad checkpoint header ({type(e).__name__}: {e})") from e
+    if type(step) is not int or step < 0:
+        raise CheckpointError(f"{path}: checkpoint step {step!r} is not a step count")
+    shapes = _param_shapes(config)  # the parameters, in order and in the config dtype, lead
+    if ([(n, a.shape, a.dtype) for n, a in list(tensors.items())[:len(shapes)]]
+            != [(n, shape, config.np_dtype) for n, shape in shapes.items()]):
+        raise CheckpointError(f"{path}: parameter tensors do not match the model config")
+    params = {n: tensors.pop(n) for n in shapes}
+    if any(a.dtype.kind != "f" for a in tensors.values()):
+        raise CheckpointError(f"{path}: optimizer tensors must be floating point")
+    return ModelState(config=config, params=params), step, tensors, header.get("extra", {})

@@ -235,6 +235,7 @@ class MixtureSource:
     def restore(self, state: dict) -> None:
         """Checks every cursor state and the RNG state before it moves anything."""
         if not (isinstance(state, dict) and {"cursors", "rng"} <= state.keys()
+                and isinstance(state["cursors"], list)
                 and len(state["cursors"]) == len(self.cursors)):
             got = sorted(state) if isinstance(state, dict) else type(state).__name__
             raise ValueError(
@@ -242,7 +243,10 @@ class MixtureSource:
                 f"({len(self.cursors)} cursor states) and 'rng'"
             )
         checked = [c.check(s) for c, s in zip(self.cursors, state["cursors"])]
-        self.rng.bit_generator.state = state["rng"]  # checked in full before it is set
+        try:
+            self.rng.bit_generator.state = state["rng"]  # checked in full before it is set
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"bad source rng state ({e})") from e
         for c, (position, epoch) in zip(self.cursors, checked):
             c.position, c.epoch = position, epoch
 
@@ -305,23 +309,21 @@ def train(
 
     if resume_from is not None:
         ck_state, ck_step, opt, extra = load_checkpoint(resume_from)
-        try:
+        try:  # every check before anything moves: a source that fails restores nothing
             record = RunRecord.from_dict(extra.get("record"))
+            if record.config_digest != digest:
+                raise ValueError(f"it was produced by a different run config "
+                                 f"({record.config_digest} != {digest}); refusing to resume")
+            lacking = sorted(adam.tensors().keys() - opt.keys())
+            lacking += [f"extra.{k}" for k in {"source"} - extra.keys()]
+            if lacking:
+                raise ValueError("it lacks " + ", ".join(lacking[:3])
+                                 + (" ..." if len(lacking) > 3 else ""))
+            source.restore(extra["source"])
         except ValueError as e:
             raise ValueError(f"cannot resume from checkpoint {resume_from}: {e}") from e
-        if record.config_digest != digest:
-            raise ValueError(
-                f"checkpoint {resume_from} was produced by a different run config "
-                f"({record.config_digest} != {digest}); refusing to resume"
-            )
-        lacking = sorted(adam.tensors().keys() - opt.keys())
-        lacking += [f"extra.{k}" for k in {"source"} - extra.keys()]
-        if lacking:
-            raise ValueError(f"cannot resume from checkpoint {resume_from}: it lacks "
-                             + ", ".join(lacking[:3]) + (" ..." if len(lacking) > 3 else ""))
         state.params = ck_state.params  # in the config dtype, checked by the loader
         adam.restore(opt, t=ck_step)  # Adam takes one step per training step
-        source.restore(extra["source"])
         start_step = ck_step
         last_ckpt = str(resume_from)
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -121,6 +122,66 @@ def test_token_stream_truncated_is_corpus_error(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(corpus.CorpusError, match=f"{path.name}: truncated"):
             corpus.read_token_stream(path)
+
+
+def _payload_offset(raw: bytes) -> int:
+    _, hlen = struct.unpack("<BI", raw[4:9])
+    return 9 + hlen
+
+
+def test_token_stream_with_a_flipped_id_byte_is_refused(tmp_path):
+    stream = corpus.TokenStream(
+        ids=np.arange(17, dtype=np.uint32),
+        doc_boundaries=np.array([5, 17], dtype=np.uint64),
+        vocab_digest="ab" * 32,
+    )
+    path = tmp_path / "s.xlts"
+    corpus.write_token_stream(path, stream)
+    raw = bytearray(path.read_bytes())
+    raw[_payload_offset(raw) + 4 * 3] ^= 0x40  # ids[3]: 3 -> 67
+    path.write_bytes(bytes(raw))
+    with pytest.raises(corpus.CorpusError, match=f"{path.name}: payload digest"):
+        corpus.read_token_stream(path)
+
+
+def test_token_stream_version_1_is_refused(tmp_path):
+    ids, bounds = np.arange(5, dtype="<u4"), np.array([5], dtype="<u8")
+    path = tmp_path / "v1.xlts"
+    path.write_bytes(b"XLTS" + struct.pack("<B", 1) + bytes(32) + struct.pack("<QQ", 5, 1)
+                     + ids.tobytes() + bounds.tobytes())
+    with pytest.raises(corpus.CorpusError, match="XLTS version 1 .*reads version 2"):
+        corpus.read_token_stream(path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda h: h.update(vocab_digest="ab" * 31), "not a 32-byte hex digest"),
+    (lambda h: h.update(vocab_digest="zz" * 32), "not a 32-byte hex digest"),
+    (lambda h: h.pop("vocab_digest"), "vocab_digest None"),
+    (lambda h: h["tensors"].reverse(), "not 1-d ids <u4 and doc_boundaries <u8"),
+])
+def test_token_stream_header_is_checked(tmp_path, edit, match):
+    stream = corpus.TokenStream(ids=np.arange(4, dtype=np.uint32),
+                                doc_boundaries=np.array([4], dtype=np.uint64),
+                                vocab_digest="ab" * 32)
+    path = tmp_path / "s.xlts"
+    corpus.write_token_stream(path, stream)
+    raw = path.read_bytes()
+    offset = _payload_offset(raw)
+    header = json.loads(raw[9:offset])
+    edit(header)
+    header_raw = json.dumps(header).encode()
+    path.write_bytes(raw[:4] + struct.pack("<BI", 2, len(header_raw)) + header_raw + raw[offset:])
+    with pytest.raises(corpus.CorpusError, match=match):
+        corpus.read_token_stream(path)
+
+
+def test_token_stream_writer_refuses_a_bad_vocab_digest(tmp_path):
+    stream = corpus.TokenStream(ids=np.arange(4, dtype=np.uint32),
+                                doc_boundaries=np.array([4], dtype=np.uint64),
+                                vocab_digest="abc")
+    with pytest.raises(corpus.CorpusError, match="not a 32-byte hex digest"):
+        corpus.write_token_stream(tmp_path / "s.xlts", stream)
+    assert not list(tmp_path.iterdir())
 
 
 def test_token_stream_validates_boundaries():

@@ -208,11 +208,10 @@ def test_cursor_rejects_a_stream_without_tokens(separator_id):
         mixer.StreamCursor(empty, seq_len=8, separator_id=separator_id)
 
 
-def test_cursor_restore_rejects_a_position_outside_the_data():
+def test_cursor_check_rejects_a_position_outside_the_data():
     cursor = mixer.StreamCursor(_stream(np.arange(20)), seq_len=8)
     for position in (-1, 21):
         with pytest.raises(CorpusError, match=rf"position {position} outside \[0, 20\]"):
-            cursor.restore({"position": position, "epoch": 3})
-        assert cursor.state() == {"position": 0, "epoch": 0}
-    cursor.restore({"position": 20, "epoch": 3})
-    assert len(cursor.next()) == 9 and cursor.state() == {"position": 8, "epoch": 4}
+            cursor.check({"position": position, "epoch": 3})
+    assert cursor.check({"position": 20, "epoch": 3}) == (20, 3)
+    assert cursor.state() == {"position": 0, "epoch": 0}  # check moves nothing

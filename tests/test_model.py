@@ -1,5 +1,10 @@
+import dataclasses
+import hashlib
+import json
 import math
+import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -385,6 +390,27 @@ def test_head_and_cross_entropy_hold_one_logits_buffer():
     assert per_column <= 1.25, f"peak grows by {per_column:.2f} n*itemsize per vocab column"
 
 
+def test_loss_and_grads_frees_the_logits_before_the_layer_backward(monkeypatch):
+    refs = []
+    head_logits, block_backward = model._head_logits, model._block_backward
+
+    def keep_a_weakref(*args):
+        logits = head_logits(*args)
+        refs.append(weakref.ref(logits))
+        return logits
+
+    def logits_are_dead(*args):
+        assert refs[0]() is None, "the (n, V) logits buffer lives through the layer backward"
+        return block_backward(*args)
+
+    monkeypatch.setattr(model, "_head_logits", keep_a_weakref)
+    monkeypatch.setattr(model, "_block_backward", logits_are_dead)
+    st = make_model(n_layers=2, dtype="float32", seed=6)
+    ids = np.arange(12).reshape(2, 6)
+    model.loss_and_grads(st, ids, ids[:, ::-1])
+    assert len(refs) == 1
+
+
 def test_forward_keeps_no_layer_cache_through_the_next_block():
     # hidden_states keeps one (b, t, d) state per layer by design; a layer's
     # cache (q, k, v, the probabilities, the MLP activations) must die before
@@ -549,6 +575,26 @@ def test_checkpoint_roundtrip(tmp_path):
     for k in st.params:
         assert np.array_equal(st.params[k], st2.params[k])
     assert np.array_equal(opt2["adam_m.x"], opt["adam_m.x"])
+
+
+def test_checkpoint_bytes_are_magic_prefix_sorted_json_and_little_endian_arrays(tmp_path):
+    st = make_model(dtype="float32", seed=8)
+    opt = {"adam_v.b": np.arange(6, dtype=np.float32).reshape(2, 3),
+           "adam_m.a": np.ones(2, dtype=np.float32)}
+    path = tmp_path / "c.xlck"
+    model.save_checkpoint(path, st, step=4, opt_tensors=opt, extra={"note": [1, "x"]})
+
+    tensors = [*st.params.items(), ("adam_m.a", opt["adam_m.a"]), ("adam_v.b", opt["adam_v.b"])]
+    payload = b"".join(a.astype("<f4").tobytes() for _, a in tensors)
+    header = {
+        "config": dataclasses.asdict(st.config),
+        "step": 4,
+        "extra": {"note": [1, "x"]},
+        "tensors": [[name, list(a.shape), "<f4"] for name, a in tensors],
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    assert path.read_bytes() == b"XLCK" + struct.pack("<BI", 2, len(raw)) + raw + payload
 
 
 def test_checkpoint_corruption_detected(tmp_path):

@@ -1,14 +1,16 @@
-"""Property tests: the window layout, the vocabulary and token-stream file
-round trips, the one-block meaning of ``vocab_groups=None``, the document
+"""Property tests: the window layout, the vocabulary, token-stream and array
+file round trips, the one-block meaning of ``vocab_groups=None``, the document
 join, the BPE round trip, role relabelling and the policy marginal."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from xlab import corpus, evaluator, mixer, model, tokenizer
+from xlab import corpus, evaluator, mixer, model, tokenizer, util
 
 from conftest import make_model, make_vocab
 
@@ -85,6 +87,41 @@ def test_token_stream_file_roundtrip_is_exact(tmp_path, stream):
     assert np.array_equal(back.ids, stream.ids)
     assert np.array_equal(back.doc_boundaries, stream.doc_boundaries)
     assert back.vocab_digest == stream.vocab_digest
+
+
+@st.composite
+def named_arrays(draw):
+    names = draw(st.lists(st.text(min_size=1, max_size=6), max_size=4, unique=True))
+    return {name: draw(hnp.arrays(
+        draw(st.sampled_from(["<u4", "<u8", "<f4", "<f8"])),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    )) for name in names}
+
+
+class LayoutError(ValueError):
+    pass
+
+
+@WITH_TMP_PATH
+@given(named_arrays(), st.dictionaries(st.sampled_from(["a", "b"]), st.integers()))
+def test_array_file_roundtrip_is_exact(tmp_path, arrays, fields):
+    path = tmp_path / "a.bin"
+    util.write_arrays(path, b"TEST", 3, fields, arrays)
+    header, back = util.read_arrays(path, b"TEST", 3, LayoutError)
+    assert {k: header[k] for k in fields} == fields
+    assert list(back) == list(arrays)
+    for name, a in arrays.items():
+        got = back[name]
+        assert (got.dtype.str, got.shape) == (a.dtype.str, a.shape), name
+        assert got.tobytes() == a.tobytes() and got.flags.writeable, name
+    raw = path.read_bytes()
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(LayoutError, match=f"{path.name}: bytes after the digested payload"):
+        util.read_arrays(path, b"TEST", 3, LayoutError)
+    if any(a.size for a in arrays.values()):
+        path.write_bytes(raw[:-1])
+        with pytest.raises(LayoutError, match=f"{path.name}: truncated payload"):
+            util.read_arrays(path, b"TEST", 3, LayoutError)
 
 
 @settings(max_examples=15, deadline=None)

@@ -382,11 +382,26 @@ def test_source_restore_rejects_foreign_state():
         two.restore(src.state())
 
 
+def _second_cursor(state):
+    return {"cursors": [{"position": 16, "epoch": 5}, state]}
+
+
 @pytest.mark.parametrize("bad, match", [
     ({"cursors": [{"position": 16, "epoch": 5}, {"position": 99999, "epoch": 0}]},
      "position 99999 outside"),
     ({"cursors": [{"position": 16, "epoch": 5}, {"position": 32, "epoch": 1}],
       "rng": {"bit_generator": "MT19937"}}, "PCG64"),
+    (_second_cursor({}), "cursor position None is not an int"),
+    (_second_cursor({"position": "x", "epoch": 0}), "cursor position 'x' is not an int"),
+    (_second_cursor({"position": None, "epoch": 0}), "cursor position None is not an int"),
+    (_second_cursor([32, 0]), "a cursor state is a dict, got list"),
+    (_second_cursor({"position": 2.7, "epoch": 0}), "cursor position 2.7 is not an int"),
+    (_second_cursor({"position": True, "epoch": 0}), "cursor position True is not an int"),
+    (_second_cursor({"position": 32, "epoch": 1.0}), "cursor epoch 1.0 is not an int"),
+    (_second_cursor({"position": 32, "epoch": -3}), "cursor epoch -3 is negative"),
+    ({"cursors": {"0": {"position": 0, "epoch": 0}}}, "does not fit this source"),
+    ({"rng": 5}, "bad source rng state"),
+    ({"rng": {"bit_generator": "PCG64"}}, "bad source rng state"),
 ])
 def test_failed_source_restore_moves_nothing(bad, match):
     _, source = _two_cursor_setup(1)
@@ -396,6 +411,21 @@ def test_failed_source_restore_moves_nothing(bad, match):
     with pytest.raises(ValueError, match=match):
         source.restore({**before, **bad})
     assert source.state() == before
+
+
+def test_resume_names_the_checkpoint_when_the_source_state_does_not_fit(tmp_path):
+    cfg = trainer.TrainConfig(total_steps=6, batch_size=4, seq_len=16,
+                              warmup_steps=1, seed=2, checkpoint_every=3)
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    trainer.train(st, src, cfg, out_dir=tmp_path)
+    ckpt = tmp_path / "checkpoint_0000003.xlck"
+    _rewrite_extra(ckpt, lambda extra: extra["source"]["cursors"][0].update(epoch=-1))
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    params = st.params
+    with pytest.raises(ValueError, match="cursor epoch -1 is negative") as info:
+        trainer.train(st, src, cfg, resume_from=ckpt)
+    assert str(ckpt) in str(info.value)
+    assert st.params is params  # the model did not take the checkpoint's parameters
 
 
 def test_abort_on_non_finite_loss():

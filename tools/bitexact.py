@@ -6,12 +6,15 @@ Trains four small two-clone configs for 40 steps each: float32 grouped
 ``90v10`` at anchor fraction 0, float32 grouped ``50/50`` at 0.25, float32
 ungrouped ``90/10``, and untied float64 grouped ``90v10`` at 0.25. Every config
 is run whole and resumed from its step-20 checkpoint, and the script fails if
-the two runs differ in any bit. It then prints one line per config: the
-SHA-256 over the losses, the per-step token counts, every parameter and the
-``per_language_eval`` perplexities.
+the two runs, or their step-40 checkpoint files, differ in any bit. It then
+prints one line per config: the SHA-256 over the losses, the per-step token
+counts, every parameter and the ``per_language_eval`` perplexities, then the
+SHA-256 of the whole run's checkpoint files at steps 20 and 40.
 
-A change that claims to keep every floating-point operation must print the
-same lines as its parent; run the script in both checkouts and compare.
+A change that claims to keep every floating-point operation, or the checkpoint
+bytes, must print the same lines as its parent; run the script in both
+checkouts and compare, or run it from one checkout with ``PYTHONPATH`` set to
+the other checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -82,7 +85,12 @@ def run(name, dtype, tied, grouped, policy, anchor_fraction, tmp: Path) -> str:
         runs.append(digest.hexdigest())
     if runs[0] != runs[1]:
         sys.exit(f"{name}: the run resumed from step {RESUME_AT} differs from the whole run")
-    return runs[0]
+    files = {step: (tmp / "whole" / f"checkpoint_{step:07d}.xlck").read_bytes()
+             for step in (RESUME_AT, STEPS)}
+    if (tmp / "resumed" / f"checkpoint_{STEPS:07d}.xlck").read_bytes() != files[STEPS]:
+        sys.exit(f"{name}: the resumed run's step-{STEPS} checkpoint differs from the whole run's")
+    return " ".join([runs[0]] + [f"ckpt{step}={hashlib.sha256(raw).hexdigest()}"
+                                 for step, raw in files.items()])
 
 
 def main() -> None:
