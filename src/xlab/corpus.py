@@ -19,7 +19,7 @@ import numpy as np
 from .util import read_arrays, write_arrays
 
 STREAM_MAGIC = b"XLTS"
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 
 class CorpusError(ValueError):
@@ -161,16 +161,16 @@ def _vocab_digest(value, path) -> str:
 
 
 def write_token_stream(path: str | Path, stream: TokenStream) -> None:
-    """Write XLTS version 2 with :func:`~xlab.util.write_arrays`, under a payload SHA-256:
-    the ``vocab_digest`` in the header, then ``ids`` (``<u4``) and ``doc_boundaries`` (``<u8``)."""
+    """Write XLTS version 3 with :func:`~xlab.util.write_arrays`: the
+    ``vocab_digest`` in the header, then ``ids`` (``<u4``) and ``doc_boundaries`` (``<u8``)."""
     header = {"vocab_digest": _vocab_digest(stream.vocab_digest, path)}
     arrays = {"ids": stream.ids, "doc_boundaries": stream.doc_boundaries}
     write_arrays(path, STREAM_MAGIC, STREAM_VERSION, header, arrays)
 
 
 def read_token_stream(path: str | Path) -> TokenStream:
-    """Read an XLTS version 2 file; CorpusError naming the file unless its
-    payload matches its SHA-256 and it holds what the writer writes."""
+    """Read an XLTS version 3 file; CorpusError naming the file unless it
+    matches its SHA-256 and holds what the writer writes."""
     header, arrays = read_arrays(path, STREAM_MAGIC, STREAM_VERSION, CorpusError)
     if [(n, a.dtype.str, a.ndim) for n, a in arrays.items()] != [
             ("ids", "<u4", 1), ("doc_boundaries", "<u8", 1)]:

@@ -50,7 +50,7 @@ import numpy as np
 from .util import read_arrays, write_arrays
 
 CHECKPOINT_MAGIC = b"XLCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 LN_EPS = 1e-5
 
 # one anchor slice + one slice per language over the final id space
@@ -560,7 +560,7 @@ def save_checkpoint(
 ) -> None:
     """Write the parameters, then the optimizer tensors, so that
     load_checkpoint returns them bit for bit and in the same dtypes. The write
-    is atomic (:func:`~xlab.util.atomic_write`)."""
+    is atomic (:func:`~xlab.util.write_arrays`)."""
     tensors = {n: state.params[n] for n in _param_shapes(state.config)}
     tensors.update((n, opt_tensors[n]) for n in sorted(opt_tensors or ()))
     header = {"config": state.config.to_dict(), "step": step, "extra": extra or {}}

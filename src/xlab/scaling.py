@@ -20,15 +20,17 @@ and reached perplexity ppl_n there,
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .util import atomic_write
+from .util import read_arrays, write_arrays
+
+FIT_MAGIC = b"XLSF"
+FIT_VERSION = 1
 
 # the grid over the exponent b that golden-section refinement starts from
 B_MIN, B_MAX, B_STEP = 0.05, 2.0, 0.001
@@ -63,30 +65,16 @@ class ScalingFit:
     def in_domain(self, tokens: float) -> bool:
         return self.t_min <= tokens <= self.t_max
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a, "b": self.b, "c": self.c,
-            "residual": self.residual, "domain": [self.t_min, self.t_max],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScalingFit":
-        try:
-            return cls(a=d["a"], b=d["b"], c=d["c"], residual=d["residual"],
-                       t_min=d["domain"][0], t_max=d["domain"][1])
-        except (KeyError, TypeError, IndexError) as e:
-            raise FitError(f"scaling fit with a missing or malformed field: {e}") from e
-
     def save(self, path: str | Path) -> None:
-        with atomic_write(path) as f:
-            f.write(json.dumps(self.to_dict(), sort_keys=True, indent=1))
+        write_arrays(path, FIT_MAGIC, FIT_VERSION, asdict(self))
 
     @classmethod
     def load(cls, path: str | Path) -> "ScalingFit":
+        fields, _ = read_arrays(path, FIT_MAGIC, FIT_VERSION, FitError)
         try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except ValueError as e:  # FitError and JSONDecodeError alike
-            raise FitError(f"{path}: {e}") from e
+            return cls(**fields)
+        except (TypeError, FitError) as e:  # a missing, unknown or malformed field
+            raise FitError(f"{path}: bad scaling fit ({e})") from e
 
 
 def _solve_ac(u: np.ndarray, p: np.ndarray, w: np.ndarray, floor: bool):

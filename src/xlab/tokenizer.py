@@ -14,7 +14,6 @@ after training and safe to share across threads.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
@@ -24,11 +23,12 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DocumentStore, TokenStream
-from .util import atomic_write
+from .util import read_arrays, write_arrays, json_digest
 
 MARKER = "▁"  # word-begin marker, prefixed to every pretoken
 UNK_PIECE = "<unk>"
-VOCAB_FORMAT_VERSION = 1
+VOCAB_MAGIC = b"XLVB"
+VOCAB_VERSION = 2
 WORD_CACHE_SIZE = 1 << 16  # encoded words remembered per vocabulary
 
 
@@ -53,9 +53,14 @@ class Vocabulary:
     def __post_init__(self):
         if len(set(self.pieces)) != len(self.pieces):
             raise TokenizerError("vocabulary pieces must be unique")
-        for left, right in self.merges:
-            if left + right not in self._piece_to_id:
-                raise TokenizerError(f"merge result {left + right!r} is not a piece")
+        if not (0 <= self.unk_id < len(self.pieces) and self.marker):
+            raise TokenizerError(f"unk_id {self.unk_id} must be one of {len(self.pieces)} "
+                                 f"piece ids and the marker {self.marker!r} not empty")
+        n_base = len(self.pieces) - len(self.merges)
+        for k, (left, right) in enumerate(self.merges):
+            if n_base < 0 or self.pieces[n_base + k] != left + right:
+                raise TokenizerError(f"merge {k} {(left, right)!r} did not produce piece "
+                                     f"{n_base + k}")
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -228,8 +233,13 @@ def decode(vocab: Vocabulary, ids: Sequence[int]) -> str:
     return "".join(out).replace(vocab.marker, " ").lstrip(" ")
 
 
+def _vocab_fields(vocab: Vocabulary) -> dict:
+    return {"pieces": vocab.pieces, "merges": vocab.merges, "unk_id": vocab.unk_id,
+            "marker": vocab.marker}
+
+
 def vocab_digest(vocab: Vocabulary) -> str:
-    return hashlib.sha256(_serialize_vocab(vocab).encode("utf-8")).hexdigest()
+    return json_digest(_vocab_fields(vocab))
 
 
 def tokenize_store(vocab: Vocabulary, store: DocumentStore) -> TokenStream:
@@ -246,47 +256,29 @@ def tokenize_store(vocab: Vocabulary, store: DocumentStore) -> TokenStream:
     )
 
 
-def _serialize_vocab(vocab: Vocabulary) -> str:
-    lines = [
-        f"xlab-vocab version={VOCAB_FORMAT_VERSION} marker={vocab.marker} "
-        f"unk={vocab.unk_id} pieces={len(vocab.pieces)} merges={len(vocab.merges)}"
-    ]
-    lines.extend(vocab.pieces)
-    lines.extend(f"{l}\t{r}" for l, r in vocab.merges)
-    return "\n".join(lines) + "\n"
-
-
 def save_vocab(path: str | Path, vocab: Vocabulary) -> None:
-    with atomic_write(path, encoding="utf-8") as f:
-        f.write(_serialize_vocab(vocab))
+    """An XLVB file (:func:`~xlab.util.write_arrays`): the four fields, no arrays."""
+    write_arrays(path, VOCAB_MAGIC, VOCAB_VERSION, _vocab_fields(vocab))
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    """TokenizerError naming the file unless it matches its digest and holds a vocabulary."""
+    fields, _ = read_arrays(path, VOCAB_MAGIC, VOCAB_VERSION, TokenizerError)
     try:
-        header = dict(kv.split("=", 1) for kv in lines[0].split()[1:])
-        version, n_pieces, n_merges, unk = (
-            int(header[k]) for k in ("version", "pieces", "merges", "unk")
-        )
-        marker = header["marker"]
+        pieces, merges = fields["pieces"], fields["merges"]
+        unk_id, marker = fields["unk_id"], fields["marker"]
     except KeyError as e:
-        raise TokenizerError(f"{path}: vocabulary header lacks field {e}") from e
-    except ValueError as e:
-        raise TokenizerError(f"{path}: malformed vocabulary header ({e})") from e
-    if version != VOCAB_FORMAT_VERSION:
-        raise TokenizerError(f"{path}: unsupported vocabulary version {version}")
-    body = lines[1:-1] if lines[-1] == "" else lines[1:]
-    if len(body) != n_pieces + n_merges:
-        raise TokenizerError(
-            f"{path}: {len(body)} piece and merge lines, but the header declares "
-            f"{n_pieces} pieces and {n_merges} merges"
-        )
-    pieces = tuple(body[:n_pieces])
-    merges = tuple(tuple(l.split("\t", 1)) for l in body[n_pieces:])
-    for k, merge in enumerate(merges):
-        if len(merge) != 2:
-            raise TokenizerError(f"{path}: merge {k} {merge[0]!r} is not two tab-separated pieces")
-    return Vocabulary(pieces=pieces, merges=merges, unk_id=unk, marker=marker)
+        raise TokenizerError(f"{path}: vocabulary lacks field {e}") from e
+    if not (type(pieces) is list and type(merges) is list
+            and all(type(m) is list and len(m) == 2 for m in merges)
+            and all(type(x) is str for x in [marker, *pieces, *(x for m in merges for x in m)])
+            and type(unk_id) is int):
+        raise TokenizerError(f"{path}: the pieces and marker must be strings, each merge two "
+                             "pieces and unk_id an int")
+    try:
+        return Vocabulary(tuple(pieces), tuple(map(tuple, merges)), unk_id, marker)
+    except TokenizerError as e:
+        raise TokenizerError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------

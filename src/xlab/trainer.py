@@ -11,7 +11,6 @@ checkpoint can restore the run mid-stream: ``train(..., resume_from=path)``.
 from __future__ import annotations
 
 import ctypes
-import json
 import logging
 import math
 import os
@@ -31,9 +30,12 @@ from .model import (
     save_checkpoint,
 )
 from .tokenizer import IdLayout
-from .util import atomic_write, json_digest
+from .util import read_arrays, write_arrays, json_digest
 
 logger = logging.getLogger(__name__)
+
+RECORD_MAGIC = b"XLRR"
+RECORD_VERSION = 1
 
 
 class TrainAbortError(RuntimeError):
@@ -122,10 +124,10 @@ class Adam:
         return out
 
     def restore(self, tensors: dict[str, np.ndarray], t: int):
+        """Adopt the writable moments of ``tensors``; ``train`` checks their shapes and dtypes."""
         self.t = t
         for k in self.m:
-            self.m[k] = tensors[f"adam_m.{k}"].astype(self.m[k].dtype)
-            self.v[k] = tensors[f"adam_v.{k}"].astype(self.v[k].dtype)
+            self.m[k], self.v[k] = tensors[f"adam_m.{k}"], tensors[f"adam_v.{k}"]
 
 
 @dataclass
@@ -166,13 +168,13 @@ class RunRecord:
         return cls(**d)
 
     def save(self, path: str | Path) -> None:
-        with atomic_write(path) as f:
-            f.write(json.dumps(self.to_dict(), sort_keys=True, indent=1))
+        write_arrays(path, RECORD_MAGIC, RECORD_VERSION, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "RunRecord":
+        fields, _ = read_arrays(path, RECORD_MAGIC, RECORD_VERSION, ValueError)
         try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
+            return cls.from_dict(fields)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from e
 
@@ -314,11 +316,16 @@ def train(
             if record.config_digest != digest:
                 raise ValueError(f"it was produced by a different run config "
                                  f"({record.config_digest} != {digest}); refusing to resume")
-            lacking = sorted(adam.tensors().keys() - opt.keys())
+            moments = adam.tensors()
+            lacking = sorted(moments.keys() - opt.keys())
             lacking += [f"extra.{k}" for k in {"source"} - extra.keys()]
             if lacking:
                 raise ValueError("it lacks " + ", ".join(lacking[:3])
                                  + (" ..." if len(lacking) > 3 else ""))
+            for k, m in moments.items():
+                if (opt[k].shape, opt[k].dtype) != (m.shape, m.dtype):
+                    raise ValueError(f"its {k} is {opt[k].dtype} {opt[k].shape}, "
+                                     f"the parameter {m.dtype} {m.shape}")
             source.restore(extra["source"])
         except ValueError as e:
             raise ValueError(f"cannot resume from checkpoint {resume_from}: {e}") from e

@@ -1,10 +1,7 @@
-import json
-import struct
-
 import numpy as np
 import pytest
 
-from xlab import corpus, model, tokenizer
+from xlab import corpus, model, tokenizer, util
 
 
 @pytest.fixture(scope="session")
@@ -71,14 +68,14 @@ def markov_stream(
     return stream, pi
 
 
-def write_raw_checkpoint(path, header: dict, payload: bytes):
-    raw = json.dumps(header).encode("utf-8")
-    prefix = struct.pack("<BI", model.CHECKPOINT_VERSION, len(raw))
-    path.write_bytes(model.CHECKPOINT_MAGIC + prefix + raw + payload)
-
-
-def read_checkpoint_header(path) -> tuple[dict, int]:
-    """(header, payload offset) of a checkpoint file."""
+def edit_array_file(path, edit, version=None):
+    """Apply ``edit(header, arrays)`` to an array file and write it back through
+    ``util.write_arrays``, under a valid digest and as ``version`` if one is given,
+    so a loader's own field checks see the edit. Apart from the checkpoint-bytes
+    test, this is the one place in the tests that knows where the magic and the
+    version sit in a file."""
     raw = path.read_bytes()
-    _, hlen = struct.unpack("<BI", raw[4:9])
-    return json.loads(raw[9 : 9 + hlen]), 9 + hlen
+    magic, old_version = raw[:4], raw[4]
+    header, arrays = util.read_arrays(path, magic, old_version, ValueError)
+    edit(header, arrays)
+    util.write_arrays(path, magic, old_version if version is None else version, header, arrays)

@@ -1,11 +1,12 @@
 import hashlib
-import json
 import struct
 
 import numpy as np
 import pytest
 
 from xlab import corpus
+
+from conftest import edit_array_file
 
 
 def test_ingest_lexicographic_order(tmp_path):
@@ -118,15 +119,11 @@ def test_token_stream_truncated_is_corpus_error(tmp_path):
     path = tmp_path / "s.xlts"
     corpus.write_token_stream(path, stream)
     raw = path.read_bytes()
-    for cut in (20, 45, len(raw) - 3):  # in the digest, the counts, the payload
+    for cut, what in ((20, "truncated header"), (45, "truncated header"),  # digest, header
+                      (len(raw) - 3, "the payload is 81 bytes, the header lists 84")):
         path.write_bytes(raw[:cut])
-        with pytest.raises(corpus.CorpusError, match=f"{path.name}: truncated"):
+        with pytest.raises(corpus.CorpusError, match=f"{path.name}: {what}"):
             corpus.read_token_stream(path)
-
-
-def _payload_offset(raw: bytes) -> int:
-    _, hlen = struct.unpack("<BI", raw[4:9])
-    return 9 + hlen
 
 
 def test_token_stream_with_a_flipped_id_byte_is_refused(tmp_path):
@@ -138,26 +135,29 @@ def test_token_stream_with_a_flipped_id_byte_is_refused(tmp_path):
     path = tmp_path / "s.xlts"
     corpus.write_token_stream(path, stream)
     raw = bytearray(path.read_bytes())
-    raw[_payload_offset(raw) + 4 * 3] ^= 0x40  # ids[3]: 3 -> 67
+    ids_start = len(raw) - stream.ids.nbytes - stream.doc_boundaries.nbytes
+    raw[ids_start + 4 * 3] ^= 0x40  # ids[3]: 3 -> 67
     path.write_bytes(bytes(raw))
-    with pytest.raises(corpus.CorpusError, match=f"{path.name}: payload digest"):
+    with pytest.raises(corpus.CorpusError, match=f"{path.name}: digest mismatch"):
         corpus.read_token_stream(path)
 
 
 def test_token_stream_version_1_is_refused(tmp_path):
-    ids, bounds = np.arange(5, dtype="<u4"), np.array([5], dtype="<u8")
+    stream = corpus.TokenStream(ids=np.arange(5, dtype=np.uint32),
+                                doc_boundaries=np.array([5], dtype=np.uint64),
+                                vocab_digest="ab" * 32)
     path = tmp_path / "v1.xlts"
-    path.write_bytes(b"XLTS" + struct.pack("<B", 1) + bytes(32) + struct.pack("<QQ", 5, 1)
-                     + ids.tobytes() + bounds.tobytes())
-    with pytest.raises(corpus.CorpusError, match="XLTS version 1 .*reads version 2"):
+    corpus.write_token_stream(path, stream)
+    edit_array_file(path, lambda header, arrays: None, version=1)
+    with pytest.raises(corpus.CorpusError, match="XLTS version 1 .*reads version 3"):
         corpus.read_token_stream(path)
 
 
 @pytest.mark.parametrize("edit, match", [
-    (lambda h: h.update(vocab_digest="ab" * 31), "not a 32-byte hex digest"),
-    (lambda h: h.update(vocab_digest="zz" * 32), "not a 32-byte hex digest"),
-    (lambda h: h.pop("vocab_digest"), "vocab_digest None"),
-    (lambda h: h["tensors"].reverse(), "not 1-d ids <u4 and doc_boundaries <u8"),
+    (lambda h, a: h.update(vocab_digest="ab" * 31), "not a 32-byte hex digest"),
+    (lambda h, a: h.update(vocab_digest="zz" * 32), "not a 32-byte hex digest"),
+    (lambda h, a: h.pop("vocab_digest"), "vocab_digest None"),
+    (lambda h, a: a.update(ids=a.pop("ids")), "not 1-d ids <u4 and doc_boundaries <u8"),
 ])
 def test_token_stream_header_is_checked(tmp_path, edit, match):
     stream = corpus.TokenStream(ids=np.arange(4, dtype=np.uint32),
@@ -165,12 +165,7 @@ def test_token_stream_header_is_checked(tmp_path, edit, match):
                                 vocab_digest="ab" * 32)
     path = tmp_path / "s.xlts"
     corpus.write_token_stream(path, stream)
-    raw = path.read_bytes()
-    offset = _payload_offset(raw)
-    header = json.loads(raw[9:offset])
-    edit(header)
-    header_raw = json.dumps(header).encode()
-    path.write_bytes(raw[:4] + struct.pack("<BI", 2, len(header_raw)) + header_raw + raw[offset:])
+    edit_array_file(path, edit)
     with pytest.raises(corpus.CorpusError, match=match):
         corpus.read_token_stream(path)
 

@@ -11,7 +11,7 @@ import pytest
 
 from xlab import model, util
 
-from conftest import make_model, read_checkpoint_header, write_raw_checkpoint
+from conftest import edit_array_file, make_model
 
 
 def cleanroom_forward(state: model.ModelState, ids: np.ndarray) -> np.ndarray:
@@ -591,10 +591,11 @@ def test_checkpoint_bytes_are_magic_prefix_sorted_json_and_little_endian_arrays(
         "step": 4,
         "extra": {"note": [1, "x"]},
         "tensors": [[name, list(a.shape), "<f4"] for name, a in tensors],
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    assert path.read_bytes() == b"XLCK" + struct.pack("<BI", 2, len(raw)) + raw + payload
+    digest = hashlib.sha256(raw + payload).digest()  # over the header bytes, then the payload
+    assert path.read_bytes() == (b"XLCK" + struct.pack("<BI", 3, len(raw)) + digest + raw
+                                 + payload)
 
 
 def test_checkpoint_corruption_detected(tmp_path):
@@ -614,7 +615,7 @@ def test_failed_checkpoint_save_keeps_earlier_file(tmp_path, monkeypatch):
     before = path.read_bytes()
 
     class DiskFullAfterHeader:
-        """A file whose fourth write fails, after magic, prefix and header."""
+        """A file whose fifth write fails, after magic, prefix, digest and header."""
 
         def __init__(self, f):
             self.f, self.writes = f, 0
@@ -627,7 +628,7 @@ def test_failed_checkpoint_save_keeps_earlier_file(tmp_path, monkeypatch):
 
         def write(self, data):
             self.writes += 1
-            if self.writes == 4:
+            if self.writes == 5:
                 raise OSError("no space left on device")
             return self.f.write(data)
 
@@ -658,10 +659,11 @@ def test_checkpoint_float32_payload_is_four_bytes_per_value(tmp_path):
     opt = {"adam_m.x": np.ones(7, dtype=np.float32)}
     path = tmp_path / "c.xlck"
     model.save_checkpoint(path, st, step=0, opt_tensors=opt)
-    header, offset = read_checkpoint_header(path)
+    header, tensors = util.read_arrays(path, model.CHECKPOINT_MAGIC, model.CHECKPOINT_VERSION,
+                                      model.CheckpointError)
     n_values = sum(a.size for a in st.params.values()) + 7
-    assert path.stat().st_size - offset == 4 * n_values
-    assert {dt for _, _, dt in header["tensors"]} == {"<f4"}
+    assert sum(a.nbytes for a in tensors.values()) == 4 * n_values
+    assert {a.dtype.str for a in tensors.values()} == {"<f4"}
     assert "payload_crc32" not in header
 
 
@@ -669,21 +671,18 @@ def test_checkpoint_rejects_version_1(tmp_path):
     st = make_model(dtype="float32")
     path = tmp_path / "c.xlck"
     model.save_checkpoint(path, st, step=0)
-    raw = bytearray(path.read_bytes())
-    raw[4] = 1
-    path.write_bytes(bytes(raw))
+    edit_array_file(path, lambda header, tensors: None, version=1)
     with pytest.raises(model.CheckpointError, match="version 1"):
         model.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("field", ["tensors", "payload_sha256", "step", "config"])
+@pytest.mark.parametrize("field", ["tensors", "step", "config"])
 def test_checkpoint_header_missing_field_is_checkpoint_error(tmp_path, field):
     st = make_model(dtype="float32")
     path = tmp_path / "c.xlck"
     model.save_checkpoint(path, st, step=0)
-    header, offset = read_checkpoint_header(path)
-    del header[field]
-    write_raw_checkpoint(path, header, path.read_bytes()[offset:])
+    # the writer lists the arrays it writes, so a file without tensors has no arrays
+    edit_array_file(path, lambda h, a: a.clear() if field == "tensors" else h.pop(field))
     with pytest.raises(model.CheckpointError, match=field):
         model.load_checkpoint(path)
 
@@ -692,9 +691,7 @@ def test_checkpoint_header_missing_field_is_checkpoint_error(tmp_path, field):
 def test_checkpoint_header_bad_step_is_checkpoint_error(tmp_path, step):
     path = tmp_path / "c.xlck"
     model.save_checkpoint(path, make_model(dtype="float32"), step=3)
-    header, offset = read_checkpoint_header(path)
-    header["step"] = step
-    write_raw_checkpoint(path, header, path.read_bytes()[offset:])
+    edit_array_file(path, lambda header, tensors: header.update(step=step))
     with pytest.raises(model.CheckpointError, match="not a step count"):
         model.load_checkpoint(path)
 
@@ -704,9 +701,8 @@ def test_checkpoint_header_with_dropped_fields_loads(tmp_path):
     st = make_model(dtype="float32", seed=4)
     path = tmp_path / "c.xlck"
     model.save_checkpoint(path, st, step=3, opt_tensors={"adam_m.x": np.ones(2, np.float32)})
-    header, offset = read_checkpoint_header(path)
-    header.update(n_params=len(st.params), config_digest="0" * 64)
-    write_raw_checkpoint(path, header, path.read_bytes()[offset:])
+    edit_array_file(path, lambda header, tensors: header.update(n_params=len(st.params),
+                                                                config_digest="0" * 64))
     st2, step, opt, _ = model.load_checkpoint(path)
     assert step == 3 and list(opt) == ["adam_m.x"]
     for k in st.params:
@@ -726,9 +722,7 @@ def test_config_rejects_what_it_cannot_run(tmp_path, field, value):
     # a checkpoint header carrying such a config is a CheckpointError
     path = tmp_path / "c.xlck"
     model.save_checkpoint(path, model.init(model.ModelConfig(**_GOOD_CONFIG), seed=0), step=0)
-    header, offset = read_checkpoint_header(path)
-    header["config"][field] = value
-    write_raw_checkpoint(path, header, path.read_bytes()[offset:])
+    edit_array_file(path, lambda header, tensors: header["config"].update({field: value}))
     with pytest.raises(model.CheckpointError, match=field):
         model.load_checkpoint(path)
 
@@ -737,15 +731,13 @@ def test_checkpoint_truncated_or_mismatched_is_checkpoint_error(tmp_path):
     st = make_model(dtype="float32")
     path = tmp_path / "c.xlck"
     model.save_checkpoint(path, st, step=0)
-    header, offset = read_checkpoint_header(path)
-    payload = path.read_bytes()[offset:]
-    write_raw_checkpoint(path, header, payload[:-4])
-    with pytest.raises(model.CheckpointError, match="truncated"):
-        model.load_checkpoint(path)
-    write_raw_checkpoint(path, header, payload + b"\0")
-    with pytest.raises(model.CheckpointError, match="digest"):
-        model.load_checkpoint(path)
-    header["tensors"][0][2] = "<f8"  # parameter dtype differs from the config's
-    write_raw_checkpoint(path, header, payload)
+    raw = path.read_bytes()
+    for cut_or_padded in (raw[:-4], raw + b"\0"):
+        path.write_bytes(cut_or_padded)
+        with pytest.raises(model.CheckpointError, match=f"{path.name}: the payload is"):
+            model.load_checkpoint(path)
+    path.write_bytes(raw)
+    edit_array_file(path, lambda header, tensors: tensors.update(  # not the config's dtype
+        token_embedding=tensors["token_embedding"].astype("<f8")))
     with pytest.raises(model.CheckpointError, match="do not match"):
         model.load_checkpoint(path)

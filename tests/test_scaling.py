@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlab import scaling
+from xlab import scaling, util
 
 PAPER_MONO_POINTS = [(1.2e9, 21.9), (0.6e9, 25.3), (0.12e9, 48.4)]
 
@@ -121,18 +122,19 @@ def test_noisy_recovery_within_five_percent():
 
 def test_fit_json_roundtrip(tmp_path):
     fit = scaling.fit_power_law(PAPER_MONO_POINTS)
-    fit.save(tmp_path / "fit.json")
-    back = scaling.ScalingFit.load(tmp_path / "fit.json")
+    fit.save(tmp_path / "fit.xlsf")
+    back = scaling.ScalingFit.load(tmp_path / "fit.xlsf")
     assert back == fit
 
 
 @pytest.mark.parametrize("text, match", [
-    ('{"a": 1.0, "b": 0.5, "c": 1.0, "domain": [1, 10]}', "malformed field: 'residual'"),
-    ('{"a": 1.0, "b": 0.5', "Expecting"),
+    ('{"a": 1.0, "b": 0.5, "c": 1.0, "domain": [1, 10]}', "argument 'domain'"),
+    ('{"a": 1.0, "b": 0.5, "c": 1.0, "t_min": 1, "t_max": 10}', "argument: 'residual'"),
+    ('{"a": -1.0, "b": 0.5, "c": 1.0, "residual": 0, "t_min": 1, "t_max": 10}', "a=-1.0"),
 ])
 def test_fit_load_errors_name_file_and_field(tmp_path, text, match):
-    path = tmp_path / "fit.json"
-    path.write_text(text)
+    path = tmp_path / "fit.xlsf"
+    util.write_arrays(path, scaling.FIT_MAGIC, scaling.FIT_VERSION, json.loads(text))
     with pytest.raises(scaling.FitError, match=match) as info:
         scaling.ScalingFit.load(path)
     assert str(path) in str(info.value)

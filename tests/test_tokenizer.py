@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from xlab import tokenizer
 from xlab.corpus import DocumentStore
 from xlab.tokenizer import MARKER
 
-from conftest import make_vocab
+from conftest import edit_array_file, make_vocab
 
 
 def oracle_bpe_merges(word_counts: dict[str, int], n_merges: int):
@@ -117,34 +118,52 @@ def test_vocab_file_roundtrip(tmp_path, tiny_vocab):
     assert tokenizer.vocab_digest(back) == tokenizer.vocab_digest(tiny_vocab)
 
 
-def test_load_vocab_header_without_pieces_is_tokenizer_error(tmp_path, tiny_vocab):
-    p = tmp_path / "v.vocab"
-    tokenizer.save_vocab(p, tiny_vocab)
-    lines = p.read_text(encoding="utf-8").split("\n")
-    lines[0] = " ".join(kv for kv in lines[0].split() if not kv.startswith("pieces="))
-    p.write_text("\n".join(lines), encoding="utf-8")
-    with pytest.raises(tokenizer.TokenizerError, match="lacks field 'pieces'"):
+def test_tab_pieces_round_trip_and_digest_apart(tmp_path):
+    vocab = tokenizer.Vocabulary(("<unk>", "a\t", "b", "a\tb"), merges=(("a\t", "b"),))
+    other = tokenizer.Vocabulary(("<unk>", "a", "\tb", "a\tb"), merges=(("a", "\tb"),))
+    for v in (vocab, other, replace(vocab, marker="# ")):
+        tokenizer.save_vocab(tmp_path / "v.vocab", v)
+        assert tokenizer.load_vocab(tmp_path / "v.vocab") == v
+    assert tokenizer.vocab_digest(vocab) != tokenizer.vocab_digest(other)
+
+
+def _saved_vocab(tmp_path, edit):
+    """A saved vocabulary whose fields ``edit`` changed, under a valid digest."""
+    path = tmp_path / "v.vocab"
+    tokenizer.save_vocab(path, tokenizer.Vocabulary(
+        ("<unk>", "a", "b", "ab", "aba"), merges=(("a", "b"), ("ab", "a"))))
+    edit_array_file(path, lambda fields, arrays: edit(fields))
+    return path
+
+
+def test_load_vocab_header_without_pieces_is_tokenizer_error(tmp_path):
+    p = _saved_vocab(tmp_path, lambda fields: fields.pop("pieces"))
+    with pytest.raises(tokenizer.TokenizerError, match=f"{p}: vocabulary lacks field 'pieces'"):
         tokenizer.load_vocab(p)
 
 
-def test_load_vocab_missing_last_merge_is_tokenizer_error(tmp_path, tiny_vocab):
-    p = tmp_path / "v.vocab"
-    tokenizer.save_vocab(p, tiny_vocab)
-    lines = p.read_text(encoding="utf-8").split("\n")
-    assert lines[-1] == "" and "\t" in lines[-2]
-    p.write_text("\n".join(lines[:-2]) + "\n", encoding="utf-8")
-    n_merges = len(tiny_vocab.merges)
-    with pytest.raises(tokenizer.TokenizerError, match=f"{p}: .*{n_merges} merges"):
+def test_load_vocab_missing_last_merge_is_tokenizer_error(tmp_path):
+    p = _saved_vocab(tmp_path, lambda fields: fields["merges"].pop())
+    with pytest.raises(tokenizer.TokenizerError,
+                       match=f"{p}: merge 0 \\('a', 'b'\\) did not produce piece 4"):
         tokenizer.load_vocab(p)
 
 
-def test_load_vocab_merge_without_tab_is_tokenizer_error(tmp_path, tiny_vocab):
-    p = tmp_path / "v.vocab"
-    tokenizer.save_vocab(p, tiny_vocab)
-    lines = p.read_text(encoding="utf-8").split("\n")
-    lines[-2] = lines[-2].replace("\t", "")
-    p.write_text("\n".join(lines), encoding="utf-8")
-    with pytest.raises(tokenizer.TokenizerError, match=f"{p}: merge .* not two tab-separated"):
+def test_load_vocab_merge_without_tab_is_tokenizer_error(tmp_path):
+    p = _saved_vocab(tmp_path, lambda fields: fields["merges"].__setitem__(-1, "aba"))
+    with pytest.raises(tokenizer.TokenizerError, match=f"{p}: .*each merge two pieces"):
+        tokenizer.load_vocab(p)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda fields: fields.update(unk_id=5), "unk_id 5 must be one of 5 piece ids"),
+    (lambda fields: fields.update(unk_id=True), "unk_id an int"),
+    (lambda fields: fields.update(marker=""), "marker '' not empty"),
+    (lambda fields: fields["pieces"].append(7), "pieces and marker must be strings"),
+])
+def test_load_vocab_checks_unk_id_marker_and_types(tmp_path, edit, match):
+    p = _saved_vocab(tmp_path, edit)
+    with pytest.raises(tokenizer.TokenizerError, match=f"{p}: .*{match}"):
         tokenizer.load_vocab(p)
 
 

@@ -1,18 +1,11 @@
-import json
 import platform
 
 import numpy as np
 import pytest
 
-from xlab import mixer, model, tokenizer, trainer
+from xlab import mixer, model, tokenizer, trainer, util
 
-from conftest import (
-    make_model,
-    make_vocab,
-    markov_stream,
-    read_checkpoint_header,
-    write_raw_checkpoint,
-)
+from conftest import edit_array_file, make_model, make_vocab, markov_stream
 
 
 def small_setup(vocab_size=10, n_tokens=4000, seq_len=16, batch_size=8, seed=0,
@@ -248,17 +241,16 @@ def test_trainer_checkpoint_stores_each_fact_once(tmp_path):
                               warmup_steps=1, seed=2)
     st, src, _, _ = small_setup(seed=2, batch_size=4)
     _, record = trainer.train(st, src, cfg, out_dir=tmp_path)
-    header, _ = read_checkpoint_header(tmp_path / "checkpoint_0000004.xlck")
-    assert set(header) == {"config", "extra", "payload_sha256", "step", "tensors"}
+    header, _ = util.read_arrays(tmp_path / "checkpoint_0000004.xlck", model.CHECKPOINT_MAGIC,
+                                 model.CHECKPOINT_VERSION, model.CheckpointError)
+    assert set(header) == {"config", "extra", "step"}
     assert set(header["extra"]) == {"source", "record"}
     assert header["extra"]["record"] == record.to_dict()
     assert header["step"] == record.steps == 4
 
 
 def _rewrite_extra(path, edit):
-    header, offset = read_checkpoint_header(path)
-    edit(header["extra"])
-    write_raw_checkpoint(path, header, path.read_bytes()[offset:])
+    edit_array_file(path, lambda header, tensors: edit(header["extra"]))
 
 
 def _with_stored_totals(extra):
@@ -297,6 +289,9 @@ def _drop_adam_moment(path):
 @pytest.mark.parametrize("edit, match", [
     (_drop_adam_moment, r"lacks adam_m\.token_embedding$"),
     (lambda path: _rewrite_extra(path, lambda extra: extra.pop("source")), r"lacks extra\.source$"),
+    (lambda path: edit_array_file(path, lambda header, tensors: tensors.update(
+        {"adam_m.token_embedding": tensors["adam_m.token_embedding"][:3]})),
+     r"adam_m\.token_embedding is float32 \(3, 32\), the parameter float32 \(10, 32\)$"),
 ])
 def test_resume_names_what_the_checkpoint_lacks(tmp_path, edit, match):
     cfg = trainer.TrainConfig(total_steps=6, batch_size=4, seq_len=16,
@@ -317,11 +312,11 @@ def test_resume_rejects_corrupt_checkpoint(tmp_path):
     st, src, _, _ = small_setup(seed=2, batch_size=4)
     trainer.train(st, src, cfg, out_dir=tmp_path)
     ckpt = tmp_path / "checkpoint_0000030.xlck"
-    raw = bytearray(ckpt.read_bytes())
-    raw[10] ^= 0xFF  # inside the header
-    ckpt.write_bytes(bytes(raw))
+    raw = ckpt.read_bytes()
+    assert raw.count(b'"step": 30') == 1
+    ckpt.write_bytes(raw.replace(b'"step": 30', b'"step": 27'))  # a header edited in place
     st2, src2, _, _ = small_setup(seed=2, batch_size=4)
-    with pytest.raises(model.CheckpointError):
+    with pytest.raises(model.CheckpointError, match=f"{ckpt.name}: digest mismatch"):
         trainer.train(st2, src2, cfg, resume_from=ckpt)
 
 
@@ -455,8 +450,8 @@ def test_run_record_roundtrip(tmp_path):
     rec.step_lang_tokens = [[10, 6], [0, 16]]
     assert rec.steps == 2 and rec.lang_token_counts == [10, 22]
     rec.evals["2"] = {"0": {"ppl": 9.0}}
-    rec.save(tmp_path / "r.json")
-    back = trainer.RunRecord.load(tmp_path / "r.json")
+    rec.save(tmp_path / "r.xlrr")
+    back = trainer.RunRecord.load(tmp_path / "r.xlrr")
     assert back.to_dict() == rec.to_dict()
 
 
@@ -469,8 +464,8 @@ def test_run_record_rejects_missing_and_unknown_fields(tmp_path, edit, match):
     edit(d)
     with pytest.raises(ValueError, match=match):
         trainer.RunRecord.from_dict(d)
-    path = tmp_path / "r.json"
-    path.write_text(json.dumps(d))
+    path = tmp_path / "r.xlrr"
+    util.write_arrays(path, trainer.RECORD_MAGIC, trainer.RECORD_VERSION, d)
     with pytest.raises(ValueError, match=match) as info:
         trainer.RunRecord.load(path)
     assert str(path) in str(info.value)
@@ -478,8 +473,8 @@ def test_run_record_rejects_missing_and_unknown_fields(tmp_path, edit, match):
 
 def test_run_record_load_names_file_on_bad_json(tmp_path):
     path = tmp_path / "r.json"
-    path.write_text('{"seed": 1,')
-    with pytest.raises(ValueError, match="Expecting") as info:
+    path.write_text('{"seed": 1,')  # neither a run record file nor JSON
+    with pytest.raises(ValueError, match="bad magic") as info:
         trainer.RunRecord.load(path)
     assert str(path) in str(info.value)
 

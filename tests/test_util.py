@@ -3,12 +3,13 @@ import pytest
 
 from xlab import corpus, model, scaling, tokenizer, trainer, util
 
-from conftest import make_model, make_vocab
+from conftest import edit_array_file, make_model, make_vocab
 
 
 def _run_record(k):
     rec = trainer.RunRecord(seed=k, config_digest="d", n_languages=1)
     rec.losses, rec.step_lang_tokens = [1.0] * k, [[8]] * k
+    rec.evals[k] = {"ppl": 2.0}  # an int key, as a hook may write, is read back as a string
     return rec
 
 
@@ -23,6 +24,42 @@ WRITERS = {
     "scaling_fit": lambda path, k: scaling.ScalingFit(
         a=float(k), b=0.5, c=1.0, residual=0.0, t_min=1.0, t_max=10.0).save(path),
 }
+
+# the loader of each writer's files, the error it raises and the version it reads
+READERS = {
+    "checkpoint": (model.load_checkpoint, model.CheckpointError, model.CHECKPOINT_VERSION),
+    "vocab": (tokenizer.load_vocab, tokenizer.TokenizerError, tokenizer.VOCAB_VERSION),
+    "token_stream": (corpus.read_token_stream, corpus.CorpusError, corpus.STREAM_VERSION),
+    "run_record": (trainer.RunRecord.load, ValueError, trainer.RECORD_VERSION),
+    "scaling_fit": (scaling.ScalingFit.load, scaling.FitError, scaling.FIT_VERSION),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_changed_header_or_payload_byte_is_refused(tmp_path, writer):
+    path = tmp_path / "out.dat"
+    WRITERS[writer](path, 3)
+    load, error, _ = READERS[writer]
+    load(path)
+    raw = path.read_bytes()
+    # a tab for the space after "tensors": the header parses to the same fields
+    edits = [(raw.index(b'"tensors": ') + 10, ord("\t"))]
+    if writer in ("checkpoint", "token_stream"):  # the writers with a payload
+        edits.append((len(raw) - 1, raw[-1] ^ 0x01))
+    for at, byte in edits:
+        path.write_bytes(raw[:at] + bytes([byte]) + raw[at + 1:])
+        with pytest.raises(error, match=f"{path.name}: digest mismatch"):
+            load(path)
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_the_previous_version_is_refused_by_name(tmp_path, writer):
+    path = tmp_path / "out.dat"
+    WRITERS[writer](path, 3)
+    load, error, version = READERS[writer]
+    edit_array_file(path, lambda header, arrays: None, version=version - 1)
+    with pytest.raises(error, match=f"{path.name}: unsupported .* version {version - 1} "):
+        load(path)
 
 
 class DiskFullOnClose:
