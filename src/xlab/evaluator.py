@@ -14,13 +14,14 @@ Windows are scored in stacks of equal length by :func:`xlab.model.scored_logprob
 whose float64 log-softmax runs only on each window's scored rows. Every
 predictable token of every document is scored exactly once, and the total
 negative log-likelihood is accumulated with exact (fsum) 64-bit summation, so
-the perplexity is invariant under document order permutation.
+the perplexity is invariant under document order permutation. Under a clone
+layout's ``vocab_groups``, exact-equivalent clones score bitwise alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .corpus import TokenStream
 # perfbench/drive.py traces ``evaluator.forward`` by name; the windows reach
 # ``forward`` through ``scored_logprobs``, so it is imported but not called
-from .model import ModelState, forward, scored_logprobs  # noqa: F401
+from .model import ModelState, VocabGroups, forward, scored_logprobs  # noqa: F401
 from .tokenizer import IdLayout
 
 
@@ -70,50 +71,39 @@ def window_spans(n: int, window: int, stride: int) -> list[tuple[int, int, int]]
     return spans
 
 
-def sliding_logprobs(
-    state: ModelState,
-    doc_ids: np.ndarray,
-    window: int = 512,
-    stride: int = 128,
-) -> tuple[np.ndarray, np.ndarray]:
+def sliding_logprobs(state: ModelState, doc_ids: np.ndarray, window: int = 512, stride: int = 128,
+                     vocab_groups: VocabGroups | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-token log-probabilities for one document under the sliding layout.
 
     Returns (target_positions, logprobs); position p is the index of the
     scored token within the document. Each predictable token appears once.
     """
-    if window > state.config.max_seq_len:
-        raise EvalError(
-            f"window {window} exceeds the model's max_seq_len {state.config.max_seq_len}"
-        )
+    if window > (limit := state.config.max_seq_len):
+        raise EvalError(f"window {window} exceeds the model's max_seq_len {limit}")
     ids = np.asarray(doc_ids, dtype=np.int64)
-    spans = window_spans(len(ids), window, stride)
+    spans, length = window_spans(len(ids), window, stride), min(window, len(ids))
     positions: list[np.ndarray] = []
     values: list[np.ndarray] = []
     for i in range(0, len(spans), BATCH_WINDOWS):
         chunk = spans[i : i + BATCH_WINDOWS]
-        length = min(window, len(ids))
         stack = np.stack([ids[ws : ws + length] for ws, _, _ in chunk])
         ws, first, end = np.array(chunk).T
-        values.append(scored_logprobs(state, stack, first - ws - 1, end - ws - 1))
+        values.append(scored_logprobs(state, stack, first - ws - 1, end - ws - 1, vocab_groups))
         positions.extend(np.arange(first, end) for _, first, end in chunk)
     if not positions:
         return np.empty(0, dtype=np.int64), np.empty(0)
     return np.concatenate(positions), np.concatenate(values)
 
 
-def sliding_ppl(
-    state: ModelState,
-    stream: TokenStream,
-    window: int = 512,
-    stride: int = 128,
-) -> EvalResult:
+def sliding_ppl(state: ModelState, stream: TokenStream, window: int = 512, stride: int = 128,
+                vocab_groups: VocabGroups | None = None) -> EvalResult:
     """exp(mean negative log-likelihood) over every predictable token of every
     document, each document evaluated independently."""
     if len(stream) == 0:
         raise EvalError("cannot evaluate an empty token stream")
     nll_terms: list[float] = []
     for i in range(stream.n_documents):
-        _, lp = sliding_logprobs(state, stream.document(i), window, stride)
+        _, lp = sliding_logprobs(state, stream.document(i), window, stride, vocab_groups)
         nll_terms.extend((-lp).tolist())
     scored = len(nll_terms)
     if scored == 0:
@@ -132,18 +122,13 @@ def per_language_eval(
     """Per-language test perplexity.
 
     ``test`` is one stream of base ids, scored once in every language of a
-    clone layout (valid because clones are exact equivalents), or one stream
-    per language, each scored in its own language's ids.
+    clone layout under its ``language_slices``, so that clones, exact equivalents,
+    score bitwise alike; or one stream per language, each scored in its own
+    language's ids with the vocabulary as one block.
     """
-    streams = [test] * layout.n_languages if isinstance(test, TokenStream) else list(test)
+    groups = layout.language_slices() if isinstance(test, TokenStream) else None
+    streams = [test] * layout.n_languages if groups else list(test)
     if len(streams) != layout.n_languages:
         raise EvalError(f"{len(streams)} test streams for {layout.n_languages} languages")
-    results: dict[int, EvalResult] = {}
-    for n, stream in enumerate(streams):
-        remapped = TokenStream(
-            ids=layout.map_ids(stream.ids, n).astype(np.uint32),
-            doc_boundaries=stream.doc_boundaries,
-            vocab_digest=stream.vocab_digest,
-        )
-        results[n] = sliding_ppl(state, remapped, window, stride)
-    return results
+    return {n: sliding_ppl(state, replace(stream, ids=layout.map_ids(stream.ids, n)),
+                           window, stride, groups) for n, stream in enumerate(streams)}

@@ -13,11 +13,12 @@ their short names (``ln1.gain``, ...). Forward and backward passes call them
 once per layer by module-global name, so a tracer that rebinds
 ``model._attention`` or any other pair sees every call.
 
-Cross-entropy and the head matmuls take ``vocab_groups`` (an anchor slice
-plus one slice per language block); ``None`` means no anchor and one block
-over the whole vocabulary. Every reduction over the vocabulary axis is
-computed per block and combined in a value-sorted order, which makes training
-bit-exactly equivariant under permutations of clone roles; see
+Training and evaluation share the head, :func:`_head_logits`, and the
+log-softmax, :func:`_log_softmax_at`, which take ``vocab_groups`` (an anchor
+slice plus one slice per language block; ``None`` means one block). Every
+reduction over the vocabulary axis is computed per block and combined in a
+value-sorted order, which makes the loss, the gradients and every scored
+log-probability bit-exactly equivariant under permutations of clone roles; see
 :func:`grouped_vocab_reduce`.
 
 Dtype contract: a model computes in ``config.dtype`` end to end. Parameters,
@@ -27,8 +28,8 @@ Python floats so that NumPy's promotion rules (NEP 50) never widen float32
 work. Float64 is used on purpose in three places only:
 
 * :func:`grouped_sumsq`, the sum of squares behind the gradient-clipping norm;
-* the log-softmax of :func:`scored_logprobs`, which scores the evaluator's
-  sliding windows and :func:`sequence_logprobs`;
+* the scored rows of :func:`scored_logprobs` (the evaluator's sliding windows
+  and :func:`sequence_logprobs`), cast to float64 before the log-softmax;
 * the evaluator's ``fsum`` of the negative log-likelihood.
 
 The training step allocates what it keeps: one (n, V) logits buffer becomes
@@ -219,6 +220,17 @@ def _reduce_blocks(part, vocab_groups: VocabGroups):
     return grouped_vocab_reduce([part(b) for b in blocks], anchor_part)
 
 
+def _log_softmax_at(logits: np.ndarray, targets: np.ndarray, vocab_groups: VocabGroups | None):
+    """Each row's log-softmax at its target, and the row's denominator. The row
+    max is subtracted and the rows exponentiated in ``logits``, in place; the
+    denominator is the grouped permutation-exact sum of :func:`_reduce_blocks`."""
+    picked = logits[np.arange(len(targets)), targets]
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(np.subtract(logits, m, out=logits), out=logits)
+    denom = _reduce_blocks(lambda s: e[:, s].sum(axis=1), _as_groups(vocab_groups, e.shape[1]))
+    return (picked - m[:, 0]) - np.log(denom), denom
+
+
 def softmax_xent(
     logits: np.ndarray,
     targets: np.ndarray,
@@ -226,29 +238,23 @@ def softmax_xent(
 ):
     """Mean token cross-entropy with max-subtracted softmax.
 
-    Returns (loss, dlogits, per-token log-probabilities). The log-sum-exp
-    denominator uses the grouped permutation-exact reduction. The (n, V)
-    ``logits`` buffer is consumed: ``dlogits`` is computed in it, in place.
+    Returns (loss, dlogits, per-token log-probabilities), the log-probabilities
+    from :func:`_log_softmax_at`. The (n, V) ``logits`` buffer is consumed:
+    ``dlogits`` is computed in it, in place.
     """
-    n, v = logits.shape
-    idx = np.arange(n)
-    picked = logits[idx, targets]
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(np.subtract(logits, m, out=logits), out=logits)
-    denom = _reduce_blocks(lambda s: e[:, s].sum(axis=1), _as_groups(vocab_groups, v))
-    logp = (picked - m[:, 0]) - np.log(denom)
+    logp, denom = _log_softmax_at(logits, targets, vocab_groups)
     loss = -logp.mean()
-    e /= denom[:, None]
-    e[idx, targets] -= 1.0
-    e /= n
-    return loss, e, logp
+    logits /= denom[:, None]
+    logits[np.arange(len(logits)), targets] -= 1.0
+    logits /= len(logits)
+    return loss, logits, logp
 
 
-def _head_logits(x2d: np.ndarray, w: np.ndarray, vocab_groups: VocabGroups):
+def _head_logits(x2d: np.ndarray, w: np.ndarray, vocab_groups: VocabGroups | None):
     """x2d @ w.T, one GEMM per vocab block, so a block's logits depend only
     on that block's rows (identical GEMM shapes per block)."""
     logits = np.empty((x2d.shape[0], w.shape[0]), dtype=x2d.dtype)
-    anchor, blocks = vocab_groups
+    anchor, blocks = _as_groups(vocab_groups, len(w))
     for s in (anchor, *blocks):
         np.matmul(x2d, w[s].T, out=logits[:, s])
     return logits
@@ -456,11 +462,13 @@ def _forward_core(state: ModelState, ids: np.ndarray, keep_cache: bool):
                 layer_caches=caches, xf=xf, lnf=lnf_cache)
 
 
-def forward(state: ModelState, ids: np.ndarray) -> ForwardTrace:
-    """Causal logits plus per-layer hidden states (read-only; snapshots of a
-    state may be evaluated concurrently)."""
+def forward(state: ModelState, ids: np.ndarray,
+            vocab_groups: VocabGroups | None = None) -> ForwardTrace:
+    """Causal logits from the head of :func:`loss_and_grads`, plus per-layer hidden
+    states (read-only; snapshots of a state may be evaluated concurrently)."""
     cache = _forward_core(state, ids, keep_cache=False)
-    logits = cache["xf"].reshape(-1, state.config.d_model) @ state.head_weight().T
+    xf2 = cache["xf"].reshape(-1, state.config.d_model)
+    logits = _head_logits(xf2, state.head_weight(), vocab_groups)
     return ForwardTrace(logits=logits.reshape(*np.shape(ids), -1), hidden_states=cache["hiddens"])
 
 
@@ -469,11 +477,13 @@ def hidden_states(state: ModelState, ids: np.ndarray) -> list[np.ndarray]:
     return _forward_core(state, ids, keep_cache=False)["hiddens"]
 
 
-def scored_logprobs(state: ModelState, ids: np.ndarray, lo, hi) -> np.ndarray:
+def scored_logprobs(state: ModelState, ids: np.ndarray, lo, hi,
+                    vocab_groups: VocabGroups | None = None) -> np.ndarray:
     """log p(ids[r, j+1] | ids[r, :j+1]) in float64 for j in [lo[r], hi[r]), row
     r after row r of a (k, t) stack (a scalar bound holds for every row). Only
-    these rows reach the float64 log-softmax; the head GEMM covers every row,
-    as a BLAS may round a row differently in a GEMM over fewer rows."""
+    these rows reach the log-softmax of training, in float64; the head GEMM covers
+    every row, as a BLAS may round a row differently in a GEMM over fewer rows.
+    Under a clone layout's ``vocab_groups``, clones score bitwise alike."""
     ids2 = np.atleast_2d(ids)
     k, t = ids2.shape
     lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
@@ -481,20 +491,18 @@ def scored_logprobs(state: ModelState, ids: np.ndarray, lo, hi) -> np.ndarray:
         raise ValueError(f"scored positions must lie in [0, {t - 1}) for sequences of {t}")
     j = np.arange(t)
     rows = np.flatnonzero(np.broadcast_to((j >= lo) & (j < hi), (k, t)))
-    logits = forward(state, ids2).logits.reshape(k * t, -1)[rows].astype(np.float64)
-    picked = logits[np.arange(len(rows)), ids2.reshape(-1)[rows + 1]]
-    m = logits.max(axis=-1, keepdims=True)
-    logits -= m
-    lse = m[:, 0] + np.log(np.exp(logits, out=logits).sum(axis=-1))
-    return picked - lse
+    logits = forward(state, ids2, vocab_groups).logits.reshape(k * t, -1)[rows]
+    targets = ids2.reshape(-1)[rows + 1]
+    return _log_softmax_at(logits.astype(np.float64, copy=False), targets, vocab_groups)[0]
 
 
-def sequence_logprobs(state: ModelState, ids: np.ndarray) -> np.ndarray:
+def sequence_logprobs(state: ModelState, ids: np.ndarray,
+                      vocab_groups: VocabGroups | None = None) -> np.ndarray:
     """log p(ids[..., t+1] | ids[..., :t+1]) in float64 for every next-token
     position of a (t,) sequence or a (k, t) stack of sequences; the result is
     (t-1,) or (k, t-1)."""
     *k, t = np.shape(ids)
-    return scored_logprobs(state, ids, 0, t - 1).reshape(*k, t - 1)
+    return scored_logprobs(state, ids, 0, t - 1, vocab_groups).reshape(*k, t - 1)
 
 
 def loss_and_grads(

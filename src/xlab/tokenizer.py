@@ -325,11 +325,6 @@ class IdLayout:
         only; the inverse table is built on the first call."""
         return self._inverse[np.asarray(ids, dtype=np.int64)]
 
-    def map_language(self, ids: np.ndarray, to_language: int) -> np.ndarray:
-        """Re-express a sequence in another language; anchors are unchanged.
-        Clone layouts only."""
-        return self.map_ids(self.to_base(ids), to_language)
-
     def duplicated_base_ids(self) -> np.ndarray:
         """Base ids that are not anchors. Clone layouts only."""
         mask = np.ones(len(self.luts[0]), dtype=bool)
@@ -338,10 +333,13 @@ class IdLayout:
 
     def language_slices(self) -> tuple[slice, list[slice]]:
         """(anchor block, per-language duplicated blocks) of the model id
-        space; used for clone-permutation-invariant reductions. Clone layouts
-        only."""
-        a = len(self.anchor_ids)
-        d = len(self.luts[0]) - a
+        space; used for clone-permutation-invariant reductions. Raises
+        TokenizerError unless the blocks, equal in size, tile the id space."""
+        a, sizes = len(self.anchor_ids), [len(lut) for lut in self.luts]
+        d = sizes[0] - a
+        if set(sizes) != {a + d} or a + self.n_languages * d != self.total_size:
+            raise TokenizerError(f"not a clone layout: languages of {sizes} ids with {a} "
+                                 f"anchors do not tile {self.total_size} ids in equal blocks")
         return slice(0, a), [slice(a + n * d, a + (n + 1) * d) for n in range(self.n_languages)]
 
 

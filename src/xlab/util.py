@@ -54,9 +54,10 @@ def write_arrays(path: str | Path, magic: bytes, version: int, header: dict,
 def read_arrays(path: str | Path, magic: bytes, version: int,
                 error: type[Exception]) -> tuple[dict, dict[str, np.ndarray]]:
     """``(header, {name: array})`` of an array file, the header without its
-    ``tensors`` and the arrays writable and in their written dtypes; ``error``
-    naming the file on a bad magic, version or header, a truncated file, a
-    payload of another size than the header lists, or a digest mismatch."""
+    ``tensors`` and the arrays writable views of one payload buffer (copies where
+    misaligned) in their written dtypes; ``error`` naming the file on a bad magic
+    or version, a truncated header, a digest mismatch (checked before any
+    parsing), a bad header, or a payload of another size than the header lists."""
     with open(path, "rb") as f:
         got, prefix = f.read(len(magic)), f.read(5)
         if got != magic:
@@ -67,27 +68,30 @@ def read_arrays(path: str | Path, magic: bytes, version: int,
         if got_version != version:
             raise error(f"{path}: unsupported {magic.decode('ascii', 'replace')} version "
                         f"{got_version} (this xlab reads version {version})")
-        want, raw = f.read(32), f.read(hlen)
-        if len(raw) != hlen:
-            raise error(f"{path}: truncated header")
-        try:
-            header = json.loads(raw)
-            specs = [(str(n), tuple(int(d) for d in shape), np.dtype(dt))
-                     for n, shape, dt in header.pop("tensors")]
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise error(f"{path}: bad header ({type(e).__name__}: {e})") from e
-        if any(dt.kind not in "biuf" or min(shape, default=0) < 0 for _, shape, dt in specs):
-            raise error(f"{path}: the header lists an array of negative size or non-numeric dtype")
-        need = sum(dt.itemsize * math.prod(shape) for _, shape, dt in specs)
+        want = f.read(32)
         size = os.fstat(f.fileno()).st_size - f.tell()
-        if size != need:
-            raise error(f"{path}: the payload is {size} bytes, the header lists {need}")
-        digest, arrays = hashlib.sha256(raw), {}
-        for name, shape, dt in specs:
-            buf = bytearray(dt.itemsize * math.prod(shape))
-            f.readinto(buf)
-            digest.update(buf)
-            arrays[name] = np.frombuffer(buf, dtype=dt).reshape(shape)
+        if hlen > size:
+            raise error(f"{path}: truncated header")
+        raw, payload = f.read(hlen), bytearray(size - hlen)
+        f.readinto(payload)
+    digest = hashlib.sha256(raw)
+    digest.update(payload)
     if digest.digest() != want:
         raise error(f"{path}: digest mismatch: the header or payload is not what was written")
+    try:
+        header = json.loads(raw)
+        specs = [(str(n), tuple(int(d) for d in shape), np.dtype(dt))
+                 for n, shape, dt in header.pop("tensors")]
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise error(f"{path}: bad header ({type(e).__name__}: {e})") from e
+    if any(dt.kind not in "biuf" or min(shape, default=0) < 0 for _, shape, dt in specs):
+        raise error(f"{path}: the header lists an array of negative size or non-numeric dtype")
+    need = sum(dt.itemsize * math.prod(shape) for _, shape, dt in specs)
+    if len(payload) != need:
+        raise error(f"{path}: the payload is {len(payload)} bytes, the header lists {need}")
+    arrays, offset = {}, 0
+    for name, shape, dt in specs:
+        a = np.frombuffer(payload, dtype=dt, count=math.prod(shape), offset=offset)
+        arrays[name] = (a.copy() if offset % dt.itemsize else a).reshape(shape)
+        offset += a.nbytes
     return header, arrays

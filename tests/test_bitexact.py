@@ -1,0 +1,23 @@
+"""``tools/bitexact.py`` runs in every Tier-1 pass: it trains four small configs
+whole and resumed, and exits non-zero if the runs or their checkpoint files
+differ in any bit."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bitexact_tool_passes_and_prints_one_line_per_config():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "bitexact.py")], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        fields = line.split()
+        assert [f.split("=")[0] for f in fields[1:]] == ["train", "eval", "ckpt20", "ckpt40"]

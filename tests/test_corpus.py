@@ -119,8 +119,9 @@ def test_token_stream_truncated_is_corpus_error(tmp_path):
     path = tmp_path / "s.xlts"
     corpus.write_token_stream(path, stream)
     raw = path.read_bytes()
-    for cut, what in ((20, "truncated header"), (45, "truncated header"),  # digest, header
-                      (len(raw) - 3, "the payload is 81 bytes, the header lists 84")):
+    # cut in the digest, in the header, and in the payload, which the digest covers
+    for cut, what in ((20, "truncated header"), (45, "truncated header"),
+                      (len(raw) - 3, "digest mismatch")):
         path.write_bytes(raw[:cut])
         with pytest.raises(corpus.CorpusError, match=f"{path.name}: {what}"):
             corpus.read_token_stream(path)

@@ -171,8 +171,8 @@ def test_log_softmax_sees_each_scored_row_once(monkeypatch):
     rows = []
     scored_logprobs = evaluator.scored_logprobs
 
-    def spy(state, ids, lo, hi):
-        out = scored_logprobs(state, ids, lo, hi)
+    def spy(state, ids, lo, hi, vocab_groups):
+        out = scored_logprobs(state, ids, lo, hi, vocab_groups)
         assert len(out) == np.sum(np.subtract(hi, lo))
         rows.append(len(out))
         return out

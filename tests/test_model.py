@@ -732,9 +732,9 @@ def test_checkpoint_truncated_or_mismatched_is_checkpoint_error(tmp_path):
     path = tmp_path / "c.xlck"
     model.save_checkpoint(path, st, step=0)
     raw = path.read_bytes()
-    for cut_or_padded in (raw[:-4], raw + b"\0"):
+    for cut_or_padded in (raw[:-4], raw + b"\0"):  # the digest covers the payload's length
         path.write_bytes(cut_or_padded)
-        with pytest.raises(model.CheckpointError, match=f"{path.name}: the payload is"):
+        with pytest.raises(model.CheckpointError, match=f"{path.name}: digest mismatch"):
             model.load_checkpoint(path)
     path.write_bytes(raw)
     edit_array_file(path, lambda header, tensors: tensors.update(  # not the config's dtype

@@ -1,12 +1,14 @@
 """Property tests: the window layout, the vocabulary, token-stream and array
-file round trips, the one-block meaning of ``vocab_groups=None``, the document
+file round trips, the one-block meaning of ``vocab_groups=None``, the bitwise
+equivariance of training and evaluation under clone permutations, the document
 join, the BPE round trip, role relabelling and the policy marginal."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -114,15 +116,17 @@ def test_array_file_roundtrip_is_exact(tmp_path, arrays, fields):
         got = back[name]
         assert (got.dtype.str, got.shape) == (a.dtype.str, a.shape), name
         assert got.tobytes() == a.tobytes() and got.flags.writeable, name
+        assert got.flags.aligned, name  # a view of the payload, or a copy where misaligned
     raw = path.read_bytes()
     need = sum(a.nbytes for a in arrays.values())
-    path.write_bytes(raw + b"\0")
-    with pytest.raises(LayoutError, match=f"{path.name}: the payload is {need + 1} bytes, "
-                                          f"the header lists {need}$"):
-        util.read_arrays(path, b"TEST", 3, LayoutError)
-    if need:
-        path.write_bytes(raw[:-1])
-        with pytest.raises(LayoutError, match=f"{path.name}: the payload is {need - 1} bytes"):
+    # the header, then the payload one byte longer or shorter
+    for rest, payload in [(raw[41:] + b"\0", need + 1)] + [(raw[41:-1], need - 1)] * (need > 0):
+        path.write_bytes(raw[:41] + rest)
+        with pytest.raises(LayoutError, match=f"{path.name}: digest mismatch"):
+            util.read_arrays(path, b"TEST", 3, LayoutError)
+        path.write_bytes(raw[:9] + hashlib.sha256(rest).digest() + rest)  # digest made to fit
+        with pytest.raises(LayoutError, match=f"{path.name}: the payload is {payload} bytes, "
+                                              f"the header lists {need}$"):
             util.read_arrays(path, b"TEST", 3, LayoutError)
 
 
@@ -143,6 +147,8 @@ def test_no_groups_is_the_one_block_grouping(seed, tie, dtype, n_layers, shape):
     one_block = (slice(0, 0), [slice(0, v)])
     loss_one, grads_one = model.loss_and_grads(state, ids, targets, vocab_groups=one_block)
     assert loss_none == loss_one
+    assert (model.sequence_logprobs(state, ids).tobytes()
+            == model.sequence_logprobs(state, ids, one_block).tobytes())
     assert list(grads_none) == list(grads_one) == list(state.params)
     for name, g in grads_none.items():
         assert g.tobytes() == grads_one[name].tobytes(), name
@@ -150,6 +156,63 @@ def test_no_groups_is_the_one_block_grouping(seed, tie, dtype, n_layers, shape):
     arrays = list(grads_none.values())
     for i, g in enumerate(arrays):
         assert not any(np.shares_memory(g, h) for h in arrays[i + 1 :])
+
+
+@st.composite
+def clone_permutations(draw):
+    """(anchors, ids per block, a permutation of the 2-4 blocks, tied, dtype, seed)."""
+    q = tuple(draw(st.permutations(range(draw(st.integers(2, 4))))))
+    return (draw(st.integers(0, 3)), draw(st.integers(1, 12)), q, draw(st.booleans()),
+            draw(st.sampled_from(["float32", "float64"])), draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(clone_permutations())
+@example((0, 9, (1, 0), True, "float32", 13))
+@example((3, 9, (1, 0), True, "float32", 13))
+def test_clone_permutation_is_bitwise_equivariant(case):
+    """Moving every clone block's ids to another block, in the model and in the
+    data, moves the loss, the gradients and every evaluation result with them,
+    bit for bit."""
+    n_anchor, n_dup, q, tie, dtype, seed = case
+    base = n_anchor + n_dup
+    layout = tokenizer.clone_vocab(make_vocab(base), len(q), (n_anchor + 0.5) / base, seed)
+    groups = layout.language_slices()
+    total = layout.total_size
+    perm = np.arange(total)  # block n's ids move to block q[n]; the anchors stay
+    for n, b in enumerate(groups[1]):
+        perm[b] = np.arange(total)[groups[1][q[n]]]
+    state = make_model(n_layers=2, d_model=16, n_heads=2, d_ff=24, vocab_size=total,
+                       max_seq_len=8, tie_embeddings=tie, dtype=dtype, seed=seed)
+    by_id = ("token_embedding", "output_head.weight")[: 1 if tie else 2]
+    moved = state.copy()
+    for name in by_id:
+        moved.params[name][perm] = state.params[name]
+
+    rng = np.random.default_rng(seed)
+    ids, targets = rng.integers(0, total, size=(2, 3, 8))
+    loss, grads = model.loss_and_grads(state, ids, targets, groups)
+    loss_moved, grads_moved = model.loss_and_grads(moved, perm[ids], perm[targets], groups)
+    assert loss == loss_moved
+    for name, g in grads.items():
+        g_moved = grads_moved[name][perm] if name in by_id else grads_moved[name]
+        assert g.tobytes() == g_moved.tobytes(), name
+
+    assert (model.sequence_logprobs(state, ids, groups).tobytes()
+            == model.sequence_logprobs(moved, perm[ids], groups).tobytes())
+    doc = rng.integers(0, total, size=21)
+    got, got_moved = (evaluator.sliding_logprobs(s, d, 8, 3, groups)
+                      for s, d in ((state, doc), (moved, perm[doc])))
+    assert got[1].tobytes() == got_moved[1].tobytes()
+
+    lengths = [1, 2, 9, 20]
+    stream = corpus.TokenStream(ids=rng.integers(0, base, size=sum(lengths)).astype(np.uint32),
+                                doc_boundaries=np.cumsum(lengths, dtype=np.uint64),
+                                vocab_digest="0" * 64)
+    res, res_moved = (evaluator.per_language_eval(s, layout, stream, window=8, stride=3)
+                      for s in (state, moved))
+    for n in range(len(q)):
+        assert res[n] == res_moved[q[n]], n
 
 
 @FAST

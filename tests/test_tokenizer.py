@@ -234,11 +234,9 @@ def test_clone_frequency_selection():
 
 def test_language_mapping_roundtrip():
     cv = tokenizer.clone_vocab(make_vocab(64), n_languages=3, anchor_fraction=0.25, seed=9)
-    rng = np.random.default_rng(0)
-    base = rng.integers(0, 64, size=200)
-    s = cv.map_ids(base, 1)
-    assert np.array_equal(cv.map_language(cv.map_language(s, 2), 1), s)
-    assert np.array_equal(cv.to_base(s), base)
+    base = np.random.default_rng(0).integers(0, 64, size=200)
+    for n in range(3):
+        assert np.array_equal(cv.to_base(cv.map_ids(base, n)), base)
 
 
 def test_to_base_builds_its_inverse_once():
@@ -291,6 +289,18 @@ def test_merge_identical_vocabs():
     mv = tokenizer.merge_vocabs(a, a)
     assert mv.layout.total_size == 3
     assert np.array_equal(mv.layout.luts[0], mv.layout.luts[1])
+
+
+def test_language_slices_refuse_a_layout_that_is_not_a_clone_layout():
+    cv = tokenizer.clone_vocab(make_vocab(10), n_languages=3, anchor_fraction=0.3)
+    assert cv.language_slices() == (slice(0, 3), [slice(3, 10), slice(10, 17), slice(17, 24)])
+    merged = tokenizer.merge_vocabs(_vocab_from(["<unk>", "a", "b"]),
+                                    _vocab_from(["<unk>", "c", "d"])).layout
+    assert merged.total_size == 5
+    # blocks over ids 0-5 of 8, and a second block that ends at 6, past the id space
+    for layout in (tokenizer.disjoint_layout([3, 5]), merged):
+        with pytest.raises(tokenizer.TokenizerError, match="not a clone layout"):
+            layout.language_slices()
 
 
 def test_merge_size_identity_and_remap_roundtrip():

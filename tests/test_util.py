@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from xlab import corpus, model, scaling, tokenizer, trainer, util
 
@@ -50,6 +52,27 @@ def test_a_changed_header_or_payload_byte_is_refused(tmp_path, writer):
         path.write_bytes(raw[:at] + bytes([byte]) + raw[at + 1:])
         with pytest.raises(error, match=f"{path.name}: digest mismatch"):
             load(path)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(WRITERS)), st.data())
+def test_any_changed_byte_or_truncation_is_refused(tmp_path, writer, data):
+    path = tmp_path / "out.dat"
+    WRITERS[writer](path, 3)
+    load, error, _ = READERS[writer]
+    raw = path.read_bytes()
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
+    # magic, version, header length (a typed error of any kind), then digest-covered
+    what = ("bad magic" if at < 4 else "version" if at == 4 else "" if at < 9
+            else "digest mismatch")
+    path.write_bytes(raw[:at] + bytes([byte]) + raw[at + 1:])
+    with pytest.raises(error, match=f"{path.name}: .*{what}"):
+        load(path)
+    path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")])
+    with pytest.raises(error, match=f"{path.name}: "):
+        load(path)
 
 
 @pytest.mark.parametrize("writer", WRITERS)

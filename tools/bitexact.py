@@ -7,14 +7,15 @@ Trains four small two-clone configs for 40 steps each: float32 grouped
 ungrouped ``90/10``, and untied float64 grouped ``90v10`` at 0.25. Every config
 is run whole and resumed from its step-20 checkpoint, and the script fails if
 the two runs, or their step-40 checkpoint files, differ in any bit. It then
-prints one line per config: the SHA-256 over the losses, the per-step token
-counts, every parameter and the ``per_language_eval`` perplexities, then the
-SHA-256 of the whole run's checkpoint files at steps 20 and 40.
+prints one line per config: the training fingerprint ``train=``, a SHA-256 over
+the losses, the per-step token counts and every parameter; the evaluation
+fingerprint ``eval=``, a SHA-256 over the ``per_language_eval`` perplexities; and
+the SHA-256 of the whole run's checkpoint files at steps 20 and 40.
 
 A change that claims to keep every floating-point operation, or the checkpoint
 bytes, must print the same lines as its parent; run the script in both
 checkouts and compare, or run it from one checkout with ``PYTHONPATH`` set to
-the other checkout's ``src``.
+the other checkout's ``src``. A change to evaluation alone moves only ``eval=``.
 """
 
 from __future__ import annotations
@@ -75,14 +76,13 @@ def run(name, dtype, tied, grouped, policy, anchor_fraction, tmp: Path) -> str:
                                       resume_from=resume)
         ppl = evaluator.per_language_eval(state, layout, stream(DOC_LENGTHS, seed=2),
                                           window=16, stride=4)
-        digest = hashlib.sha256()
-        digest.update(json.dumps([[repr(x) for x in record.losses],
-                                  record.step_lang_tokens,
-                                  [repr(ppl[n].ppl) for n in sorted(ppl)]]).encode())
+        train = hashlib.sha256(json.dumps([[repr(x) for x in record.losses],
+                                           record.step_lang_tokens]).encode())
         for k, v in state.params.items():
-            digest.update(k.encode())
-            digest.update(np.ascontiguousarray(v))
-        runs.append(digest.hexdigest())
+            train.update(k.encode())
+            train.update(np.ascontiguousarray(v))
+        evaluation = hashlib.sha256(json.dumps([repr(ppl[n].ppl) for n in sorted(ppl)]).encode())
+        runs.append(f"train={train.hexdigest()} eval={evaluation.hexdigest()}")
     if runs[0] != runs[1]:
         sys.exit(f"{name}: the run resumed from step {RESUME_AT} differs from the whole run")
     files = {step: (tmp / "whole" / f"checkpoint_{step:07d}.xlck").read_bytes()
