@@ -137,12 +137,14 @@ class StreamCursor:
     covers positions [k*seq_len, k*seq_len + seq_len] so consecutive slices
     share one token (the next-token target of the previous slice). When the
     tail cannot fill a slice the cursor wraps to the start and logs an epoch
-    increment. Raises CorpusError on a stream with no tokens.
+    increment. Raises CorpusError on a stream with no tokens or a ``seq_len`` below 1.
     """
 
     def __init__(self, stream: TokenStream, seq_len: int, separator_id: int | None = None):
         if len(stream.ids) == 0:
             raise CorpusError("cannot read training slices from a stream of 0 tokens")
+        if seq_len < 1:
+            raise CorpusError(f"a training slice needs seq_len >= 1, got {seq_len}")
         self.seq_len = seq_len
         self.data = concat_with_separator(stream, separator_id)
         if len(self.data) < seq_len + 1:

@@ -6,7 +6,8 @@ additive floor c (clamped to >= 1; c = 0 available as the pure form). The
 fit minimizes squared error in log-ppl space. It is solved by a deterministic
 grid over b with a closed-form weighted linear least-squares solve for (a, c)
 at each b (weights 1/ppl^2, the delta-method approximation of log residuals),
-followed by golden-section refinement of b.
+followed by Brent's bounded refinement of b (``scipy.optimize.minimize_scalar``)
+between the grid neighbours of the best cell.
 
 Metric vocabulary: given a multilingual run that saw t_n tokens of language n
 and reached perplexity ppl_n there,
@@ -20,19 +21,19 @@ and reached perplexity ppl_n there,
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .util import read_arrays, write_arrays
 
 FIT_MAGIC = b"XLSF"
 FIT_VERSION = 1
 
-# the grid over the exponent b that golden-section refinement starts from
+# the grid over the exponent b that the refinement starts from
 B_MIN, B_MAX, B_STEP = 0.05, 2.0, 0.001
 
 
@@ -111,29 +112,19 @@ def _log_objective(t: np.ndarray, p: np.ndarray, b, floor: bool):
     return np.where(ok, resid, np.inf), np.where(ok, a, np.nan), c
 
 
-def fit_power_law(
-    points: Sequence[tuple[float, float]],
-    floor: bool = True,
-) -> ScalingFit:
+def fit_power_law(points: Sequence[tuple[float, float]], floor: bool = True) -> ScalingFit:
     """Fit ppl(t) = a*t^(-b) + c to >= 3 (tokens, ppl) points.
 
     The observed perplexities must be strictly decreasing in tokens (after
-    averaging duplicate token counts); otherwise no strictly decreasing curve
-    fits and a FitError reports the best achievable residual.
+    averaging the perplexities of each token count); otherwise no strictly
+    decreasing curve fits and a FitError reports the best achievable residual.
     """
-    pts = sorted((float(t), float(p)) for t, p in points)
-    merged: list[tuple[float, float]] = []
-    for t, p in pts:
-        if merged and merged[-1][0] == t:
-            prev_t, prev_p = merged[-1]
-            merged[-1] = (prev_t, (prev_p + p) / 2)
-        else:
-            merged.append((t, p))
-    if len(merged) < 3:
-        raise FitError(f"need >= 3 distinct token counts, got {len(merged)}")
-    t = np.array([x for x, _ in merged])
-    p = np.array([y for _, y in merged])
-    if np.any(t <= 0) or np.any(p <= 1):
+    t_all, p_all = np.asarray(points, dtype=np.float64).reshape(len(points), 2).T
+    t, which, counts = np.unique(t_all, return_inverse=True, return_counts=True)
+    p = np.bincount(which, weights=p_all) / counts
+    if len(t) < 3:
+        raise FitError(f"need >= 3 distinct token counts, got {len(t)}")
+    if not (np.all(t > 0) and np.all(p > 1)):
         raise FitError("token counts must be positive and perplexities > 1")
 
     grid = np.arange(B_MIN, B_MAX + B_STEP / 2, B_STEP)
@@ -141,31 +132,14 @@ def fit_power_law(
     best_i = int(np.argmin(scores))
 
     if np.any(np.diff(p) >= 0):
-        raise FitError(
-            "observed perplexities are not strictly decreasing in tokens; "
-            f"no decreasing power law fits (best residual {min(scores):.6g})"
-        )
+        raise FitError("observed perplexities are not strictly decreasing in tokens; no "
+                       f"decreasing power law fits (best residual {min(scores):.6g})")
     if not np.isfinite(scores[best_i]):
         raise FitError("no feasible fit with a > 0 on the search grid")
 
-    # golden-section refinement around the best grid cell
-    gr = (math.sqrt(5) - 1) / 2
-    x_lo = grid[max(best_i - 1, 0)]
-    x_hi = grid[min(best_i + 1, len(grid) - 1)]
-    x1 = x_hi - gr * (x_hi - x_lo)
-    x2 = x_lo + gr * (x_hi - x_lo)
-    f1 = _log_objective(t, p, x1, floor)[0]
-    f2 = _log_objective(t, p, x2, floor)[0]
-    while x_hi - x_lo > 1e-10:
-        if f1 <= f2:
-            x_hi, x2, f2 = x2, x1, f1
-            x1 = x_hi - gr * (x_hi - x_lo)
-            f1 = _log_objective(t, p, x1, floor)[0]
-        else:
-            x_lo, x1, f1 = x1, x2, f2
-            x2 = x_lo + gr * (x_hi - x_lo)
-            f2 = _log_objective(t, p, x2, floor)[0]
-    b = (x_lo + x_hi) / 2
+    bracket = grid[max(best_i - 1, 0)], grid[min(best_i + 1, len(grid) - 1)]
+    b = minimize_scalar(lambda x: float(_log_objective(t, p, x, floor)[0]), bounds=bracket,
+                        method="bounded", options={"xatol": 1e-10}).x
     resid, a, c = _log_objective(t, p, b, floor)
     if np.isnan(a):
         raise FitError("no feasible fit with a > 0 after refinement")

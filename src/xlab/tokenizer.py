@@ -311,7 +311,11 @@ class IdLayout:
         """Remap a source-id sequence into the given language's model ids."""
         if not 0 <= language < self.n_languages:
             raise TokenizerError(f"language {language} out of range")
-        return self.luts[language][np.asarray(ids, dtype=np.int64)]
+        ids, lut = np.asarray(ids, dtype=np.int64), self.luts[language]
+        if ids.size and not 0 <= ids.min() <= ids.max() < len(lut):
+            raise TokenizerError(f"source ids {ids.min()}..{ids.max()} are outside "
+                                 f"[0, {len(lut)}) of language {language}")
+        return lut[ids]
 
     @cached_property
     def _inverse(self) -> np.ndarray:

@@ -49,6 +49,10 @@ class TrainAbortError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """``batch_size`` and ``seq_len`` are the shape of every batch. ``seed`` is
+    recorded in the run record and the digest but seeds nothing; ``model.init``
+    and :class:`MixtureSource` take their own seeds."""
+
     total_steps: int
     batch_size: int
     seq_len: int
@@ -72,9 +76,6 @@ class TrainConfig:
         for name in ("grad_clip", "checkpoint_every"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0 (0 turns it off), got {getattr(self, name)}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def lr_at(config: TrainConfig, step: int) -> float:
@@ -124,7 +125,18 @@ class Adam:
         return out
 
     def restore(self, tensors: dict[str, np.ndarray], t: int):
-        """Adopt the writable moments of ``tensors``; ``train`` checks their shapes and dtypes."""
+        """Adopt the writable moments of ``tensors`` after step ``t``. It checks them all
+        first: a ValueError names the moments it lacks (the first three) or one whose shape
+        or dtype is not its parameter's."""
+        mine = self.tensors()
+        lacking = sorted(mine.keys() - tensors.keys())
+        if lacking:
+            raise ValueError("it lacks " + ", ".join(lacking[:3])
+                             + (" ..." if len(lacking) > 3 else ""))
+        for k, m in mine.items():
+            if (tensors[k].shape, tensors[k].dtype) != (m.shape, m.dtype):
+                raise ValueError(f"its {k} is {tensors[k].dtype} {tensors[k].shape}, "
+                                 f"the parameter {m.dtype} {m.shape}")
         self.t = t
         for k in self.m:
             self.m[k], self.v[k] = tensors[f"adam_m.{k}"], tensors[f"adam_v.{k}"]
@@ -298,12 +310,13 @@ def train(
 
     Deterministic under (state, source, config): same seed twice is
     bit-identical. Eval hooks are (steps_completed, fn) pairs; fn is called
-    with (state, steps_completed, record) on an immutable snapshot boundary.
-    A resumed run continues the RunRecord and, with the restored RNG and
-    cursors, matches the uninterrupted run bit for bit.
+    with (state, steps_completed, record) on an immutable snapshot boundary,
+    the hooks of one step in the order given. Then the one checkpoint site
+    writes at every ``checkpoint_every``-th step and at the last. A resumed run
+    continues the RunRecord and matches the uninterrupted run bit for bit.
     """
     _keep_freed_memory()
-    digest = json_digest({"train": config.to_dict(), "model": state.config.to_dict()})
+    digest = json_digest({"train": asdict(config), "model": state.config.to_dict()})
     record = RunRecord(seed=config.seed, config_digest=digest, n_languages=source.n_languages)
     adam = Adam(state.params, config.beta1, config.beta2, config.eps)
     start_step = 0
@@ -311,47 +324,31 @@ def train(
 
     if resume_from is not None:
         ck_state, ck_step, opt, extra = load_checkpoint(resume_from)
-        try:  # every check before anything moves: a source that fails restores nothing
+        try:  # each owner checks before it adopts: a failed resume moves neither state nor source
             record = RunRecord.from_dict(extra.get("record"))
             if record.config_digest != digest:
                 raise ValueError(f"it was produced by a different run config "
                                  f"({record.config_digest} != {digest}); refusing to resume")
-            moments = adam.tensors()
-            lacking = sorted(moments.keys() - opt.keys())
-            lacking += [f"extra.{k}" for k in {"source"} - extra.keys()]
-            if lacking:
-                raise ValueError("it lacks " + ", ".join(lacking[:3])
-                                 + (" ..." if len(lacking) > 3 else ""))
-            for k, m in moments.items():
-                if (opt[k].shape, opt[k].dtype) != (m.shape, m.dtype):
-                    raise ValueError(f"its {k} is {opt[k].dtype} {opt[k].shape}, "
-                                     f"the parameter {m.dtype} {m.shape}")
+            adam.restore(opt, t=ck_step)  # Adam takes one step per training step
+            if "source" not in extra:
+                raise ValueError("it lacks extra.source")
             source.restore(extra["source"])
         except ValueError as e:
             raise ValueError(f"cannot resume from checkpoint {resume_from}: {e}") from e
         state.params = ck_state.params  # in the config dtype, checked by the loader
-        adam.restore(opt, t=ck_step)  # Adam takes one step per training step
         start_step = ck_step
         last_ckpt = str(resume_from)
 
-    hooks = sorted(eval_hooks)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    def write_checkpoint(steps_done: int) -> str:
-        path = out / f"checkpoint_{steps_done:07d}.xlck"
-        save_checkpoint(path, state, step=steps_done, opt_tensors=adam.tensors(),
-                        extra={"source": source.state(), "record": record.to_dict()})
-        return str(path)
-
     for step in range(start_step, config.total_steps):
         ids, targets, tags = source.next_batch(step, config.total_steps)
-        if ids.shape[1] != config.seq_len:
-            raise ValueError(
-                f"batch width {ids.shape[1]} at step {step} differs from "
-                f"TrainConfig.seq_len {config.seq_len}"
-            )
+        if ids.shape != (config.batch_size, config.seq_len):
+            raise ValueError(f"batch of {ids.shape[0]} rows of width {ids.shape[1]} at step "
+                             f"{step}; TrainConfig has batch_size {config.batch_size}, "
+                             f"seq_len {config.seq_len}")
         try:
             loss, grads = loss_and_grads(state, ids, targets, vocab_groups)
         except FloatingPointError as e:
@@ -366,14 +363,13 @@ def train(
         record.step_lang_tokens.append(tokens.tolist())
         steps_done = step + 1
         # hooks first, so what they record is in this step's checkpoint
-        for at, fn in hooks:
+        for at, fn in eval_hooks:
             if at == steps_done:
                 fn(state, steps_done, record)
-        # the last step's checkpoint is written after the loop, once
-        if (out is not None and config.checkpoint_every and steps_done < config.total_steps
-                and steps_done % config.checkpoint_every == 0):
-            last_ckpt = write_checkpoint(steps_done)
-
-    if out is not None and config.total_steps > start_step:
-        last_ckpt = write_checkpoint(config.total_steps)
+        if out is not None and (steps_done == config.total_steps or config.checkpoint_every
+                                and steps_done % config.checkpoint_every == 0):
+            path = out / f"checkpoint_{steps_done:07d}.xlck"
+            save_checkpoint(path, state, step=steps_done, opt_tensors=adam.tensors(),
+                            extra={"source": source.state(), "record": record.to_dict()})
+            last_ckpt = str(path)
     return state, record

@@ -208,6 +208,13 @@ def test_cursor_rejects_a_stream_without_tokens(separator_id):
         mixer.StreamCursor(empty, seq_len=8, separator_id=separator_id)
 
 
+@pytest.mark.parametrize("seq_len", [0, -3])
+def test_cursor_rejects_a_seq_len_below_one(seq_len):
+    # seq_len 0 used to return the same one-token slice forever
+    with pytest.raises(CorpusError, match=f"seq_len >= 1, got {seq_len}"):
+        mixer.StreamCursor(_stream(np.arange(20)), seq_len=seq_len)
+
+
 def test_cursor_check_rejects_a_position_outside_the_data():
     cursor = mixer.StreamCursor(_stream(np.arange(20)), seq_len=8)
     for position in (-1, 21):

@@ -25,6 +25,15 @@ def test_identical_ppl_values_rejected():
         scaling.fit_power_law([(1.0, 20.0), (4.0, 20.0), (16.0, 10.0)])
 
 
+def test_duplicate_token_counts_fit_as_their_mean():
+    # three runs at 1 token reach 22, 22 and 31: their mean 25 lies on the curve
+    a, b, c = 10.0, 0.5, 15.0
+    rest = [(t, a * t**-b + c) for t in (4.0, 100.0)]
+    fit = scaling.fit_power_law([(1.0, 31.0), *rest, (1.0, 22.0), (1.0, 22.0)])
+    assert fit == scaling.fit_power_law([(1.0, 25.0), *rest])
+    assert abs(fit.predict(1.0) - 25.0) < 1e-6
+
+
 def test_too_few_points_rejected():
     with pytest.raises(scaling.FitError, match=">= 3"):
         scaling.fit_power_law([(1.0, 20.0), (4.0, 15.0)])

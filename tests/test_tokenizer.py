@@ -239,6 +239,17 @@ def test_language_mapping_roundtrip():
         assert np.array_equal(cv.to_base(cv.map_ids(base, n)), base)
 
 
+def test_map_ids_refuses_ids_outside_the_language():
+    # -1 used to wrap to the last id of the language, 24 to raise a bare IndexError
+    cv = tokenizer.clone_vocab(make_vocab(24), n_languages=2, anchor_fraction=0.25, seed=1)
+    for ids, shown in (([-1], "-1..-1"), ([3, 24], "3..24")):
+        with pytest.raises(tokenizer.TokenizerError,
+                           match=rf"ids {shown} are outside \[0, 24\) of language 1"):
+            cv.map_ids(np.array(ids), 1)
+    assert np.array_equal(cv.map_ids([0, 23], 1), cv.luts[1][[0, 23]])
+    assert cv.map_ids(np.empty(0, dtype=np.int64), 1).size == 0
+
+
 def test_to_base_builds_its_inverse_once():
     cv = tokenizer.clone_vocab(make_vocab(64), n_languages=2, anchor_fraction=0.25, seed=1)
     ids = cv.map_ids(np.arange(64), 1)

@@ -1,4 +1,6 @@
+import gc
 import platform
+import weakref
 
 import numpy as np
 import pytest
@@ -223,6 +225,19 @@ def test_batch_width_must_match_seq_len():
         trainer.train(st, source, cfg)
 
 
+def test_batch_size_must_match_the_config(tmp_path):
+    cfg = trainer.TrainConfig(total_steps=6, batch_size=4, seq_len=16,
+                              warmup_steps=1, seed=2, checkpoint_every=3)
+    st, src, _, _ = small_setup(seed=2, batch_size=3)
+    with pytest.raises(ValueError, match=r"3 rows of width 16 at step 0; .*batch_size 4"):
+        trainer.train(st, src, cfg)
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    trainer.train(st, src, cfg, out_dir=tmp_path)
+    st, src, _, _ = small_setup(seed=2, batch_size=3)
+    with pytest.raises(ValueError, match=r"3 rows of width 16 at step 3; .*batch_size 4"):
+        trainer.train(st, src, cfg, resume_from=tmp_path / "checkpoint_0000003.xlck")
+
+
 def test_resume_refuses_config_mismatch(tmp_path):
     cfg = trainer.TrainConfig(total_steps=30, batch_size=4, seq_len=16,
                               warmup_steps=5, seed=2, checkpoint_every=30)
@@ -304,6 +319,47 @@ def test_resume_names_what_the_checkpoint_lacks(tmp_path, edit, match):
     with pytest.raises(ValueError, match=match) as info:
         trainer.train(st, src, cfg, resume_from=ckpt)
     assert str(ckpt) in str(info.value)
+
+
+def test_adam_restore_checks_before_it_adopts():
+    params = {"w": np.ones((3, 2), np.float32), "b": np.ones(2, np.float32)}
+    adam = trainer.Adam(params, 0.9, 0.999, 1e-8)
+    initial = adam.tensors()
+    good = {k: np.full_like(m, 0.5) for k, m in initial.items()}
+    for bad, match in [
+        ({k: m for k, m in good.items() if k != "adam_v.w"}, r"lacks adam_v\.w$"),
+        ({}, r"lacks adam_m\.b, adam_m\.w, adam_v\.b \.\.\.$"),
+        ({**good, "adam_m.b": good["adam_m.b"].astype(np.float64)},
+         r"adam_m\.b is float64 \(2,\), the parameter float32 \(2,\)$"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            adam.restore(bad, t=7)
+        assert adam.t == 0 and all(adam.tensors()[k] is m for k, m in initial.items())
+    adam.restore(good, t=7)
+    assert adam.t == 7 and all(adam.tensors()[k] is m for k, m in good.items())
+
+
+def test_resume_keeps_no_reference_to_the_initial_moments(tmp_path, monkeypatch):
+    cfg = trainer.TrainConfig(total_steps=6, batch_size=4, seq_len=16,
+                              warmup_steps=1, seed=2, checkpoint_every=3)
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    trainer.train(st, src, cfg, out_dir=tmp_path)
+    initial, alive = [], []
+
+    class WatchedAdam(trainer.Adam):
+        def __init__(self, *args):
+            super().__init__(*args)
+            initial.extend(weakref.ref(m) for m in self.tensors().values())
+
+    def count_alive(*_):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in initial))
+
+    monkeypatch.setattr(trainer, "Adam", WatchedAdam)
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    trainer.train(st, src, cfg, eval_hooks=[(4, count_alive)],
+                  resume_from=tmp_path / "checkpoint_0000003.xlck")
+    assert len(initial) == 2 * len(st.params) and alive == [0]
 
 
 def test_resume_rejects_corrupt_checkpoint(tmp_path):
@@ -441,6 +497,19 @@ def test_eval_hooks_fire_on_snapshots():
                               warmup_steps=2, seed=5)
     trainer.train(st, source, cfg, eval_hooks=hooks)
     assert seen == [5, 10]
+
+
+def test_hooks_of_one_step_run_in_the_order_given():
+    st, source, _, _ = small_setup(seed=5)
+    seen = []
+
+    def hook(name):
+        return lambda s, step, rec: seen.append((step, name))
+
+    cfg = trainer.TrainConfig(total_steps=4, batch_size=8, seq_len=16,
+                              warmup_steps=1, seed=5)
+    trainer.train(st, source, cfg, eval_hooks=[(4, hook("b")), (2, hook("c")), (4, hook("a"))])
+    assert seen == [(2, "c"), (4, "b"), (4, "a")]
 
 
 def test_run_record_roundtrip(tmp_path):
