@@ -127,7 +127,12 @@ class TokenStream:
     vocab_digest: str
 
     def __post_init__(self):
-        ids = np.ascontiguousarray(self.ids, dtype=np.uint32)
+        ids = self.ids
+        if not (isinstance(ids, np.ndarray) and ids.dtype == np.uint32):
+            ids = np.asarray(ids)
+            if ids.size and not 0 <= ids.min() <= ids.max() < 2**32:
+                raise CorpusError(f"token ids {ids.min()}..{ids.max()} are outside [0, 2**32)")
+        ids = np.ascontiguousarray(ids, dtype=np.uint32)
         bounds = np.ascontiguousarray(self.doc_boundaries, dtype=np.uint64)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "doc_boundaries", bounds)

@@ -15,6 +15,7 @@ after training and safe to share across threads.
 from __future__ import annotations
 
 import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from pathlib import Path
@@ -103,26 +104,31 @@ def _merge_symbols(syms: list[str], left: str, right: str) -> list[str]:
     return out
 
 
-def _count_pairs(syms: Sequence[str]) -> dict[tuple[str, str], int]:
-    counts: dict[tuple[str, str], int] = {}
-    for pair in zip(syms, syms[1:]):
-        counts[pair] = counts.get(pair, 0) + 1
-    return counts
-
-
 def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
     """Train a BPE vocabulary of exactly ``vocab_size`` pieces.
 
     Merges are selected by descending adjacent-pair frequency at selection
-    time, with a lexicographic (left, right) tie-break so training is
-    bit-identical across platforms. The base symbol set counts the unk piece
-    and the word-begin marker alongside the corpus alphabet, so the smallest
-    legal vocab_size is ``2 + len(alphabet)``.
+    time, with a lexicographic (left, right) tie-break on the piece strings so
+    training is bit-identical across platforms. The base symbol set counts the
+    unk piece and the word-begin marker alongside the corpus alphabet, so the
+    smallest legal vocab_size is ``2 + len(alphabet)``. A corpus with too few
+    distinct pairs to reach ``vocab_size`` raises TokenizerError.
+
+    Training is incremental, as in Sennrich et al. (arXiv:1508.07909). Each
+    distinct pretoken is held once, as a list of piece ids, with its count. A
+    pair of ids is the key ``left * vocab_size + right``; one table holds every
+    pair's corpus count, another the words that may hold the pair, and a lazy
+    max-heap the counts. A merge rewrites only the words indexed under its
+    pair, left to right without overlap as :func:`_merge_symbols` does. At each
+    merge site it moves the word's count from ``(prev, left)`` to
+    ``(prev, new)`` and from ``(right, next)`` to ``(new, next)``, and indexes
+    the word under the new pairs. So one merge costs time in proportion to the
+    words that hold its pair, not to the corpus. A word is never taken out of
+    an index; one that no longer holds the pair rewrites to itself.
     """
-    word_counts: dict[str, int] = {}
+    word_counts: Counter[str] = Counter()
     for doc in store.documents:
-        for w in _pretokenize(doc, MARKER):
-            word_counts[w] = word_counts.get(w, 0) + 1
+        word_counts.update(doc.split())
 
     alphabet = sorted({c for w in word_counts for c in w} | {MARKER})
     n_base = 1 + len(alphabet)  # unk + alphabet
@@ -133,65 +139,81 @@ def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
         )
     pieces: list[str] = [UNK_PIECE] + alphabet
     merges: list[tuple[str, str]] = []
+    piece_id = {p: i for i, p in enumerate(pieces)}
+    words = [[piece_id[c] for c in MARKER + w] for w in word_counts]
+    freqs = list(word_counts.values())
 
-    words = list(word_counts)
-    freqs = [word_counts[w] for w in words]
-    symbol_lists = [list(w) for w in words]
+    V = vocab_size
+    pair_counts: dict[int, int] = {}
+    pair_words: defaultdict[int, set[int]] = defaultdict(set)
+    for wi, syms in enumerate(words):
+        for a, b in zip(syms, syms[1:]):
+            key = a * V + b
+            pair_counts[key] = pair_counts.get(key, 0) + freqs[wi]
+            pair_words[key].add(wi)
 
-    # Pair bookkeeping: global counts, the words containing each pair, and a
-    # lazy max-heap keyed (-count, left, right) so ties pop lexicographically.
-    pair_counts: dict[tuple[str, str], int] = {}
-    pair_words: dict[tuple[str, str], set[int]] = {}
-    for wi, syms in enumerate(symbol_lists):
-        for pair, c in _count_pairs(syms).items():
-            pair_counts[pair] = pair_counts.get(pair, 0) + c * freqs[wi]
-            pair_words.setdefault(pair, set()).add(wi)
-    heap = [(-c, p[0], p[1]) for p, c in pair_counts.items()]
+    def entry(key: int) -> tuple[int, str, str, int]:
+        """The heap entry of a pair: ties pop lexicographically on its strings."""
+        return -pair_counts[key], pieces[key // V], pieces[key % V], key
+
+    heap = [entry(key) for key in pair_counts]
     heapq.heapify(heap)
+    touched: set[int] = set()  # the pairs whose counts one merge changed
 
-    def push(pair: tuple[str, str]) -> None:
-        heapq.heappush(heap, (-pair_counts[pair], pair[0], pair[1]))
+    def move(wi: int, old: int, key: int) -> None:
+        """Move word wi's count from pair ``old`` to pair ``key``."""
+        pair_counts[old] -= freqs[wi]
+        pair_counts[key] = pair_counts.get(key, 0) + freqs[wi]
+        pair_words[key].add(wi)
+        touched.add(old)
+        touched.add(key)
 
     while len(pieces) < vocab_size:
-        best = None
         while heap:
-            negc, left, right = heapq.heappop(heap)
-            if pair_counts.get((left, right), 0) == -negc and negc < 0:
-                best = (left, right)
+            negc, left_piece, right_piece, best = heapq.heappop(heap)
+            if pair_counts.get(best) == -negc:
                 break
-        if best is None:
+        else:
             raise TokenizerError(
                 f"corpus exhausted after {len(merges)} merges; "
                 f"cannot reach vocab_size {vocab_size}"
             )
-        left, right = best
-        merges.append(best)
-        pieces.append(left + right)
+        left, right = divmod(best, V)
+        new = len(pieces)
+        merges.append((left_piece, right_piece))
+        pieces.append(left_piece + right_piece)
 
-        touched: set[tuple[str, str]] = set()
-        for wi in sorted(pair_words.get(best, ())):
-            syms = symbol_lists[wi]
-            before = _count_pairs(syms)
-            new_syms = _merge_symbols(syms, left, right)
-            after = _count_pairs(new_syms)
-            symbol_lists[wi] = new_syms
-            f = freqs[wi]
-            for pair in before.keys() | after.keys():
-                delta = after.get(pair, 0) - before.get(pair, 0)
-                if delta:
-                    pair_counts[pair] = pair_counts.get(pair, 0) + delta * f
-                    touched.add(pair)
-                if after.get(pair, 0):
-                    pair_words.setdefault(pair, set()).add(wi)
-                elif pair in pair_words:
-                    pair_words[pair].discard(wi)
-        pair_counts.pop(best, None)
-        pair_words.pop(best, None)
-        for pair in touched:
-            if pair_counts.get(pair, 0) <= 0:
-                pair_counts.pop(pair, None)
+        for wi in pair_words.pop(best):
+            syms = words[wi]
+            if left not in syms:
+                continue
+            last = len(syms) - 1
+            out: list[int] = []
+            i = 0
+            while i < last:
+                if syms[i] == left and syms[i + 1] == right:
+                    if out:
+                        move(wi, out[-1] * V + left, out[-1] * V + new)
+                    if i + 2 <= last:
+                        move(wi, right * V + syms[i + 2], new * V + syms[i + 2])
+                    out.append(new)
+                    i += 2
+                else:
+                    out.append(syms[i])
+                    i += 1
+            if i == last:
+                out.append(syms[i])
+            words[wi] = out
+
+        del pair_counts[best]
+        touched.discard(best)
+        for key in touched:
+            if pair_counts[key]:
+                heapq.heappush(heap, entry(key))
             else:
-                push(pair)
+                del pair_counts[key]
+                pair_words.pop(key, None)
+        touched.clear()
 
     return Vocabulary(pieces=tuple(pieces), merges=tuple(merges))
 
@@ -285,6 +307,15 @@ def load_vocab(path: str | Path) -> Vocabulary:
 # Id layouts: where each language's source ids sit in the model id space
 
 
+def _ids_below(ids, size: int, kind: str, where: str) -> np.ndarray:
+    """``ids`` as int64; TokenizerError unless every one is in [0, size)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and not 0 <= ids.min() <= ids.max() < size:
+        raise TokenizerError(f"{kind} ids {ids.min()}..{ids.max()} are outside "
+                             f"[0, {size}) {where}")
+    return ids
+
+
 @dataclass(frozen=True)
 class IdLayout:
     """Per-language lookup tables into one model id space.
@@ -311,11 +342,8 @@ class IdLayout:
         """Remap a source-id sequence into the given language's model ids."""
         if not 0 <= language < self.n_languages:
             raise TokenizerError(f"language {language} out of range")
-        ids, lut = np.asarray(ids, dtype=np.int64), self.luts[language]
-        if ids.size and not 0 <= ids.min() <= ids.max() < len(lut):
-            raise TokenizerError(f"source ids {ids.min()}..{ids.max()} are outside "
-                                 f"[0, {len(lut)}) of language {language}")
-        return lut[ids]
+        lut = self.luts[language]
+        return lut[_ids_below(ids, len(lut), "source", f"of language {language}")]
 
     @cached_property
     def _inverse(self) -> np.ndarray:
@@ -327,7 +355,7 @@ class IdLayout:
     def to_base(self, ids: np.ndarray) -> np.ndarray:
         """Project model ids back to base ids (any language). Clone layouts
         only; the inverse table is built on the first call."""
-        return self._inverse[np.asarray(ids, dtype=np.int64)]
+        return self._inverse[_ids_below(ids, self.total_size, "model", "of the layout")]
 
     def duplicated_base_ids(self) -> np.ndarray:
         """Base ids that are not anchors. Clone layouts only."""

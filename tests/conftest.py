@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,39 @@ def tiny_vocab(tiny_store) -> tokenizer.Vocabulary:
 @pytest.fixture(scope="session")
 def tiny_stream(tiny_vocab, tiny_store) -> corpus.TokenStream:
     return tokenizer.tokenize_store(tiny_vocab, tiny_store)
+
+
+def oracle_bpe_merges(word_counts: dict[str, int], n_merges: int):
+    """Exhaustive pair-frequency recount after every merge; ties broken
+    lexicographically. Independent of the incremental trainer."""
+    words = {w: list(w) for w in word_counts}
+    merges = []
+    for _ in range(n_merges):
+        counts: dict[tuple[str, str], int] = {}
+        for w, syms in words.items():
+            for pair in zip(syms, syms[1:]):
+                counts[pair] = counts.get(pair, 0) + word_counts[w]
+        if not counts:
+            break
+        best = min(counts, key=lambda p: (-counts[p], p))
+        merges.append(best)
+        for w in words:
+            syms, out, i = words[w], [], 0
+            while i < len(syms):
+                if i + 1 < len(syms) and (syms[i], syms[i + 1]) == best:
+                    out.append(best[0] + best[1])
+                    i += 2
+                else:
+                    out.append(syms[i])
+                    i += 1
+            words[w] = out
+    return merges
+
+
+def pretoken_counts(documents) -> dict[str, int]:
+    """The marker-prefixed pretokens of the documents and their counts, the
+    oracle's input."""
+    return dict(Counter(tokenizer.MARKER + w for doc in documents for w in doc.split()))
 
 
 def make_vocab(n_pieces: int) -> tokenizer.Vocabulary:

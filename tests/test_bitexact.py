@@ -1,8 +1,9 @@
 """``tools/bitexact.py`` runs in every Tier-1 pass: it trains four small configs
 whole and resumed, and exits non-zero if the runs or their checkpoint files
-differ in any bit."""
+differ in any bit; its last line fingerprints BPE training and encoding."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,9 @@ def test_bitexact_tool_passes_and_prints_one_line_per_config():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 4
-    for line in lines:
+    assert len(lines) == 5
+    for line in lines[:4]:
         fields = line.split()
         assert [f.split("=")[0] for f in fields[1:]] == ["train", "eval", "ckpt20", "ckpt40"]
+    name, field = lines[4].split()
+    assert name == "bpe-two-alphabets" and re.fullmatch("bpe=[0-9a-f]{64}", field)

@@ -193,3 +193,16 @@ def test_token_stream_validates_boundaries():
             doc_boundaries=np.array([3], dtype=np.uint64),
             vocab_digest="0" * 64,
         )
+
+
+def test_token_stream_refuses_ids_outside_uint32():
+    # int64 -1 and 2**32 + 5 used to wrap to 4294967295 and 5; a list [-1] raised OverflowError
+    for ids, shown in ((np.array([-1, 2**32 + 5]), "-1..4294967301"), ([-1], "-1..-1"),
+                       ([7, 2**32], "7..4294967296")):
+        with pytest.raises(corpus.CorpusError, match=rf"token ids {shown} are outside \[0, 2\*\*32\)"):
+            corpus.TokenStream(ids=ids, doc_boundaries=[len(ids)], vocab_digest="0" * 64)
+    stream = corpus.TokenStream(ids=np.array([0, 2**32 - 1]), doc_boundaries=[2],
+                                vocab_digest="0" * 64)
+    assert stream.ids.dtype == np.uint32 and stream.ids.tolist() == [0, 2**32 - 1]
+    ids = np.array([3, 1], dtype=np.uint32)
+    assert corpus.TokenStream(ids=ids, doc_boundaries=[2], vocab_digest="0" * 64).ids is ids

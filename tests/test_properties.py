@@ -1,7 +1,7 @@
 """Property tests: the window layout, the vocabulary, token-stream and array
 file round trips, the one-block meaning of ``vocab_groups=None``, the bitwise
 equivariance of training and evaluation under clone permutations, the document
-join, the BPE round trip, role relabelling and the policy marginal."""
+join, BPE training against the recount oracle, the BPE round trip, role relabelling and the policy marginal."""
 
 import hashlib
 import math
@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from xlab import corpus, evaluator, mixer, model, tokenizer, util
 
-from conftest import make_model, make_vocab
+from conftest import make_model, make_vocab, oracle_bpe_merges, pretoken_counts
 
 FAST = settings(max_examples=40, deadline=None)
 WITH_TMP_PATH = settings(
@@ -258,6 +258,45 @@ def test_bpe_round_trip_on_the_training_alphabet(case):
     ids = tokenizer.encode(vocab, text)
     assert vocab.unk_id not in ids
     assert tokenizer.decode(vocab, ids) == " ".join(text.split())
+
+
+def _every_merge(text: str) -> list[tuple[str, str]]:
+    """Every merge the recount oracle finds in the text, in order."""
+    return oracle_bpe_merges(pretoken_counts([text]), len(text))
+
+
+@st.composite
+def bpe_training_cases(draw):
+    """Text over a 2-4 letter alphabet whose words repeat and include runs
+    like ``aaaa`` and ``abab``, and a merge count from 0 to two past the
+    oracle's last merge."""
+    alphabet = draw(st.sampled_from(["ab", "abc", "abcd"]))
+    letter = st.sampled_from(alphabet)
+    word = st.one_of(
+        st.text(alphabet=alphabet, min_size=1, max_size=8),
+        st.builds(lambda c, n: c * n, letter, st.integers(2, 9)),
+        st.builds(lambda a, b, n: (a + b) * n, letter, letter, st.integers(2, 5)),
+    )
+    words = draw(st.lists(st.tuples(word, st.integers(1, 4)), min_size=1, max_size=10))
+    text = " ".join(w for w, repeats in words for _ in range(repeats))
+    return text, draw(st.integers(0, len(_every_merge(text)) + 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bpe_training_cases())
+@example(("aaaa aaaa abab", 5))
+@example(("aaaaaaa abababab ba", 40))  # past exhaustion
+def test_bpe_training_matches_the_recount_oracle(case):
+    text, n_merges = case
+    every_merge = _every_merge(text)
+    store = corpus.DocumentStore.from_documents([text])
+    size = 2 + len(set(text) - {" "}) + n_merges
+    if n_merges > len(every_merge):
+        with pytest.raises(tokenizer.TokenizerError,
+                           match=f"corpus exhausted after {len(every_merge)} merges"):
+            tokenizer.train_bpe(store, size)
+    else:
+        assert tokenizer.train_bpe(store, size).merges == tuple(every_merge[:n_merges])
 
 
 @st.composite

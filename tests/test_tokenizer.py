@@ -9,34 +9,7 @@ from xlab import tokenizer
 from xlab.corpus import DocumentStore
 from xlab.tokenizer import MARKER
 
-from conftest import edit_array_file, make_vocab
-
-
-def oracle_bpe_merges(word_counts: dict[str, int], n_merges: int):
-    """Exhaustive pair-frequency recount after every merge; ties broken
-    lexicographically. Independent of the incremental trainer."""
-    words = {w: list(w) for w in word_counts}
-    merges = []
-    for _ in range(n_merges):
-        counts: dict[tuple[str, str], int] = {}
-        for w, syms in words.items():
-            for pair in zip(syms, syms[1:]):
-                counts[pair] = counts.get(pair, 0) + word_counts[w]
-        if not counts:
-            break
-        best = min(counts, key=lambda p: (-counts[p], p))
-        merges.append(best)
-        for w in words:
-            syms, out, i = words[w], [], 0
-            while i < len(syms):
-                if i + 1 < len(syms) and (syms[i], syms[i + 1]) == best:
-                    out.append(best[0] + best[1])
-                    i += 2
-                else:
-                    out.append(syms[i])
-                    i += 1
-            words[w] = out
-    return merges
+from conftest import edit_array_file, make_vocab, oracle_bpe_merges, pretoken_counts
 
 
 def test_single_merge_ab():
@@ -61,23 +34,15 @@ def test_vocab_size_below_alphabet_rejected():
 
 
 def test_first_merges_match_recount_oracle():
-    text = "low low lower"
-    store = DocumentStore.from_documents([text])
-    word_counts = {}
-    for w in text.split():
-        key = MARKER + w
-        word_counts[key] = word_counts.get(key, 0) + 1
+    store = DocumentStore.from_documents(["low low lower"])
+    word_counts = pretoken_counts(store.documents)
     base = 1 + len({c for w in word_counts for c in w} | {MARKER})
     vocab = tokenizer.train_bpe(store, vocab_size=base + 3)
     assert vocab.merges == tuple(oracle_bpe_merges(word_counts, 3))
 
 
 def test_longer_corpus_merges_match_recount_oracle(tiny_store):
-    word_counts = {}
-    for doc in tiny_store.documents:
-        for w in doc.split():
-            key = MARKER + w
-            word_counts[key] = word_counts.get(key, 0) + 1
+    word_counts = pretoken_counts(tiny_store.documents)
     base = 1 + len({c for w in word_counts for c in w} | {MARKER})
     vocab = tokenizer.train_bpe(tiny_store, vocab_size=base + 25)
     assert vocab.merges == tuple(oracle_bpe_merges(word_counts, 25))
@@ -248,6 +213,18 @@ def test_map_ids_refuses_ids_outside_the_language():
             cv.map_ids(np.array(ids), 1)
     assert np.array_equal(cv.map_ids([0, 23], 1), cv.luts[1][[0, 23]])
     assert cv.map_ids(np.empty(0, dtype=np.int64), 1).size == 0
+
+
+def test_to_base_refuses_ids_outside_the_layout():
+    # -1 used to project to base id 23, 42 to raise a bare IndexError
+    cv = tokenizer.clone_vocab(make_vocab(24), n_languages=2, anchor_fraction=0.25, seed=1)
+    assert cv.total_size == 42
+    for ids, shown in (([-1], "-1..-1"), ([3, 42], "3..42")):
+        with pytest.raises(tokenizer.TokenizerError,
+                           match=rf"model ids {shown} are outside \[0, 42\) of the layout"):
+            cv.to_base(np.array(ids))
+    assert np.array_equal(cv.to_base([0, 41]), cv._inverse[[0, 41]])
+    assert cv.to_base(np.empty(0, dtype=np.int64)).size == 0
 
 
 def test_to_base_builds_its_inverse_once():

@@ -10,12 +10,16 @@ the two runs, or their step-40 checkpoint files, differ in any bit. It then
 prints one line per config: the training fingerprint ``train=``, a SHA-256 over
 the losses, the per-step token counts and every parameter; the evaluation
 fingerprint ``eval=``, a SHA-256 over the ``per_language_eval`` perplexities; and
-the SHA-256 of the whole run's checkpoint files at steps 20 and 40.
+the SHA-256 of the whole run's checkpoint files at steps 20 and 40. A last
+line carries the tokenizer fingerprint ``bpe=``, a SHA-256 over the
+``vocab_digest`` and the ``tokenize_store`` ids of BPE trained on a small seeded
+Zipfian corpus in each of two alphabets.
 
 A change that claims to keep every floating-point operation, or the checkpoint
 bytes, must print the same lines as its parent; run the script in both
 checkouts and compare, or run it from one checkout with ``PYTHONPATH`` set to
-the other checkout's ``src``. A change to evaluation alone moves only ``eval=``.
+the other checkout's ``src``. A change to evaluation alone moves only ``eval=``,
+and one to BPE training or encoding only ``bpe=``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ SEPARATOR = 0
 STEPS = 40
 RESUME_AT = 20
 DOC_LENGTHS = (1, 2, 15, 16, 17, 40, 61, 130)
+BPE_ALPHABETS = ("abcdefgh", "αβγδεζηθ")
+BPE_VOCAB = 256
 
 # (name, dtype, tied, grouped, policy, anchor fraction)
 CONFIGS = (
@@ -93,10 +99,28 @@ def run(name, dtype, tied, grouped, policy, anchor_fraction, tmp: Path) -> str:
                                  for step, raw in files.items()])
 
 
+def bpe() -> str:
+    """For each alphabet, 30 documents of 100 words drawn Zipfian from 200
+    seeded words; a vocabulary of BPE_VOCAB pieces trained on them, and their ids."""
+    rng = np.random.default_rng(11)
+    fingerprint = hashlib.sha256()
+    for alphabet in BPE_ALPHABETS:
+        lexicon = ["".join(rng.choice(list(alphabet), size=n)) for n in rng.integers(1, 9, 200)]
+        p = 1 / np.arange(1, len(lexicon) + 1)
+        words = rng.choice(lexicon, size=3000, p=p / p.sum())
+        store = corpus.DocumentStore.from_documents(
+            " ".join(words[i : i + 100]) for i in range(0, len(words), 100))
+        vocab = tokenizer.train_bpe(store, BPE_VOCAB)
+        fingerprint.update(tokenizer.vocab_digest(vocab).encode())
+        fingerprint.update(tokenizer.tokenize_store(vocab, store).ids.astype("<u4"))
+    return f"bpe={fingerprint.hexdigest()}"
+
+
 def main() -> None:
     for spec in CONFIGS:
         with tempfile.TemporaryDirectory() as tmp:
             print(spec[0], run(*spec, Path(tmp)))
+    print("bpe-two-alphabets", bpe())
 
 
 if __name__ == "__main__":
