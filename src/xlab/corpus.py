@@ -130,6 +130,8 @@ class TokenStream:
         ids = self.ids
         if not (isinstance(ids, np.ndarray) and ids.dtype == np.uint32):
             ids = np.asarray(ids)
+            if ids.size and ids.dtype.kind not in "iu":
+                raise CorpusError(f"token ids must be integers, got dtype {ids.dtype}")
             if ids.size and not 0 <= ids.min() <= ids.max() < 2**32:
                 raise CorpusError(f"token ids {ids.min()}..{ids.max()} are outside [0, 2**32)")
         ids = np.ascontiguousarray(ids, dtype=np.uint32)

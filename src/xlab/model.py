@@ -80,11 +80,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
-        if self.n_layers < 0:
-            raise ValueError(f"n_layers must be >= 0, got {self.n_layers}")
-        for name in ("d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
+            value, least = getattr(self, name), 0 if name == "n_layers" else 1
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+        if type(self.tie_embeddings) is not bool:
+            raise ValueError(f"tie_embeddings must be a bool, got {self.tie_embeddings!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"

@@ -7,9 +7,12 @@ independently trained vocabularies side by side, or by merging them so that
 shared surface forms get one id.
 
 Pretokenization splits text on whitespace and prefixes every pretoken with a
-word-begin marker character. There is no byte fallback: a character never seen
-in training encodes to exactly one unk id. Vocabulary objects are immutable
-after training and safe to share across threads.
+word-begin marker character. BPE (Sennrich et al., arXiv:1508.07909) works on
+piece ids in training and in encoding alike: a word is a list of ids, and a
+pair of ids is the key ``left * len(pieces) + right``. There is no byte
+fallback: a character that is not a piece encodes to exactly one unk id, and
+no merge may be over the unk piece, so an unk id never merges. Vocabulary
+objects are immutable after training and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ class Vocabulary:
 
     Piece order defines ids: unk first, then the base alphabet in sorted
     order, then merge results in merge order. Every merge result is itself a
-    piece, and ``merges[k]`` produced piece ``n_base + k``.
+    piece, and ``merges[k]`` produced piece ``n_base + k``. Both sides of a
+    merge are pieces, and neither is the unk piece.
     """
 
     pieces: tuple[str, ...]
@@ -52,16 +56,21 @@ class Vocabulary:
     marker: str = MARKER
 
     def __post_init__(self):
-        if len(set(self.pieces)) != len(self.pieces):
+        pieces = set(self.pieces)
+        if len(pieces) != len(self.pieces):
             raise TokenizerError("vocabulary pieces must be unique")
         if not (0 <= self.unk_id < len(self.pieces) and self.marker):
             raise TokenizerError(f"unk_id {self.unk_id} must be one of {len(self.pieces)} "
                                  f"piece ids and the marker {self.marker!r} not empty")
+        unk = self.pieces[self.unk_id]
         n_base = len(self.pieces) - len(self.merges)
         for k, (left, right) in enumerate(self.merges):
             if n_base < 0 or self.pieces[n_base + k] != left + right:
                 raise TokenizerError(f"merge {k} {(left, right)!r} did not produce piece "
                                      f"{n_base + k}")
+            if unk in (left, right) or not {left, right} <= pieces:
+                raise TokenizerError(f"merge {k} {(left, right)!r} is over a string that is "
+                                     f"not a piece or is the unk piece {unk!r}")
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -71,8 +80,13 @@ class Vocabulary:
         return {p: i for i, p in enumerate(self.pieces)}
 
     @cached_property
-    def _merge_rank(self) -> dict[tuple[str, str], int]:
-        return {pair: r for r, pair in enumerate(self.merges)}
+    def _merged(self) -> dict[int, int]:
+        """Each merge's pair key, as training keys it, to the id of the piece
+        the merge produced; a smaller produced id is an earlier merge."""
+        ids, n = self._piece_to_id, len(self.pieces)
+        n_base = n - len(self.merges)
+        return {ids[left] * n + ids[right]: n_base + k
+                for k, (left, right) in enumerate(self.merges)}
 
     @cached_property
     def _word_encoder(self):
@@ -80,28 +94,12 @@ class Vocabulary:
         distinct words. It holds this vocabulary's tables, not the
         vocabulary, so no reference cycle keeps a dropped vocabulary and its
         cache alive until the cyclic garbage collector runs."""
-        return lru_cache(maxsize=WORD_CACHE_SIZE)(
-            partial(_encode_word, self.merges, self._merge_rank, self._piece_to_id, self.unk_id)
-        )
+        return lru_cache(maxsize=WORD_CACHE_SIZE)(partial(
+            _encode_word, self._merged, len(self.pieces), self._piece_to_id, self.unk_id))
 
 
 def _pretokenize(text: str, marker: str) -> list[str]:
     return [marker + w for w in text.split()]
-
-
-def _merge_symbols(syms: list[str], left: str, right: str) -> list[str]:
-    """Replace non-overlapping (left, right) adjacencies left-to-right."""
-    out = []
-    i = 0
-    n = len(syms)
-    while i < n:
-        if i + 1 < n and syms[i] == left and syms[i + 1] == right:
-            out.append(left + right)
-            i += 2
-        else:
-            out.append(syms[i])
-            i += 1
-    return out
 
 
 def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
@@ -119,7 +117,7 @@ def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
     pair of ids is the key ``left * vocab_size + right``; one table holds every
     pair's corpus count, another the words that may hold the pair, and a lazy
     max-heap the counts. A merge rewrites only the words indexed under its
-    pair, left to right without overlap as :func:`_merge_symbols` does. At each
+    pair, left to right without overlap, as encoding does. At each
     merge site it moves the word's count from ``(prev, left)`` to
     ``(prev, new)`` and from ``(right, next)`` to ``(new, next)``, and indexes
     the word under the new pairs. So one merge costs time in proportion to the
@@ -187,23 +185,15 @@ def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
             syms = words[wi]
             if left not in syms:
                 continue
-            last = len(syms) - 1
-            out: list[int] = []
             i = 0
-            while i < last:
+            while i < len(syms) - 1:
                 if syms[i] == left and syms[i + 1] == right:
-                    if out:
-                        move(wi, out[-1] * V + left, out[-1] * V + new)
-                    if i + 2 <= last:
+                    if i:
+                        move(wi, syms[i - 1] * V + left, syms[i - 1] * V + new)
+                    if i + 2 < len(syms):
                         move(wi, right * V + syms[i + 2], new * V + syms[i + 2])
-                    out.append(new)
-                    i += 2
-                else:
-                    out.append(syms[i])
-                    i += 1
-            if i == last:
-                out.append(syms[i])
-            words[wi] = out
+                    syms[i : i + 2] = [new]
+                i += 1
 
         del pair_counts[best]
         touched.discard(best)
@@ -218,20 +208,25 @@ def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
     return Vocabulary(pieces=tuple(pieces), merges=tuple(merges))
 
 
-def _encode_word(merges, rank, piece_to_id, unk_id, word: str) -> tuple[int, ...]:
-    syms = list(word)
+def _encode_word(merged, n, piece_to_id, unk_id, word: str) -> tuple[int, ...]:
+    """While a merge applies, merge the present pair of the smallest produced
+    id, left to right without overlap."""
+    syms = [piece_to_id.get(c, unk_id) for c in word]
     while len(syms) > 1:
-        best_rank = None
-        for pair in zip(syms, syms[1:]):
-            r = rank.get(pair)
-            if r is not None and (best_rank is None or r < best_rank):
-                best_rank = r
-        if best_rank is None:
+        best = None
+        for a, b in zip(syms, syms[1:]):
+            new = merged.get(a * n + b)
+            if new is not None and (best is None or new < best):
+                best, left, right = new, a, b
+        if best is None:
             break
-        left, right = merges[best_rank]
-        syms = _merge_symbols(syms, left, right)
+        i = 0
+        while i < len(syms) - 1:
+            if syms[i] == left and syms[i + 1] == right:
+                syms[i : i + 2] = [best]
+            i += 1
     # a tuple, so the cached result cannot be changed by a caller
-    return tuple([piece_to_id.get(s, unk_id) for s in syms])
+    return tuple(syms)
 
 
 def encode(vocab: Vocabulary, text: str) -> list[int]:

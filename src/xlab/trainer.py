@@ -145,7 +145,8 @@ class Adam:
 @dataclass
 class RunRecord:
     """Everything a finished (or interrupted) run reports about itself. Step
-    count and per-language token totals are derived, not stored."""
+    count and per-language token totals are derived, not stored. ``evals``
+    keys are strings, as a checkpoint's JSON header gives them back."""
 
     seed: int
     config_digest: str
@@ -366,6 +367,10 @@ def train(
         for at, fn in eval_hooks:
             if at == steps_done:
                 fn(state, steps_done, record)
+        bad = [k for k in record.evals if type(k) is not str]
+        if bad:
+            raise ValueError(f"record.evals key {bad[0]!r} after the hooks of step "
+                             f"{steps_done} is not a str")
         if out is not None and (steps_done == config.total_steps or config.checkpoint_every
                                 and steps_done % config.checkpoint_every == 0):
             path = out / f"checkpoint_{steps_done:07d}.xlck"

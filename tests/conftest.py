@@ -59,6 +59,44 @@ def pretoken_counts(documents) -> dict[str, int]:
     return dict(Counter(tokenizer.MARKER + w for doc in documents for w in doc.split()))
 
 
+def merge_symbols(syms: list[str], left: str, right: str) -> list[str]:
+    """Replace non-overlapping (left, right) adjacencies left-to-right."""
+    out = []
+    i = 0
+    n = len(syms)
+    while i < n:
+        if i + 1 < n and syms[i] == left and syms[i + 1] == right:
+            out.append(left + right)
+            i += 2
+        else:
+            out.append(syms[i])
+            i += 1
+    return out
+
+
+def reference_encode(vocab: tokenizer.Vocabulary, text: str) -> list[int]:
+    """BPE encoding on piece strings, independent of the id encoder: within
+    each pretoken the present merge of the lowest rank joins its strings, and
+    the final strings map to ids, unk for one that is not a piece."""
+    rank = {pair: r for r, pair in enumerate(vocab.merges)}
+    piece_to_id = {p: i for i, p in enumerate(vocab.pieces)}
+    ids = []
+    for word in text.split():
+        syms = list(vocab.marker + word)
+        while len(syms) > 1:
+            best_rank = None
+            for pair in zip(syms, syms[1:]):
+                r = rank.get(pair)
+                if r is not None and (best_rank is None or r < best_rank):
+                    best_rank = r
+            if best_rank is None:
+                break
+            left, right = vocab.merges[best_rank]
+            syms = merge_symbols(syms, left, right)
+        ids.extend(piece_to_id.get(s, vocab.unk_id) for s in syms)
+    return ids
+
+
 def make_vocab(n_pieces: int) -> tokenizer.Vocabulary:
     """A synthetic vocabulary of n unique single/multi-char pieces, no merges."""
     pieces = ["<unk>"] + [f"p{i}" for i in range(n_pieces - 1)]

@@ -206,3 +206,15 @@ def test_token_stream_refuses_ids_outside_uint32():
     assert stream.ids.dtype == np.uint32 and stream.ids.tolist() == [0, 2**32 - 1]
     ids = np.array([3, 1], dtype=np.uint32)
     assert corpus.TokenStream(ids=ids, doc_boundaries=[2], vocab_digest="0" * 64).ids is ids
+
+
+def test_token_stream_refuses_ids_that_are_not_integers():
+    # float ids 1.5 and 2.7 used to be stored as 1 and 2
+    for ids in (np.array([1.5, 2.7]), [1.0, 2.0], np.array([True, False])):
+        with pytest.raises(corpus.CorpusError, match="token ids must be integers, got dtype"):
+            corpus.TokenStream(ids=ids, doc_boundaries=[2], vocab_digest="0" * 64)
+    empty = corpus.TokenStream(ids=[], doc_boundaries=[], vocab_digest="0" * 64)
+    assert empty.ids.dtype == np.uint32 and len(empty) == 0
+    stream = corpus.TokenStream(ids=np.array([1, 2], dtype=np.int8), doc_boundaries=[2],
+                                vocab_digest="0" * 64)
+    assert stream.ids.dtype == np.uint32 and stream.ids.tolist() == [1, 2]

@@ -715,6 +715,9 @@ _GOOD_CONFIG = dict(n_layers=1, d_model=8, n_heads=2, d_ff=16, vocab_size=5, max
 @pytest.mark.parametrize("field, value", [
     ("dtype", "int64"), ("dtype", "float16"), ("n_layers", -1), ("d_model", 0),
     ("n_heads", 0), ("d_ff", 0), ("vocab_size", 0), ("max_seq_len", 0),
+    # a float size used to load and fail in forward, "false" to load as a tied model
+    ("d_model", 16.0), ("n_layers", True), ("vocab_size", "5"), ("max_seq_len", None),
+    ("tie_embeddings", "false"), ("tie_embeddings", 0),
 ])
 def test_config_rejects_what_it_cannot_run(tmp_path, field, value):
     with pytest.raises(ValueError, match=field):

@@ -1,7 +1,8 @@
 """Property tests: the window layout, the vocabulary, token-stream and array
 file round trips, the one-block meaning of ``vocab_groups=None``, the bitwise
 equivariance of training and evaluation under clone permutations, the document
-join, BPE training against the recount oracle, the BPE round trip, role relabelling and the policy marginal."""
+join, BPE training against the recount oracle, BPE encoding against the string
+reference, the BPE round trip, role relabelling and the policy marginal."""
 
 import hashlib
 import math
@@ -14,7 +15,8 @@ from hypothesis.extra import numpy as hnp
 
 from xlab import corpus, evaluator, mixer, model, tokenizer, util
 
-from conftest import make_model, make_vocab, oracle_bpe_merges, pretoken_counts
+from conftest import (make_model, make_vocab, oracle_bpe_merges, pretoken_counts,
+                      reference_encode)
 
 FAST = settings(max_examples=40, deadline=None)
 WITH_TMP_PATH = settings(
@@ -45,16 +47,21 @@ _PIECE = st.text(st.characters() | st.sampled_from("\t\n\r "), min_size=1, max_s
 
 
 @st.composite
-def vocabularies(draw):
-    pieces = draw(st.lists(_PIECE, min_size=1, max_size=12, unique=True))
+def vocabularies(draw, piece=_PIECE):
+    """The unk piece is drawn first, and no merge is over it. The merges come
+    in any order, so a merge may be over a piece that a later merge makes."""
+    pieces = draw(st.lists(piece, min_size=1, max_size=12, unique=True))
+    n_base, unk_id = len(pieces), draw(st.integers(0, len(pieces) - 1))
     merges = []
-    for _ in range(draw(st.integers(0, 8))):
-        left, right = draw(st.sampled_from(pieces)), draw(st.sampled_from(pieces))
+    for _ in range(draw(st.integers(0, 8)) if n_base > 1 else 0):
+        sides = st.sampled_from(pieces[:unk_id] + pieces[unk_id + 1 :])
+        left, right = draw(sides), draw(sides)
         if left + right not in pieces:
             pieces.append(left + right)
             merges.append((left, right))
-    return tokenizer.Vocabulary(pieces=tuple(pieces), merges=tuple(merges),
-                                unk_id=draw(st.integers(0, len(pieces) - 1)), marker=draw(_PIECE))
+    merges = draw(st.permutations(merges))
+    return tokenizer.Vocabulary(pieces=tuple(pieces[:n_base]) + tuple(a + b for a, b in merges),
+                                merges=tuple(merges), unk_id=unk_id, marker=draw(piece))
 
 
 @WITH_TMP_PATH
@@ -65,6 +72,32 @@ def test_vocab_file_roundtrip_is_exact(tmp_path, vocab):
     back = tokenizer.load_vocab(path)
     assert back == vocab
     assert tokenizer.vocab_digest(back) == tokenizer.vocab_digest(vocab)
+
+
+# base pieces of one letter each, so that drawn merges chain and apply to drawn text
+_LETTER = st.sampled_from("ab▁c")
+
+
+@st.composite
+def vocabularies_and_texts(draw):
+    """A drawn vocabulary, and text of its pieces, their characters, characters
+    outside them and whitespace."""
+    vocab = draw(st.one_of(vocabularies(), vocabularies(_LETTER)))
+    inside = sorted({c for p in (*vocab.pieces, vocab.marker) for c in p})
+    chunk = (st.sampled_from(vocab.pieces) | st.sampled_from(inside) | st.characters()
+             | st.sampled_from(" \n"))
+    return vocab, "".join(draw(st.lists(chunk, max_size=30)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vocabularies_and_texts())
+# merge 0 is over the piece merge 1 makes: every site of merge 1 goes in one
+# pass, so "abab" is "ab" "ab", not "aba" "b"
+@example((tokenizer.Vocabulary(("<unk>", "a", "b", "aba", "ab"), (("ab", "a"), ("a", "b")),
+                               marker="b"), "abab x"))
+def test_encode_matches_the_string_reference(case):
+    vocab, text = case
+    assert tokenizer.encode(vocab, text) == reference_encode(vocab, text)
 
 
 @st.composite

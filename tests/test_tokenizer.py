@@ -132,6 +132,21 @@ def test_load_vocab_checks_unk_id_marker_and_types(tmp_path, edit, match):
         tokenizer.load_vocab(p)
 
 
+def test_a_merge_over_a_non_piece_or_the_unk_piece_is_refused(tmp_path):
+    # under an id encoder, such a merge would join unseen characters
+    match = "is over a string that is not a piece or is the unk piece"
+    for pieces, merges, unk_id in [(("<unk>", "a", "b", "ab"), (("a", "b"),), 1),
+                                   (("<unk>", "a", "ab"), (("a", "b"),), 0),
+                                   (("a", "<unk>", "<unk>a"), (("<unk>", "a"),), 1)]:
+        with pytest.raises(tokenizer.TokenizerError, match=f"merge 0 .* {match}"):
+            tokenizer.Vocabulary(pieces, merges, unk_id)
+    for edit in (lambda fields: fields.update(unk_id=1),  # "a" is the unk piece
+                 lambda fields: fields["pieces"].__setitem__(2, "c")):  # "b" is no piece
+        p = _saved_vocab(tmp_path, edit)
+        with pytest.raises(tokenizer.TokenizerError, match=rf"{p}: merge 0 \('a', 'b'\) {match}"):
+            tokenizer.load_vocab(p)
+
+
 def test_word_cache_is_bounded():
     vocab = tokenizer.Vocabulary(pieces=("<unk>", MARKER, "w", "0", "1"), merges=())
     n_words = tokenizer.WORD_CACHE_SIZE + 100

@@ -393,6 +393,27 @@ def test_evals_at_a_checkpoint_step_survive_resume(tmp_path):
     assert resumed.evals == full.evals
 
 
+def test_an_evals_key_that_is_not_a_str_fails_whole_and_resumed_runs_alike(tmp_path):
+    # a resumed run used to fail with a bare TypeError from json.dumps, as its
+    # record held the key "3" from the checkpoint beside the hook's int 6
+    cfg = trainer.TrainConfig(total_steps=6, batch_size=4, seq_len=16,
+                              warmup_steps=1, seed=2, checkpoint_every=3)
+
+    def record_step(key):
+        return lambda state, steps_done, record: record.evals.update({key(steps_done): {}})
+
+    match = "record.evals key 6 after the hooks of step 6 is not a str"
+    hooks = [(3, record_step(str)), (6, record_step(int))]
+    for resume in (None, tmp_path / "full" / "checkpoint_0000003.xlck"):
+        st, src, _, _ = small_setup(seed=2, batch_size=4)
+        with pytest.raises(ValueError, match=match):
+            trainer.train(st, src, cfg, eval_hooks=hooks, out_dir=tmp_path / "full",
+                          resume_from=resume)
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    with pytest.raises(ValueError, match="record.evals key 3 after the hooks of step 3"):
+        trainer.train(st, src, cfg, eval_hooks=[(3, record_step(int))])
+
+
 def _two_cursor_setup(seed):
     """A real-pair source: two corpora of 10 ids each, side by side."""
     streams = [markov_stream(1500, 10, seed=seed + k)[0] for k in range(2)]

@@ -13,7 +13,9 @@ fingerprint ``eval=``, a SHA-256 over the ``per_language_eval`` perplexities; an
 the SHA-256 of the whole run's checkpoint files at steps 20 and 40. A last
 line carries the tokenizer fingerprint ``bpe=``, a SHA-256 over the
 ``vocab_digest`` and the ``tokenize_store`` ids of BPE trained on a small seeded
-Zipfian corpus in each of two alphabets.
+Zipfian corpus in each of two alphabets, and over the ``encode`` ids of a
+held-out line with characters outside the alphabet and a word of the other one,
+which pin down the unk ids.
 
 A change that claims to keep every floating-point operation, or the checkpoint
 bytes, must print the same lines as its parent; run the script in both
@@ -101,10 +103,11 @@ def run(name, dtype, tied, grouped, policy, anchor_fraction, tmp: Path) -> str:
 
 def bpe() -> str:
     """For each alphabet, 30 documents of 100 words drawn Zipfian from 200
-    seeded words; a vocabulary of BPE_VOCAB pieces trained on them, and their ids."""
+    seeded words; a vocabulary of BPE_VOCAB pieces trained on them, their ids,
+    and the ids of a held-out line."""
     rng = np.random.default_rng(11)
     fingerprint = hashlib.sha256()
-    for alphabet in BPE_ALPHABETS:
+    for alphabet, other in zip(BPE_ALPHABETS, BPE_ALPHABETS[::-1]):
         lexicon = ["".join(rng.choice(list(alphabet), size=n)) for n in rng.integers(1, 9, 200)]
         p = 1 / np.arange(1, len(lexicon) + 1)
         words = rng.choice(lexicon, size=3000, p=p / p.sum())
@@ -113,6 +116,8 @@ def bpe() -> str:
         vocab = tokenizer.train_bpe(store, BPE_VOCAB)
         fingerprint.update(tokenizer.vocab_digest(vocab).encode())
         fingerprint.update(tokenizer.tokenize_store(vocab, store).ids.astype("<u4"))
+        held_out = f"{lexicon[0]}z{lexicon[1]} {other} 9{lexicon[2]}! {lexicon[3]}{other[0]}é"
+        fingerprint.update(np.asarray(tokenizer.encode(vocab, held_out), dtype="<u4"))
     return f"bpe={fingerprint.hexdigest()}"
 
 
