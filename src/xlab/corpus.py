@@ -39,17 +39,16 @@ def _digest_documents(documents: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class DocumentStore:
-    """Ordered UTF-8 documents plus a content digest.
+    """Ordered UTF-8 documents plus ``source_id``, the digest the store computes.
 
     The digest changes iff any document byte (or the document order) changes.
     """
 
     documents: tuple[str, ...]
-    source_id: str = field(default="")
+    source_id: str = field(init=False)
 
     def __post_init__(self):
-        if not self.source_id:
-            object.__setattr__(self, "source_id", _digest_documents(self.documents))
+        object.__setattr__(self, "source_id", _digest_documents(self.documents))
 
     @classmethod
     def from_documents(cls, documents: Iterable[str]) -> "DocumentStore":
@@ -113,6 +112,19 @@ def split(
     return train, test
 
 
+def _unsigned(values, dtype, what: str) -> np.ndarray:
+    """``values`` as a contiguous array of the unsigned ``dtype``; CorpusError
+    unless they are integers in its range. An array of ``dtype`` is not scanned."""
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype):
+        values = np.asarray(values)
+        bits = 8 * np.dtype(dtype).itemsize
+        if values.size and values.dtype.kind not in "iu":
+            raise CorpusError(f"{what} must be integers, got dtype {values.dtype}")
+        if values.size and not 0 <= values.min() <= int(values.max()) < 2**bits:
+            raise CorpusError(f"{what} {values.min()}..{values.max()} are outside [0, 2**{bits})")
+    return np.ascontiguousarray(values, dtype=dtype)
+
+
 @dataclass(frozen=True)
 class TokenStream:
     """A flat sequence of token ids with document boundaries.
@@ -127,15 +139,8 @@ class TokenStream:
     vocab_digest: str
 
     def __post_init__(self):
-        ids = self.ids
-        if not (isinstance(ids, np.ndarray) and ids.dtype == np.uint32):
-            ids = np.asarray(ids)
-            if ids.size and ids.dtype.kind not in "iu":
-                raise CorpusError(f"token ids must be integers, got dtype {ids.dtype}")
-            if ids.size and not 0 <= ids.min() <= ids.max() < 2**32:
-                raise CorpusError(f"token ids {ids.min()}..{ids.max()} are outside [0, 2**32)")
-        ids = np.ascontiguousarray(ids, dtype=np.uint32)
-        bounds = np.ascontiguousarray(self.doc_boundaries, dtype=np.uint64)
+        ids = _unsigned(self.ids, np.uint32, "token ids")
+        bounds = _unsigned(self.doc_boundaries, np.uint64, "doc_boundaries")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "doc_boundaries", bounds)
         if len(bounds) == 0:

@@ -2,9 +2,9 @@
 metrics derived from them.
 
 The fitted form is ``ppl(t) = a * t**(-b) + c`` with a > 0, b > 0 and an
-additive floor c (clamped to >= 1; c = 0 available as the pure form). The
-fit minimizes squared error in log-ppl space. It is solved by a deterministic
-grid over b with a closed-form weighted linear least-squares solve for (a, c)
+additive floor c, clamped to >= 1 (no perplexity is below 1). The fit
+minimizes squared error in log-ppl space. It is solved by a deterministic grid
+over b with a closed-form weighted linear least-squares solve for (a, c)
 at each b (weights 1/ppl^2, the delta-method approximation of log residuals),
 followed by Brent's bounded refinement of b (``scipy.optimize.minimize_scalar``)
 between the grid neighbours of the best cell.
@@ -78,41 +78,36 @@ class ScalingFit:
             raise FitError(f"{path}: bad scaling fit ({e})") from e
 
 
-def _solve_ac(u: np.ndarray, p: np.ndarray, w: np.ndarray, floor: bool):
-    """Weighted least squares for (a, c) in p ~ a*u + c along u's last axis;
-    c clamped to the floor (1.0) or fixed at 0 for the pure form. Returns
-    (a, c) with a NaN where no a > 0 fits."""
+def _solve_ac(u: np.ndarray, p: np.ndarray, w: np.ndarray):
+    """Weighted least squares for (a, c) in p ~ a*u + c along u's last axis,
+    c clamped to >= 1. Returns (a, c) with a NaN where no a > 0 fits."""
     swuu = (w * u * u).sum(axis=-1)
-    if floor:
-        sw, swu = w.sum(), (w * u).sum(axis=-1)
-        swp, swup = (w * p).sum(), (w * u * p).sum(axis=-1)
-        det = swuu * sw - swu * swu
-        a = (swup * sw - swp * swu) / det
-        c = (swuu * swp - swu * swup) / det
-        low = c < 1.0
-        c = np.where(low, 1.0, c)
-        a = np.where(low, (w * u * (p - 1.0)).sum(axis=-1) / np.maximum(swuu, 1e-300), a)
-        a = np.where(det > 0, a, np.nan)
-    else:
-        c = np.zeros_like(swuu)
-        a = (w * u * p).sum(axis=-1) / np.maximum(swuu, 1e-300)
+    sw, swu = w.sum(), (w * u).sum(axis=-1)
+    swp, swup = (w * p).sum(), (w * u * p).sum(axis=-1)
+    det = swuu * sw - swu * swu
+    a = (swup * sw - swp * swu) / det
+    c = (swuu * swp - swu * swup) / det
+    low = c < 1.0
+    c = np.where(low, 1.0, c)
+    a = np.where(low, (w * u * (p - 1.0)).sum(axis=-1) / np.maximum(swuu, 1e-300), a)
+    a = np.where(det > 0, a, np.nan)
     return np.where(np.isfinite(a) & (a > 0), a, np.nan), c
 
 
-def _log_objective(t: np.ndarray, p: np.ndarray, b, floor: bool):
+def _log_objective(t: np.ndarray, p: np.ndarray, b):
     """(residual, a, c) of the best fit at each exponent of the array ``b``;
     the residual is inf and a NaN where no fit with a > 0 exists."""
     u = t ** -np.asarray(b)[..., None]
     # the rows that divide by zero or take the log of a non-positive are masked
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a, c = _solve_ac(u, p, 1.0 / p**2, floor)
+        a, c = _solve_ac(u, p, 1.0 / p**2)
         pred = a[..., None] * u + c[..., None]
         resid = ((np.log(pred) - np.log(p)) ** 2).sum(axis=-1)
     ok = ~np.isnan(a) & ~np.any(pred <= 0, axis=-1)
     return np.where(ok, resid, np.inf), np.where(ok, a, np.nan), c
 
 
-def fit_power_law(points: Sequence[tuple[float, float]], floor: bool = True) -> ScalingFit:
+def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     """Fit ppl(t) = a*t^(-b) + c to >= 3 (tokens, ppl) points.
 
     The observed perplexities must be strictly decreasing in tokens (after
@@ -128,7 +123,7 @@ def fit_power_law(points: Sequence[tuple[float, float]], floor: bool = True) -> 
         raise FitError("token counts must be positive and perplexities > 1")
 
     grid = np.arange(B_MIN, B_MAX + B_STEP / 2, B_STEP)
-    scores = _log_objective(t, p, grid, floor)[0]
+    scores = _log_objective(t, p, grid)[0]
     best_i = int(np.argmin(scores))
 
     if np.any(np.diff(p) >= 0):
@@ -138,9 +133,9 @@ def fit_power_law(points: Sequence[tuple[float, float]], floor: bool = True) -> 
         raise FitError("no feasible fit with a > 0 on the search grid")
 
     bracket = grid[max(best_i - 1, 0)], grid[min(best_i + 1, len(grid) - 1)]
-    b = minimize_scalar(lambda x: float(_log_objective(t, p, x, floor)[0]), bounds=bracket,
+    b = minimize_scalar(lambda x: float(_log_objective(t, p, x)[0]), bounds=bracket,
                         method="bounded", options={"xatol": 1e-10}).x
-    resid, a, c = _log_objective(t, p, b, floor)
+    resid, a, c = _log_objective(t, p, b)
     if np.isnan(a):
         raise FitError("no feasible fit with a > 0 after refinement")
     return ScalingFit(a=float(a), b=b, c=float(c), residual=float(resid),

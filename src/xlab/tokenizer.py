@@ -22,7 +22,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -44,24 +44,22 @@ class TokenizerError(ValueError):
 class Vocabulary:
     """An ordered piece list plus the merge rules that produced it.
 
-    Piece order defines ids: unk first, then the base alphabet in sorted
-    order, then merge results in merge order. Every merge result is itself a
-    piece, and ``merges[k]`` produced piece ``n_base + k``. Both sides of a
-    merge are pieces, and neither is the unk piece.
+    Piece order defines ids: the unk piece first (``unk_id`` is 0 for every
+    vocabulary), then the base alphabet in sorted order, then merge results in
+    merge order. Every merge result is itself a piece, and ``merges[k]``
+    produced piece ``n_base + k``. Both sides of a merge are pieces, and
+    neither is the unk piece. Every pretoken begins with ``marker``.
     """
 
     pieces: tuple[str, ...]
     merges: tuple[tuple[str, str], ...]
-    unk_id: int = 0
-    marker: str = MARKER
+    unk_id: ClassVar[int] = 0
+    marker: ClassVar[str] = MARKER
 
     def __post_init__(self):
         pieces = set(self.pieces)
-        if len(pieces) != len(self.pieces):
-            raise TokenizerError("vocabulary pieces must be unique")
-        if not (0 <= self.unk_id < len(self.pieces) and self.marker):
-            raise TokenizerError(f"unk_id {self.unk_id} must be one of {len(self.pieces)} "
-                                 f"piece ids and the marker {self.marker!r} not empty")
+        if not pieces or len(pieces) != len(self.pieces):
+            raise TokenizerError("vocabulary pieces must be unique and begin with the unk piece")
         unk = self.pieces[self.unk_id]
         n_base = len(self.pieces) - len(self.merges)
         for k, (left, right) in enumerate(self.merges):
@@ -96,10 +94,6 @@ class Vocabulary:
         cache alive until the cyclic garbage collector runs."""
         return lru_cache(maxsize=WORD_CACHE_SIZE)(partial(
             _encode_word, self._merged, len(self.pieces), self._piece_to_id, self.unk_id))
-
-
-def _pretokenize(text: str, marker: str) -> list[str]:
-    return [marker + w for w in text.split()]
 
 
 def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
@@ -233,8 +227,8 @@ def encode(vocab: Vocabulary, text: str) -> list[int]:
     """Greedy BPE encoding: merges apply in training order within each
     marker-prefixed pretoken; unseen characters map to unk, one id each."""
     ids: list[int] = []
-    for word in _pretokenize(text, vocab.marker):
-        ids.extend(vocab._word_encoder(word))
+    for word in text.split():
+        ids.extend(vocab._word_encoder(MARKER + word))
     return ids
 
 
@@ -247,10 +241,11 @@ def decode(vocab: Vocabulary, ids: Sequence[int]) -> str:
         if not 0 <= int(i) < n:
             raise TokenizerError(f"id {i} out of range for vocabulary of size {n}")
         out.append(vocab.pieces[int(i)])
-    return "".join(out).replace(vocab.marker, " ").lstrip(" ")
+    return "".join(out).replace(MARKER, " ").lstrip(" ")
 
 
 def _vocab_fields(vocab: Vocabulary) -> dict:
+    # with the constants unk_id and marker, so digests and files keep their bytes
     return {"pieces": vocab.pieces, "merges": vocab.merges, "unk_id": vocab.unk_id,
             "marker": vocab.marker}
 
@@ -292,8 +287,11 @@ def load_vocab(path: str | Path) -> Vocabulary:
             and type(unk_id) is int):
         raise TokenizerError(f"{path}: the pieces and marker must be strings, each merge two "
                              "pieces and unk_id an int")
+    if (unk_id, marker) != (Vocabulary.unk_id, Vocabulary.marker):
+        raise TokenizerError(f"{path}: unk_id {unk_id} and marker {marker!r} are not "
+                             f"{Vocabulary.unk_id} and {Vocabulary.marker!r}")
     try:
-        return Vocabulary(tuple(pieces), tuple(map(tuple, merges)), unk_id, marker)
+        return Vocabulary(tuple(pieces), tuple(map(tuple, merges)))
     except TokenizerError as e:
         raise TokenizerError(f"{path}: {e}") from e
 
@@ -322,16 +320,20 @@ class IdLayout:
     the copy of duplicated index j in language n sitting at ``A + n*D + j``
     where D = |base| - A. A real layout (:func:`disjoint_layout`,
     ``merge_vocabs(...).layout``) maps separately trained vocabularies and has
-    no ``anchor_ids``.
+    no ``anchor_ids``. ``total_size``, the size of the model id space, is one
+    past the largest id of any table.
     """
 
     luts: tuple[np.ndarray, ...]  # int64, one per language
-    total_size: int
     anchor_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @property
     def n_languages(self) -> int:
         return len(self.luts)
+
+    @cached_property
+    def total_size(self) -> int:
+        return max((int(lut.max()) + 1 for lut in self.luts if lut.size), default=0)
 
     def map_ids(self, ids: np.ndarray, language: int) -> np.ndarray:
         """Remap a source-id sequence into the given language's model ids."""
@@ -342,6 +344,7 @@ class IdLayout:
 
     @cached_property
     def _inverse(self) -> np.ndarray:
+        self.language_slices()  # a clone layout's tables tile the id space
         inv = np.empty(self.total_size, dtype=np.int64)
         for lut in self.luts:
             inv[lut] = np.arange(len(lut))
@@ -349,11 +352,13 @@ class IdLayout:
 
     def to_base(self, ids: np.ndarray) -> np.ndarray:
         """Project model ids back to base ids (any language). Clone layouts
-        only; the inverse table is built on the first call."""
+        only: the first call checks the layout as :meth:`language_slices`
+        does and builds the inverse table."""
         return self._inverse[_ids_below(ids, self.total_size, "model", "of the layout")]
 
     def duplicated_base_ids(self) -> np.ndarray:
-        """Base ids that are not anchors. Clone layouts only."""
+        """Base ids that are not anchors. Clone layouts only (:meth:`language_slices`)."""
+        self.language_slices()
         mask = np.ones(len(self.luts[0]), dtype=bool)
         mask[self.anchor_ids] = False
         return np.nonzero(mask)[0]
@@ -379,41 +384,25 @@ def clone_vocab(
     n_languages: int,
     anchor_fraction: float = 0.0,
     seed: int = 0,
-    selection: str = "uniform",
-    counts: np.ndarray | None = None,
 ) -> IdLayout:
     """Clone a vocabulary into ``n_languages`` blocks sharing
-    ``floor(anchor_fraction * |base|)`` anchors.
-
-    Anchors are chosen uniformly at random (seeded) by default;
-    ``selection="frequency"`` instead anchors the most frequent base ids and
-    requires per-id ``counts``.
-    """
+    ``floor(anchor_fraction * |base|)`` anchors, chosen uniformly at random
+    under ``seed``."""
     if n_languages < 1:
         raise TokenizerError("n_languages must be >= 1")
     if not 0 <= anchor_fraction <= 1:
         raise TokenizerError(f"anchor_fraction must be in [0, 1], got {anchor_fraction}")
     n_base = len(vocab)
     n_anchor = int(np.floor(anchor_fraction * n_base))
-    if selection == "uniform":
-        rng = np.random.default_rng(seed)
-        anchor_ids = np.sort(rng.choice(n_base, size=n_anchor, replace=False))
-    elif selection == "frequency":
-        if counts is None:
-            raise TokenizerError("frequency-stratified selection requires counts")
-        order = np.lexsort((np.arange(n_base), -np.asarray(counts)))
-        anchor_ids = np.sort(order[:n_anchor])
-    else:
-        raise TokenizerError(f"unknown anchor selection {selection!r}")
+    rng = np.random.default_rng(seed)
+    anchor_ids = np.sort(rng.choice(n_base, size=n_anchor, replace=False))
     dup_ids = np.setdiff1d(np.arange(n_base), anchor_ids)
     a, d = len(anchor_ids), len(dup_ids)
     lut = np.empty((n_languages, n_base), dtype=np.int64)
     lut[:, anchor_ids] = np.arange(a)
     for n in range(n_languages):
         lut[n, dup_ids] = a + n * d + np.arange(d)
-    return IdLayout(
-        luts=tuple(lut), total_size=a + n_languages * d, anchor_ids=anchor_ids.astype(np.int64)
-    )
+    return IdLayout(luts=tuple(lut), anchor_ids=anchor_ids.astype(np.int64))
 
 
 def relabel(layout: IdLayout, permutation: Sequence[int]) -> IdLayout:
@@ -431,11 +420,8 @@ def relabel(layout: IdLayout, permutation: Sequence[int]) -> IdLayout:
 def disjoint_layout(sizes: Sequence[int]) -> IdLayout:
     """Separately trained vocabularies side by side: language n's ids are
     offset by the sizes of the languages before it."""
-    luts, offset = [], 0
-    for size in sizes:
-        luts.append(np.arange(offset, offset + size, dtype=np.int64))
-        offset += size
-    return IdLayout(luts=tuple(luts), total_size=offset)
+    offsets = np.cumsum([0, *sizes])
+    return IdLayout(tuple(np.arange(o, o + n, dtype=np.int64) for o, n in zip(offsets, sizes)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +443,6 @@ class MergedVocabulary:
 
 
 def merge_vocabs(vocab_a: Vocabulary, vocab_b: Vocabulary) -> MergedVocabulary:
-    if vocab_a.marker != vocab_b.marker:
-        raise TokenizerError(
-            f"incompatible word-begin markers: {vocab_a.marker!r} vs {vocab_b.marker!r}"
-        )
     shared = frozenset(vocab_a.pieces) & frozenset(vocab_b.pieces)
     pieces = list(vocab_a.pieces)
     index = {p: i for i, p in enumerate(pieces)}
@@ -472,6 +454,4 @@ def merge_vocabs(vocab_a: Vocabulary, vocab_b: Vocabulary) -> MergedVocabulary:
         np.arange(len(vocab_a.pieces), dtype=np.int64),
         np.asarray([index[p] for p in vocab_b.pieces], dtype=np.int64),
     )
-    return MergedVocabulary(
-        shared=shared, pieces=tuple(pieces), layout=IdLayout(luts=luts, total_size=len(pieces))
-    )
+    return MergedVocabulary(shared=shared, pieces=tuple(pieces), layout=IdLayout(luts=luts))

@@ -146,7 +146,8 @@ class Adam:
 class RunRecord:
     """Everything a finished (or interrupted) run reports about itself. Step
     count and per-language token totals are derived, not stored. ``evals``
-    keys are strings, as a checkpoint's JSON header gives them back."""
+    holds only what a checkpoint's JSON header gives back unchanged: see
+    :func:`_reads_back`."""
 
     seed: int
     config_digest: str
@@ -288,6 +289,19 @@ def _clip_gradients(grads, clip: float, vocab_groups: VocabGroups | None) -> flo
     return norm
 
 
+def _reads_back(value) -> bool:
+    """Whether JSON gives ``value`` back unchanged: a str, int, bool, None or
+    finite float, or a list or str-keyed dict of these."""
+    if value is None or type(value) in (str, int, bool):
+        return True
+    if type(value) is float:
+        return math.isfinite(value)
+    if type(value) is list:
+        return all(map(_reads_back, value))
+    return type(value) is dict and all(type(k) is str and _reads_back(v)
+                                        for k, v in value.items())
+
+
 def _keep_freed_memory() -> None:
     """Have glibc keep freed memory for the process (arrays up to 32 MiB from its
     heap, no trimming); by default it returns the free top of the heap to the OS,
@@ -364,13 +378,16 @@ def train(
         record.step_lang_tokens.append(tokens.tolist())
         steps_done = step + 1
         # hooks first, so what they record is in this step's checkpoint
-        for at, fn in eval_hooks:
-            if at == steps_done:
-                fn(state, steps_done, record)
-        bad = [k for k in record.evals if type(k) is not str]
-        if bad:
-            raise ValueError(f"record.evals key {bad[0]!r} after the hooks of step "
-                             f"{steps_done} is not a str")
+        hooks = [fn for at, fn in eval_hooks if at == steps_done]
+        for fn in hooks:
+            fn(state, steps_done, record)
+        for key, value in record.evals.items() if hooks else ():
+            where = f"record.evals key {key!r} after the hooks of step {steps_done}"
+            if type(key) is not str:
+                raise ValueError(f"{where} is not a str")
+            if not _reads_back(value):
+                raise ValueError(f"{where} holds {value!r}, which JSON does not give back "
+                                 "unchanged")
         if out is not None and (steps_done == config.total_steps or config.checkpoint_every
                                 and steps_done % config.checkpoint_every == 0):
             path = out / f"checkpoint_{steps_done:07d}.xlck"

@@ -103,6 +103,14 @@ def make_vocab(n_pieces: int) -> tokenizer.Vocabulary:
     return tokenizer.Vocabulary(pieces=tuple(pieces), merges=())
 
 
+def unequal_merged_layout() -> tokenizer.IdLayout:
+    """Two 4-piece vocabularies sharing ``<unk>`` and ``y``: 6 model ids, no clone
+    layout. Model id 2 is language A's ``y``, whose source id is 2; in B it is 1."""
+    return tokenizer.merge_vocabs(
+        tokenizer.Vocabulary(("<unk>", "x", "y", "xy"), (("x", "y"),)),
+        tokenizer.Vocabulary(("<unk>", "y", "z", "yz"), (("y", "z"),))).layout
+
+
 def make_model(
     n_layers=1, d_model=16, n_heads=2, d_ff=32, vocab_size=23, max_seq_len=12,
     tie_embeddings=True, dtype="float64", seed=0,

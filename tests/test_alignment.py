@@ -6,7 +6,7 @@ import pytest
 from xlab import alignment, mixer, tokenizer, trainer
 from xlab.alignment import ParallelPair
 
-from conftest import make_model, make_vocab, markov_stream
+from conftest import make_model, make_vocab, markov_stream, unequal_merged_layout
 
 
 def brute_force_matching_weight(weights: np.ndarray) -> float:
@@ -124,6 +124,14 @@ def test_embedding_similarity_requires_duplicates():
         alignment.embedding_similarity(st, cv)
 
 
+def test_embedding_similarity_refuses_a_layout_that_is_not_a_clone_layout():
+    # it used to pair A's ids 0-3 with B's ids 0, 2, 4 and 5 as if they were equivalent
+    layout = unequal_merged_layout()
+    st = make_model(vocab_size=layout.total_size, seed=0)
+    with pytest.raises(tokenizer.TokenizerError, match="not a clone layout"):
+        alignment.embedding_similarity(st, layout)
+
+
 def test_embedding_similarity_frequency_buckets():
     cv = tokenizer.clone_vocab(make_vocab(60), 2, anchor_fraction=0.0)
     st = make_model(vocab_size=cv.total_size, d_model=64, seed=2)
@@ -224,3 +232,9 @@ def test_parallel_pair_validation():
     bad = ParallelPair(cv.map_ids(np.arange(5), 0), cv.map_ids(np.arange(1, 6), 1), "cloned")
     with pytest.raises(alignment.AlignmentError, match="base-equivalent"):
         bad.validate_cloned(cv)
+
+
+def test_validate_cloned_refuses_a_layout_that_is_not_a_clone_layout():
+    # model id 2 is A's "y" and id 1 is A's "x"; both used to project to base id 1
+    with pytest.raises(tokenizer.TokenizerError, match="not a clone layout"):
+        ParallelPair([2], [1], "cloned").validate_cloned(unequal_merged_layout())

@@ -1,14 +1,19 @@
 """``tools/bitexact.py`` runs in every Tier-1 pass: it trains four small configs
 whole and resumed, and exits non-zero if the runs or their checkpoint files
-differ in any bit; its last line fingerprints BPE training and encoding."""
+differ in any bit; its last line fingerprints BPE training and encoding.
+
+The ``bpe=`` line is pure Python over seeded NumPy draws, with no BLAS, so it
+is pinned here: it moves if a vocabulary, an id or a ``vocab_digest`` moves.
+The training lines depend on the BLAS build and are compared by hand across
+commits."""
 
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BPE = "a906f03013e8fc5abee914c51ba00a99f0fc7437773f5c7ae26ae7ff607a264e"
 
 
 def test_bitexact_tool_passes_and_prints_one_line_per_config():
@@ -22,5 +27,4 @@ def test_bitexact_tool_passes_and_prints_one_line_per_config():
     for line in lines[:4]:
         fields = line.split()
         assert [f.split("=")[0] for f in fields[1:]] == ["train", "eval", "ckpt20", "ckpt40"]
-    name, field = lines[4].split()
-    assert name == "bpe-two-alphabets" and re.fullmatch("bpe=[0-9a-f]{64}", field)
+    assert lines[4].split() == ["bpe-two-alphabets", f"bpe={BPE}"]

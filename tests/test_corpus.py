@@ -37,6 +37,15 @@ def test_ingest_digest_matches_independent_oracle(tmp_path):
     assert store.source_id == hashlib.sha256(blob).hexdigest()
 
 
+def test_source_id_is_computed_not_taken():
+    # a caller's source_id used to be kept unchecked
+    with pytest.raises(TypeError):
+        corpus.DocumentStore(("a b",), source_id="bogus")
+    raw = "a b".encode()
+    assert corpus.DocumentStore(("a b",)).source_id == hashlib.sha256(
+        struct.pack("<Q", len(raw)) + raw).hexdigest()
+
+
 def test_ingest_rejects_bad_utf8(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_bytes(b"fine until \xff\xfe here")
@@ -206,6 +215,21 @@ def test_token_stream_refuses_ids_outside_uint32():
     assert stream.ids.dtype == np.uint32 and stream.ids.tolist() == [0, 2**32 - 1]
     ids = np.array([3, 1], dtype=np.uint32)
     assert corpus.TokenStream(ids=ids, doc_boundaries=[2], vocab_digest="0" * 64).ids is ids
+
+
+def test_token_stream_refuses_doc_boundaries_that_are_not_integers():
+    # float boundaries 1.7 and 3.2 used to be stored as 1 and 3
+    for bounds in (np.array([1.7, 3.2]), [1.0, 3.0], np.array([False, True])):
+        with pytest.raises(corpus.CorpusError, match="doc_boundaries must be integers, got dtype"):
+            corpus.TokenStream(ids=np.arange(3), doc_boundaries=bounds, vocab_digest="0" * 64)
+    # an int64 -1 used to wrap to 2**64 - 1, which passed the order check
+    match = r"doc_boundaries -1..3 are outside \[0, 2\*\*64\)"
+    with pytest.raises(corpus.CorpusError, match=match):
+        corpus.TokenStream(ids=np.arange(3), doc_boundaries=np.array([-1, 3]),
+                           vocab_digest="0" * 64)
+    stream = corpus.TokenStream(ids=np.arange(3), doc_boundaries=np.array([1, 3], dtype=np.int8),
+                                vocab_digest="0" * 64)
+    assert stream.doc_boundaries.dtype == np.uint64 and stream.doc_boundaries.tolist() == [1, 3]
 
 
 def test_token_stream_refuses_ids_that_are_not_integers():

@@ -48,20 +48,21 @@ _PIECE = st.text(st.characters() | st.sampled_from("\t\n\r "), min_size=1, max_s
 
 @st.composite
 def vocabularies(draw, piece=_PIECE):
-    """The unk piece is drawn first, and no merge is over it. The merges come
-    in any order, so a merge may be over a piece that a later merge makes."""
+    """The first base piece is the unk piece, and no merge is over it. The
+    merges come in any order, so a merge may be over a piece that a later
+    merge makes."""
     pieces = draw(st.lists(piece, min_size=1, max_size=12, unique=True))
-    n_base, unk_id = len(pieces), draw(st.integers(0, len(pieces) - 1))
+    n_base = len(pieces)
     merges = []
     for _ in range(draw(st.integers(0, 8)) if n_base > 1 else 0):
-        sides = st.sampled_from(pieces[:unk_id] + pieces[unk_id + 1 :])
+        sides = st.sampled_from(pieces[1:])
         left, right = draw(sides), draw(sides)
         if left + right not in pieces:
             pieces.append(left + right)
             merges.append((left, right))
     merges = draw(st.permutations(merges))
     return tokenizer.Vocabulary(pieces=tuple(pieces[:n_base]) + tuple(a + b for a, b in merges),
-                                merges=tuple(merges), unk_id=unk_id, marker=draw(piece))
+                                merges=tuple(merges))
 
 
 @WITH_TMP_PATH
@@ -93,8 +94,8 @@ def vocabularies_and_texts(draw):
 @given(vocabularies_and_texts())
 # merge 0 is over the piece merge 1 makes: every site of merge 1 goes in one
 # pass, so "abab" is "ab" "ab", not "aba" "b"
-@example((tokenizer.Vocabulary(("<unk>", "a", "b", "aba", "ab"), (("ab", "a"), ("a", "b")),
-                               marker="b"), "abab x"))
+@example((tokenizer.Vocabulary(("<unk>", tokenizer.MARKER, "a", "b", "aba", "ab"),
+                               (("ab", "a"), ("a", "b"))), "abab x"))
 def test_encode_matches_the_string_reference(case):
     vocab, text = case
     assert tokenizer.encode(vocab, text) == reference_encode(vocab, text)

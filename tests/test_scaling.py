@@ -39,6 +39,11 @@ def test_too_few_points_rejected():
         scaling.fit_power_law([(1.0, 20.0), (4.0, 15.0)])
 
 
+def test_the_floor_is_always_fitted():
+    with pytest.raises(TypeError):
+        scaling.fit_power_law(PAPER_MONO_POINTS, floor=False)
+
+
 def test_three_point_fit_reproduces_inputs():
     fit = scaling.fit_power_law(PAPER_MONO_POINTS)
     for t, p in PAPER_MONO_POINTS:
@@ -109,15 +114,6 @@ def test_monotonicity():
     assert all(x > y for x, y in zip(ps, ps[1:]))
 
 
-def test_pure_form_option():
-    a, b = 10.0, 0.5
-    pts = [(t, a * t**-b) for t in (1.0, 4.0, 25.0)]
-    fit = scaling.fit_power_law(pts, floor=False)
-    assert fit.c == 0.0
-    assert fit.a == pytest.approx(a, rel=1e-3)
-    assert fit.b == pytest.approx(b, rel=1e-3)
-
-
 def test_noisy_recovery_within_five_percent():
     rng = np.random.default_rng(12)
     a, b, c = 10.0, 0.5, 15.0
@@ -169,25 +165,22 @@ def test_efficiency_report_below_asymptote():
     assert rows[0].mlte is None and rows[0].teff is None and rows[0].extrapolated
 
 
-def scalar_log_objective(t, p, b, floor):
+def scalar_log_objective(t, p, b):
     """The fit objective written out for one exponent b: weighted least
-    squares for (a, c), then the squared log-ppl error (inf if infeasible)."""
+    squares for (a, c) with c clamped to >= 1, then the squared log-ppl error
+    (inf if infeasible)."""
     u = t ** (-b)
     w = 1.0 / p**2
-    if floor:
-        sw, swu, swuu = w.sum(), (w * u).sum(), (w * u * u).sum()
-        swp, swup = (w * p).sum(), (w * u * p).sum()
-        det = swuu * sw - swu * swu
-        if det <= 0:
-            return math.inf
-        a = (swup * sw - swp * swu) / det
-        c = (swuu * swp - swu * swup) / det
-        if c < 1.0:
-            c = 1.0
-            a = (w * u * (p - c)).sum() / max((w * u * u).sum(), 1e-300)
-    else:
-        c = 0.0
-        a = (w * u * p).sum() / max((w * u * u).sum(), 1e-300)
+    sw, swu, swuu = w.sum(), (w * u).sum(), (w * u * u).sum()
+    swp, swup = (w * p).sum(), (w * u * p).sum()
+    det = swuu * sw - swu * swu
+    if det <= 0:
+        return math.inf
+    a = (swup * sw - swp * swu) / det
+    c = (swuu * swp - swu * swup) / det
+    if c < 1.0:
+        c = 1.0
+        a = (w * u * (p - c)).sum() / max((w * u * u).sum(), 1e-300)
     if not np.isfinite(a) or a <= 0:
         return math.inf
     pred = a * u + c
@@ -209,11 +202,11 @@ def curves(draw):
 
 
 @settings(max_examples=20, deadline=None)
-@given(curves(), st.booleans())
-def test_vectorised_fit_grid_is_bitwise_the_scalar_objective(curve, floor):
+@given(curves())
+def test_vectorised_fit_grid_is_bitwise_the_scalar_objective(curve):
     t, p = curve
     grid = np.arange(scaling.B_MIN, scaling.B_MAX + scaling.B_STEP / 2, scaling.B_STEP)
-    got = scaling._log_objective(t, p, grid, floor)[0]
-    want = np.array([scalar_log_objective(t, p, b, floor) for b in grid])
+    got = scaling._log_objective(t, p, grid)[0]
+    want = np.array([scalar_log_objective(t, p, b) for b in grid])
     assert got.tobytes() == want.tobytes()
-    assert scaling._log_objective(t, p, grid[7], floor)[0] == want[7]
+    assert scaling._log_objective(t, p, grid[7])[0] == want[7]

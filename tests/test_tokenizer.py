@@ -1,6 +1,5 @@
 import gc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,8 @@ from xlab import tokenizer
 from xlab.corpus import DocumentStore
 from xlab.tokenizer import MARKER
 
-from conftest import edit_array_file, make_vocab, oracle_bpe_merges, pretoken_counts
+from conftest import (edit_array_file, make_vocab, oracle_bpe_merges, pretoken_counts,
+                      unequal_merged_layout)
 
 
 def test_single_merge_ab():
@@ -86,7 +86,7 @@ def test_vocab_file_roundtrip(tmp_path, tiny_vocab):
 def test_tab_pieces_round_trip_and_digest_apart(tmp_path):
     vocab = tokenizer.Vocabulary(("<unk>", "a\t", "b", "a\tb"), merges=(("a\t", "b"),))
     other = tokenizer.Vocabulary(("<unk>", "a", "\tb", "a\tb"), merges=(("a", "\tb"),))
-    for v in (vocab, other, replace(vocab, marker="# ")):
+    for v in (vocab, other):
         tokenizer.save_vocab(tmp_path / "v.vocab", v)
         assert tokenizer.load_vocab(tmp_path / "v.vocab") == v
     assert tokenizer.vocab_digest(vocab) != tokenizer.vocab_digest(other)
@@ -121,9 +121,9 @@ def test_load_vocab_merge_without_tab_is_tokenizer_error(tmp_path):
 
 
 @pytest.mark.parametrize("edit, match", [
-    (lambda fields: fields.update(unk_id=5), "unk_id 5 must be one of 5 piece ids"),
+    (lambda fields: fields.update(unk_id=1), "unk_id 1 and marker .* are not 0 and"),
     (lambda fields: fields.update(unk_id=True), "unk_id an int"),
-    (lambda fields: fields.update(marker=""), "marker '' not empty"),
+    (lambda fields: fields.update(marker="#"), "unk_id 0 and marker '#' are not 0 and"),
     (lambda fields: fields["pieces"].append(7), "pieces and marker must be strings"),
 ])
 def test_load_vocab_checks_unk_id_marker_and_types(tmp_path, edit, match):
@@ -135,12 +135,12 @@ def test_load_vocab_checks_unk_id_marker_and_types(tmp_path, edit, match):
 def test_a_merge_over_a_non_piece_or_the_unk_piece_is_refused(tmp_path):
     # under an id encoder, such a merge would join unseen characters
     match = "is over a string that is not a piece or is the unk piece"
-    for pieces, merges, unk_id in [(("<unk>", "a", "b", "ab"), (("a", "b"),), 1),
-                                   (("<unk>", "a", "ab"), (("a", "b"),), 0),
-                                   (("a", "<unk>", "<unk>a"), (("<unk>", "a"),), 1)]:
+    for pieces, merges in [(("a", "b", "ab"), (("a", "b"),)),
+                           (("<unk>", "a", "ab"), (("a", "b"),)),
+                           (("<unk>", "a", "<unk>a"), (("<unk>", "a"),))]:
         with pytest.raises(tokenizer.TokenizerError, match=f"merge 0 .* {match}"):
-            tokenizer.Vocabulary(pieces, merges, unk_id)
-    for edit in (lambda fields: fields.update(unk_id=1),  # "a" is the unk piece
+            tokenizer.Vocabulary(pieces, merges)
+    for edit in (lambda fields: fields["pieces"].__setitem__(slice(2), ["a", "<unk>"]),  # unk "a"
                  lambda fields: fields["pieces"].__setitem__(2, "c")):  # "b" is no piece
         p = _saved_vocab(tmp_path, edit)
         with pytest.raises(tokenizer.TokenizerError, match=rf"{p}: merge 0 \('a', 'b'\) {match}"):
@@ -204,14 +204,6 @@ def test_clone_anchor_ids_keep_low_ids():
     assert np.array_equal(anchors, cv.luts[1][cv.anchor_ids])
 
 
-def test_clone_frequency_selection():
-    counts = np.arange(50)[::-1]  # id 0 most frequent
-    cv = tokenizer.clone_vocab(
-        make_vocab(50), 2, anchor_fraction=0.2, selection="frequency", counts=counts
-    )
-    assert np.array_equal(cv.anchor_ids, np.arange(10))
-
-
 def test_language_mapping_roundtrip():
     cv = tokenizer.clone_vocab(make_vocab(64), n_languages=3, anchor_fraction=0.25, seed=9)
     base = np.random.default_rng(0).integers(0, 64, size=200)
@@ -242,6 +234,20 @@ def test_to_base_refuses_ids_outside_the_layout():
     assert cv.to_base(np.empty(0, dtype=np.int64)).size == 0
 
 
+def test_to_base_refuses_a_layout_that_is_not_a_clone_layout():
+    # model id 2 is language A's "y", source id 2, and used to project to base id 1
+    layout = unequal_merged_layout()
+    assert layout.total_size == 6
+    with pytest.raises(tokenizer.TokenizerError, match="not a clone layout"):
+        layout.to_base([0, 2])
+    with pytest.raises(tokenizer.TokenizerError, match="not a clone layout"):
+        layout.duplicated_base_ids()
+    # equal-size side-by-side vocabularies tile the id space, so they pass
+    disjoint = tokenizer.disjoint_layout([3, 3])
+    assert disjoint.to_base([1, 4]).tolist() == [1, 1]
+    assert disjoint.duplicated_base_ids().tolist() == [0, 1, 2]
+
+
 def test_to_base_builds_its_inverse_once():
     cv = tokenizer.clone_vocab(make_vocab(64), n_languages=2, anchor_fraction=0.25, seed=1)
     ids = cv.map_ids(np.arange(64), 1)
@@ -249,6 +255,25 @@ def test_to_base_builds_its_inverse_once():
     inverse = cv._inverse
     assert np.array_equal(cv.to_base(ids), first)
     assert cv._inverse is inverse
+
+
+def test_the_unk_id_the_marker_and_the_layout_size_are_not_settable():
+    vocab = make_vocab(6)
+    assert (vocab.unk_id, vocab.marker) == (0, MARKER)
+    with pytest.raises(tokenizer.TokenizerError, match="begin with the unk piece"):
+        tokenizer.Vocabulary((), ())
+    for call in (lambda: tokenizer.Vocabulary(vocab.pieces, (), unk_id=1),
+                 lambda: tokenizer.Vocabulary(vocab.pieces, (), marker="#"),
+                 lambda: tokenizer.clone_vocab(vocab, 2, selection="frequency"),
+                 lambda: tokenizer.IdLayout(luts=(np.arange(3),), total_size=9)):
+        with pytest.raises(TypeError):
+            call()
+    # one past the largest id of any table, a Python int
+    for sizes, total in (([3, 0, 2], 5), ([0], 0), ([], 0)):
+        size = tokenizer.disjoint_layout(sizes).total_size
+        assert size == total and type(size) is int
+    cv = tokenizer.clone_vocab(vocab, 3, anchor_fraction=0.5, seed=1)
+    assert cv.total_size == 3 + 3 * 3
 
 
 def test_relabel_identity_and_involution():
@@ -323,9 +348,3 @@ def test_merge_size_identity_and_remap_roundtrip():
     for p in mv.shared:
         assert remap_a[a.pieces.index(p)] == remap_b[b.pieces.index(p)]
 
-
-def test_merge_rejects_marker_mismatch():
-    a = tokenizer.Vocabulary(pieces=("x",), merges=(), marker="#")
-    b = tokenizer.Vocabulary(pieces=("x",), merges=(), marker=MARKER)
-    with pytest.raises(tokenizer.TokenizerError, match="marker"):
-        tokenizer.merge_vocabs(a, b)

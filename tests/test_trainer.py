@@ -414,6 +414,45 @@ def test_an_evals_key_that_is_not_a_str_fails_whole_and_resumed_runs_alike(tmp_p
         trainer.train(st, src, cfg, eval_hooks=[(3, record_step(int))])
 
 
+@pytest.mark.parametrize("value, shown", [
+    (np.float32(2.0), "np.float32"),  # used to fail at the checkpoint with a bare TypeError
+    ((1, 2), r"\(1, 2\)"),  # reads back as a list
+    (float("nan"), "nan"),
+], ids=["numpy-scalar", "tuple", "nan"])
+def test_an_evals_value_json_does_not_give_back_is_refused(tmp_path, value, shown):
+    cfg = trainer.TrainConfig(total_steps=2, batch_size=4, seq_len=16, warmup_steps=1,
+                              seed=2, checkpoint_every=1)
+
+    def hook(state, steps_done, record):
+        record.evals[str(steps_done)] = {"ppl": [1.5, {"0": value}]}
+
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    with pytest.raises(ValueError, match=f"record.evals key '1' after the hooks of step 1 holds "
+                                         f".*{shown}.*, which JSON does not give back unchanged"):
+        trainer.train(st, src, cfg, eval_hooks=[(1, hook)], out_dir=tmp_path)
+
+
+def test_nested_evals_resume_bit_for_bit(tmp_path):
+    cfg = trainer.TrainConfig(total_steps=6, batch_size=4, seq_len=16,
+                              warmup_steps=1, seed=2, checkpoint_every=3)
+
+    def hook(state, steps_done, record):
+        record.evals[str(steps_done)] = {"ppl": {"0": 3.25, "1": [4.5, None]}, "ok": True,
+                                         "steps": steps_done, "note": "x"}
+
+    hooks = [(3, hook), (6, hook)]
+    st_full, src, _, _ = small_setup(seed=2, batch_size=4)
+    st_full, full = trainer.train(st_full, src, cfg, eval_hooks=hooks, out_dir=tmp_path / "full")
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    st, resumed = trainer.train(st, src, cfg, eval_hooks=hooks, out_dir=tmp_path / "resumed",
+                                resume_from=tmp_path / "full" / "checkpoint_0000003.xlck")
+    assert resumed == full and sorted(full.evals) == ["3", "6"]
+    for k in st_full.params:
+        assert np.array_equal(st.params[k], st_full.params[k]), k
+    assert ((tmp_path / "full" / "checkpoint_0000006.xlck").read_bytes()
+            == (tmp_path / "resumed" / "checkpoint_0000006.xlck").read_bytes())
+
+
 def _two_cursor_setup(seed):
     """A real-pair source: two corpora of 10 ids each, side by side."""
     streams = [markov_stream(1500, 10, seed=seed + k)[0] for k in range(2)]
