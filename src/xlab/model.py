@@ -95,13 +95,6 @@ class ModelConfig:
     def np_dtype(self):
         return np.dtype(self.dtype)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 def group_of(param_name: str) -> str:
     """Component group a parameter belongs to (e.g. layers.0.attn_qkv)."""
@@ -572,17 +565,18 @@ def save_checkpoint(
     is atomic (:func:`~xlab.util.write_arrays`)."""
     tensors = {n: state.params[n] for n in _param_shapes(state.config)}
     tensors.update((n, opt_tensors[n]) for n in sorted(opt_tensors or ()))
-    header = {"config": state.config.to_dict(), "step": step, "extra": extra or {}}
+    header = {"config": asdict(state.config), "step": step, "extra": extra or {}}
     write_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, tensors)
 
 
 def load_checkpoint(path: str | Path):
     """Returns (state, step, opt_tensors, extra), every tensor in the dtype it
-    was saved in. Raises CheckpointError, and loads nothing, on a bad file or
-    header; other header fields (n_params, config_digest) are ignored."""
+    was saved in; the header holds the model ``config``, the ``step`` and the
+    caller's ``extra``. Raises CheckpointError, and loads nothing, on a bad file
+    or header."""
     header, tensors = read_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
     try:
-        config, step = ModelConfig.from_dict(header["config"]), header["step"]
+        config, step = ModelConfig(**header["config"]), header["step"]
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad checkpoint header ({type(e).__name__}: {e})") from e
     if type(step) is not int or step < 0:

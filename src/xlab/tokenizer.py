@@ -309,7 +309,7 @@ def _ids_below(ids, size: int, kind: str, where: str) -> np.ndarray:
     return ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdLayout:
     """Per-language lookup tables into one model id space.
 
@@ -321,11 +321,15 @@ class IdLayout:
     where D = |base| - A. A real layout (:func:`disjoint_layout`,
     ``merge_vocabs(...).layout``) maps separately trained vocabularies and has
     no ``anchor_ids``. ``total_size``, the size of the model id space, is one
-    past the largest id of any table.
+    past the largest id of any table. Layouts (one language or more) compare by identity.
     """
 
     luts: tuple[np.ndarray, ...]  # int64, one per language
     anchor_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+    def __post_init__(self):
+        if not self.luts:
+            raise TokenizerError("a layout needs at least one language, got none")
 
     @property
     def n_languages(self) -> int:

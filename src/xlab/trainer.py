@@ -37,6 +37,8 @@ logger = logging.getLogger(__name__)
 RECORD_MAGIC = b"XLRR"
 RECORD_VERSION = 1
 
+BETA1, BETA2, EPS, GRAD_CLIP = 0.9, 0.999, 1e-8, 1.0  # Adam's, and the clipped global norm
+
 
 class TrainAbortError(RuntimeError):
     """Raised when training hits a non-finite loss; carries the last good
@@ -49,9 +51,10 @@ class TrainAbortError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """``batch_size`` and ``seq_len`` are the shape of every batch. ``seed`` is
-    recorded in the run record and the digest but seeds nothing; ``model.init``
-    and :class:`MixtureSource` take their own seeds."""
+    """What a run varies; ``BETA1``, ``BETA2``, ``EPS`` and ``GRAD_CLIP`` are fixed,
+    and the run digest covers them too. ``batch_size`` and ``seq_len`` are the
+    shape of every batch. ``seed`` is recorded in the run record and the digest
+    but seeds nothing; ``model.init`` and :class:`MixtureSource` take their own."""
 
     total_steps: int
     batch_size: int
@@ -59,23 +62,20 @@ class TrainConfig:
     lr_max: float = 6e-4
     lr_min: float = 6e-6
     warmup_steps: int = 500
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    grad_clip: float = 1.0
     seed: int = 0
     checkpoint_every: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self):
-        if self.total_steps < 0 or self.batch_size <= 0 or self.seq_len <= 0:
-            raise ValueError("total_steps must be >= 0; batch_size, seq_len positive")
-        if self.lr_min > self.lr_max or self.lr_max <= 0:
-            raise ValueError("need 0 < lr_min <= lr_max")
+        for f in fields(self):  # the annotation is the type: the digest reads 10 and 10.0 apart
+            value, least = getattr(self, f.name), 1 if f.name in ("batch_size", "seq_len") else 0
+            if f.type == "int" and (type(value) is not int or value < least):
+                raise ValueError(f"{f.name} must be >= {least} and an int, got {value!r}")
+            if f.type == "float" and not (isinstance(value, float) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite float, got {value!r}")
+        if not 0 <= self.lr_min <= self.lr_max or self.lr_max <= 0:
+            raise ValueError("need 0 <= lr_min <= lr_max and 0 < lr_max")
         if self.total_steps > 0 and not 0 < self.warmup_steps < self.total_steps:
             raise ValueError("need 0 < warmup_steps < total_steps")
-        for name in ("grad_clip", "checkpoint_every"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0 (0 turns it off), got {getattr(self, name)}")
 
 
 def lr_at(config: TrainConfig, step: int) -> float:
@@ -92,11 +92,11 @@ def lr_at(config: TrainConfig, step: int) -> float:
 
 
 class Adam:
-    """Vanilla Adam with bias correction; moments live in the model dtype. A step
+    """Vanilla Adam with bias correction at ``BETA1``, ``BETA2`` and ``EPS``, which
+    the run digest of :func:`train` covers; moments live in the model dtype. A step
     works in two scratch buffers the size of the largest parameter, made once."""
 
-    def __init__(self, params: dict[str, np.ndarray], beta1: float, beta2: float, eps: float):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, params: dict[str, np.ndarray]):
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -104,19 +104,19 @@ class Adam:
         self._scratch = np.empty((2, largest.size), largest.dtype)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
-        """``m += (1 - beta1) * (g - m)``, ``v += (1 - beta2) * (g * g - v)``, ``p -=
-        (lr / b1c) * m / (sqrt(v / b2c) + eps)``, in that order; writes no grad."""
+        """``m += (1 - BETA1) * (g - m)``, ``v += (1 - BETA2) * (g * g - v)``, ``p -=
+        (lr / b1c) * m / (sqrt(v / b2c) + EPS)``, in that order; writes no grad."""
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - BETA1**self.t
+        b2c = 1.0 - BETA2**self.t
         for k, p in params.items():
             g = grads[k]
             m, v = self.m[k], self.v[k]
             s, u = (buf[: p.size].reshape(p.shape) for buf in self._scratch)
-            m += np.multiply(np.subtract(g, m, out=s), 1.0 - self.beta1, out=s)
+            m += np.multiply(np.subtract(g, m, out=s), 1.0 - BETA1, out=s)
             np.subtract(np.multiply(g, g, out=s), v, out=s)
-            v += np.multiply(s, 1.0 - self.beta2, out=s)
-            np.add(np.sqrt(np.divide(v, b2c, out=s), out=s), self.eps, out=s)
+            v += np.multiply(s, 1.0 - BETA2, out=s)
+            np.add(np.sqrt(np.divide(v, b2c, out=s), out=s), EPS, out=s)
             p -= np.divide(np.multiply(m, lr / b1c, out=u), s, out=u)
 
     def tensors(self) -> dict[str, np.ndarray]:
@@ -165,9 +165,6 @@ class RunRecord:
         """Tokens seen per language: the column sums of ``step_lang_tokens``."""
         return [sum(col) for col in zip(*self.step_lang_tokens)] or [0] * self.n_languages
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
         """Raises ValueError naming every missing or unknown field."""
@@ -182,13 +179,13 @@ class RunRecord:
         return cls(**d)
 
     def save(self, path: str | Path) -> None:
-        write_arrays(path, RECORD_MAGIC, RECORD_VERSION, self.to_dict())
+        write_arrays(path, RECORD_MAGIC, RECORD_VERSION, asdict(self))
 
     @classmethod
     def load(cls, path: str | Path) -> "RunRecord":
-        fields, _ = read_arrays(path, RECORD_MAGIC, RECORD_VERSION, ValueError)
+        header, _ = read_arrays(path, RECORD_MAGIC, RECORD_VERSION, ValueError)
         try:
-            return cls.from_dict(fields)
+            return cls.from_dict(header)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from e
 
@@ -276,14 +273,16 @@ ClonedMixtureSource = MixtureSource
 # The loop
 
 
-def _clip_gradients(grads, clip: float, vocab_groups: VocabGroups | None) -> float:
+def _clip_gradients(grads, vocab_groups: VocabGroups | None) -> float:
+    """Scale ``grads`` in place to a global norm of ``GRAD_CLIP`` if it is larger;
+    returns the norm before clipping, summed in float64 by :func:`grouped_sumsq`."""
     sq = 0.0
     for name in sorted(grads):
         groups = vocab_groups if name in ("token_embedding", "output_head.weight") else None
         sq += grouped_sumsq(grads[name], groups)
     norm = math.sqrt(sq)
-    if clip > 0 and norm > clip:
-        scale = np.asarray(clip / norm, dtype=next(iter(grads.values())).dtype)
+    if norm > GRAD_CLIP:
+        scale = np.asarray(GRAD_CLIP / norm, dtype=next(iter(grads.values())).dtype)
         for g in grads.values():
             g *= scale
     return norm
@@ -331,9 +330,11 @@ def train(
     continues the RunRecord and matches the uninterrupted run bit for bit.
     """
     _keep_freed_memory()
-    digest = json_digest({"train": asdict(config), "model": state.config.to_dict()})
+    # under the keys the constants had as TrainConfig fields, so existing checkpoints resume
+    run = {**asdict(config), "beta1": BETA1, "beta2": BETA2, "eps": EPS, "grad_clip": GRAD_CLIP}
+    digest = json_digest({"train": run, "model": asdict(state.config)})
     record = RunRecord(seed=config.seed, config_digest=digest, n_languages=source.n_languages)
-    adam = Adam(state.params, config.beta1, config.beta2, config.eps)
+    adam = Adam(state.params)
     start_step = 0
     last_ckpt: str | None = None
 
@@ -371,7 +372,7 @@ def train(
                 f"aborting at step {step}: {e}; last good checkpoint: {last_ckpt}",
                 last_ckpt,
             ) from e
-        _clip_gradients(grads, config.grad_clip, vocab_groups)
+        _clip_gradients(grads, vocab_groups)
         adam.step(state.params, grads, lr_at(config, step))
         record.losses.append(loss)
         tokens = np.bincount(tags, minlength=record.n_languages) * ids.shape[1]
@@ -392,6 +393,6 @@ def train(
                                 and steps_done % config.checkpoint_every == 0):
             path = out / f"checkpoint_{steps_done:07d}.xlck"
             save_checkpoint(path, state, step=steps_done, opt_tensors=adam.tensors(),
-                            extra={"source": source.state(), "record": record.to_dict()})
+                            extra={"source": source.state(), "record": asdict(record)})
             last_ckpt = str(path)
     return state, record

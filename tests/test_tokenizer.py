@@ -269,11 +269,26 @@ def test_the_unk_id_the_marker_and_the_layout_size_are_not_settable():
         with pytest.raises(TypeError):
             call()
     # one past the largest id of any table, a Python int
-    for sizes, total in (([3, 0, 2], 5), ([0], 0), ([], 0)):
+    for sizes, total in (([3, 0, 2], 5), ([0], 0)):
         size = tokenizer.disjoint_layout(sizes).total_size
         assert size == total and type(size) is int
     cv = tokenizer.clone_vocab(vocab, 3, anchor_fraction=0.5, seed=1)
     assert cv.total_size == 3 + 3 * 3
+
+
+def test_a_layout_needs_a_language():
+    # a layout of no language used to fail later, in language_slices, with a bare IndexError
+    for build in (lambda: tokenizer.disjoint_layout([]), lambda: tokenizer.IdLayout(luts=())):
+        with pytest.raises(tokenizer.TokenizerError, match="at least one language"):
+            build()
+
+
+def test_layouts_compare_by_identity():
+    # equal layouts used to raise "The truth value of an array ... is ambiguous"
+    a, b = (tokenizer.clone_vocab(make_vocab(10), 2, anchor_fraction=0.3, seed=1)
+            for _ in range(2))
+    assert a == a and a != b and len({a, b, a}) == 2
+    assert tokenizer.relabel(a, [0, 1]) != a
 
 
 def test_relabel_identity_and_involution():

@@ -1,6 +1,8 @@
 import gc
+import math
 import platform
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -48,15 +50,71 @@ def test_train_config_validation():
         trainer.TrainConfig(total_steps=10, batch_size=0, seq_len=8, warmup_steps=2)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("checkpoint_every", -1), ("grad_clip", -1.0), ("grad_clip", float("nan")),
-])
+@pytest.mark.parametrize("field, value", [("checkpoint_every", -1)])
 def test_train_config_rejects_settings_it_would_misread(field, value):
-    # a negative checkpoint_every would checkpoint every step; a negative or
-    # NaN grad_clip would turn clipping off like 0 does
+    # a negative checkpoint_every would checkpoint every step
     with pytest.raises(ValueError, match=f"{field} must be >= 0"):
         trainer.TrainConfig(total_steps=10, batch_size=1, seq_len=8, warmup_steps=2,
                             **{field: value})
+
+
+@pytest.mark.parametrize("field, value, match", [
+    # a float step count failed in range() and digested apart from its int
+    ("total_steps", 10.0, "total_steps must be >= 0 and an int, got 10.0"),
+    ("batch_size", True, "batch_size must be >= 1 and an int, got True"),
+    ("seq_len", np.int64(8), "seq_len must be >= 1 and an int"),
+    ("warmup_steps", 2.5, "warmup_steps must be >= 0 and an int"),
+    ("seed", "0", "seed must be >= 0 and an int, got '0'"),
+    ("seed", -1, "seed must be >= 0 and an int, got -1"),
+    ("checkpoint_every", None, "checkpoint_every must be >= 0 and an int"),
+    ("lr_max", float("nan"), "lr_max must be a finite float, got nan"),
+    ("lr_min", float("inf"), "lr_min must be a finite float, got inf"),
+    ("lr_max", 1, "lr_max must be a finite float, got 1"),
+    ("lr_min", -1e-6, r"need 0 <= lr_min <= lr_max"),
+])
+def test_train_config_names_the_field_it_refuses(field, value, match):
+    settings = dict(total_steps=10, batch_size=1, seq_len=8, warmup_steps=2)
+    with pytest.raises(ValueError, match=match):
+        trainer.TrainConfig(**{**settings, field: value})
+
+
+@pytest.mark.parametrize("field", ["beta1", "beta2", "eps", "grad_clip"])
+def test_the_optimizer_constants_are_not_settable(field):
+    with pytest.raises(TypeError):
+        trainer.TrainConfig(total_steps=10, batch_size=1, seq_len=8, warmup_steps=2,
+                            **{field: 0.5})
+
+
+def test_config_digest_is_pinned():
+    # pure JSON and SHA-256: it moves with any TrainConfig or ModelConfig field, or
+    # with Adam's and the clip's constants, which it records under their old keys
+    st, src, _, _ = small_setup(seed=2, batch_size=4)
+    cfg = trainer.TrainConfig(total_steps=4, batch_size=4, seq_len=16, warmup_steps=1, seed=2,
+                              lr_max=3e-3, lr_min=3e-4, checkpoint_every=2)
+    _, record = trainer.train(st, src, cfg)
+    assert record.config_digest == (
+        "e33f4ae151a3c63f690851e3473e8745c1cc813f53a67c06d688eecfaeb51dca")
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_clip_gradients_scales_to_the_clip_norm_and_returns_the_float64_norm(dtype):
+    rng = np.random.default_rng(3)
+    shapes = {"token_embedding": (12, 4), "w": (4, 5), "b": (5,)}
+    groups = (slice(0, 2), [slice(2, 7), slice(7, 12)])
+    for target in (30.0, 1.5, 0.5):  # about the global norm of the 73 entries
+        grads = {k: (rng.standard_normal(s) * target / math.sqrt(73)).astype(dtype)
+                 for k, s in shapes.items()}
+        before = {k: g.copy() for k, g in grads.items()}
+        want = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in before.values()))
+        norm = trainer._clip_gradients(grads, groups)
+        assert norm == pytest.approx(want, rel=1e-12)
+        after = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()))
+        if want > trainer.GRAD_CLIP:
+            rel = 1e-6 if dtype == "float32" else 1e-14
+            assert after == pytest.approx(trainer.GRAD_CLIP, rel=rel)
+            assert all(g.dtype == dtype for g in grads.values())
+        else:
+            assert all(grads[k].tobytes() == before[k].tobytes() for k in shapes)
 
 
 def adam_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -76,7 +134,7 @@ def test_adam_step_is_bitwise_the_reference_and_writes_no_grad(dtype):
     rng = np.random.default_rng(5)
     shapes = {"w": (7, 5), "b": (5,), "big": (40, 3)}
     params = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
-    adam = trainer.Adam(params, 0.9, 0.999, 1e-8)
+    adam = trainer.Adam(params)
     want_p, want_m, want_v = params, adam.m, adam.v
     for t, lr in enumerate((1e-3, 3e-2, 7e-4), start=1):
         grads = {k: (rng.standard_normal(s) * 10.0**-t).astype(dtype) for k, s in shapes.items()}
@@ -260,7 +318,7 @@ def test_trainer_checkpoint_stores_each_fact_once(tmp_path):
                                  model.CHECKPOINT_VERSION, model.CheckpointError)
     assert set(header) == {"config", "extra", "step"}
     assert set(header["extra"]) == {"source", "record"}
-    assert header["extra"]["record"] == record.to_dict()
+    assert header["extra"]["record"] == asdict(record)
     assert header["step"] == record.steps == 4
 
 
@@ -323,7 +381,7 @@ def test_resume_names_what_the_checkpoint_lacks(tmp_path, edit, match):
 
 def test_adam_restore_checks_before_it_adopts():
     params = {"w": np.ones((3, 2), np.float32), "b": np.ones(2, np.float32)}
-    adam = trainer.Adam(params, 0.9, 0.999, 1e-8)
+    adam = trainer.Adam(params)
     initial = adam.tensors()
     good = {k: np.full_like(m, 0.5) for k, m in initial.items()}
     for bad, match in [
@@ -581,7 +639,7 @@ def test_run_record_roundtrip(tmp_path):
     rec.evals["2"] = {"0": {"ppl": 9.0}}
     rec.save(tmp_path / "r.xlrr")
     back = trainer.RunRecord.load(tmp_path / "r.xlrr")
-    assert back.to_dict() == rec.to_dict()
+    assert asdict(back) == asdict(rec)
 
 
 @pytest.mark.parametrize("edit, match", [
@@ -589,7 +647,7 @@ def test_run_record_roundtrip(tmp_path):
     (lambda d: d.update(steps=2), r"missing fields \[\] and unknown fields \['steps'\]"),
 ])
 def test_run_record_rejects_missing_and_unknown_fields(tmp_path, edit, match):
-    d = trainer.RunRecord(seed=1, config_digest="abc", n_languages=2).to_dict()
+    d = asdict(trainer.RunRecord(seed=1, config_digest="abc", n_languages=2))
     edit(d)
     with pytest.raises(ValueError, match=match):
         trainer.RunRecord.from_dict(d)
