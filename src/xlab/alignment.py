@@ -30,6 +30,7 @@ from scipy.optimize import linear_sum_assignment
 # ``forward`` stays importable here because perfbench/drive.py traces it by name
 from .model import ModelState, forward, group_of, hidden_states, loss_and_grads  # noqa: F401
 from .tokenizer import IdLayout
+from .util import checked_ids
 
 logger = logging.getLogger(__name__)
 
@@ -122,8 +123,8 @@ class ParallelPair:
     mode: str  # "cloned" | "real"
 
     def __post_init__(self):
-        object.__setattr__(self, "seq_a", np.asarray(self.seq_a, dtype=np.int64))
-        object.__setattr__(self, "seq_b", np.asarray(self.seq_b, dtype=np.int64))
+        object.__setattr__(self, "seq_a", checked_ids(self.seq_a, 2**63, AlignmentError, "seq_a"))
+        object.__setattr__(self, "seq_b", checked_ids(self.seq_b, 2**63, AlignmentError, "seq_b"))
         if self.mode not in ("cloned", "real"):
             raise AlignmentError(f"unknown pair mode {self.mode!r}")
         if self.mode == "cloned" and len(self.seq_a) != len(self.seq_b):

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .util import read_arrays, write_arrays
+from .util import checked_ids, read_arrays, write_arrays
 
 STREAM_MAGIC = b"XLTS"
 STREAM_VERSION = 3
@@ -112,19 +112,6 @@ def split(
     return train, test
 
 
-def _unsigned(values, dtype, what: str) -> np.ndarray:
-    """``values`` as a contiguous array of the unsigned ``dtype``; CorpusError
-    unless they are integers in its range. An array of ``dtype`` is not scanned."""
-    if not (isinstance(values, np.ndarray) and values.dtype == dtype):
-        values = np.asarray(values)
-        bits = 8 * np.dtype(dtype).itemsize
-        if values.size and values.dtype.kind not in "iu":
-            raise CorpusError(f"{what} must be integers, got dtype {values.dtype}")
-        if values.size and not 0 <= values.min() <= int(values.max()) < 2**bits:
-            raise CorpusError(f"{what} {values.min()}..{values.max()} are outside [0, 2**{bits})")
-    return np.ascontiguousarray(values, dtype=dtype)
-
-
 @dataclass(frozen=True)
 class TokenStream:
     """A flat sequence of token ids with document boundaries.
@@ -139,8 +126,9 @@ class TokenStream:
     vocab_digest: str
 
     def __post_init__(self):
-        ids = _unsigned(self.ids, np.uint32, "token ids")
-        bounds = _unsigned(self.doc_boundaries, np.uint64, "doc_boundaries")
+        ids = checked_ids(self.ids, 2**32, CorpusError, "token ids", dtype=np.uint32)
+        bounds = checked_ids(self.doc_boundaries, 2**64, CorpusError, "doc_boundaries",
+                             dtype=np.uint64)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "doc_boundaries", bounds)
         if len(bounds) == 0:

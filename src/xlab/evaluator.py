@@ -31,6 +31,7 @@ from .corpus import TokenStream
 # ``forward`` through ``scored_logprobs``, so it is imported but not called
 from .model import ModelState, VocabGroups, forward, scored_logprobs  # noqa: F401
 from .tokenizer import IdLayout
+from .util import checked_ids
 
 
 # windows scored per scored_logprobs call
@@ -80,7 +81,7 @@ def sliding_logprobs(state: ModelState, doc_ids: np.ndarray, window: int = 512, 
     """
     if window > (limit := state.config.max_seq_len):
         raise EvalError(f"window {window} exceeds the model's max_seq_len {limit}")
-    ids = np.asarray(doc_ids, dtype=np.int64)
+    ids = checked_ids(doc_ids, state.config.vocab_size, EvalError, "token ids")
     spans, length = window_spans(len(ids), window, stride), min(window, len(ids))
     positions: list[np.ndarray] = []
     values: list[np.ndarray] = []

@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import read_arrays, write_arrays
+from .util import check_fields, checked_ids, from_fields, read_arrays, write_arrays
 
 CHECKPOINT_MAGIC = b"XLCK"
 CHECKPOINT_VERSION = 3
@@ -78,14 +78,12 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        check_fields(self, ValueError)
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
-        for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
-            value, least = getattr(self, name), 0 if name == "n_layers" else 1
-            if type(value) is not int or value < least:
-                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
-        if type(self.tie_embeddings) is not bool:
-            raise ValueError(f"tie_embeddings must be a bool, got {self.tie_embeddings!r}")
+        if self.n_layers < 0 or min(self.d_model, self.n_heads, self.d_ff, self.vocab_size,
+                                    self.max_seq_len) < 1:
+            raise ValueError(f"need n_layers >= 0 and every other size >= 1: {self}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -433,14 +431,12 @@ def _block_backward(dy, cache, p):
 def _forward_core(state: ModelState, ids: np.ndarray, keep_cache: bool):
     c = state.config
     p = state.params
-    ids = np.asarray(ids)
+    ids = checked_ids(ids, c.vocab_size, ValueError, "token ids", " of the model vocabulary")
     squeeze = ids.ndim == 1
     ids2 = ids[None] if squeeze else ids
     t = ids2.shape[1]
     if t > c.max_seq_len:
         raise ValueError(f"sequence length {t} exceeds max_seq_len {c.max_seq_len}")
-    if ids2.size and (ids2.min() < 0 or ids2.max() >= c.vocab_size):
-        raise ValueError("token id out of range for the model vocabulary")
 
     x = p["token_embedding"][ids2] + p["position_embedding"][:t]
     hiddens = [x]
@@ -513,10 +509,9 @@ def loss_and_grads(
     """
     c = state.config
     p = state.params
-    ids = np.asarray(ids)
-    targets = np.asarray(targets)
-    if ids.shape != targets.shape:
-        raise ValueError(f"ids shape {ids.shape} != targets shape {targets.shape}")
+    targets = checked_ids(targets, c.vocab_size, ValueError, "targets", " of the model vocabulary")
+    if np.shape(ids) != targets.shape:
+        raise ValueError(f"ids shape {np.shape(ids)} != targets shape {targets.shape}")
     groups = _as_groups(vocab_groups, c.vocab_size)
     cache = _forward_core(state, ids, keep_cache=True)
     b, t = cache["ids"].shape
@@ -575,10 +570,8 @@ def load_checkpoint(path: str | Path):
     caller's ``extra``. Raises CheckpointError, and loads nothing, on a bad file
     or header."""
     header, tensors = read_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
-    try:
-        config, step = ModelConfig(**header["config"]), header["step"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: bad checkpoint header ({type(e).__name__}: {e})") from e
+    config = from_fields(ModelConfig, header.get("config"), CheckpointError, f"{path}: config: ")
+    step = header.get("step")
     if type(step) is not int or step < 0:
         raise CheckpointError(f"{path}: checkpoint step {step!r} is not a step count")
     shapes = _param_shapes(config)  # the parameters, in order and in the config dtype, lead

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .util import read_arrays, write_arrays
+from .util import check_fields, from_fields, read_arrays, write_arrays
 
 FIT_MAGIC = b"XLSF"
 FIT_VERSION = 1
@@ -47,6 +47,8 @@ class BelowAsymptoteError(ValueError):
 
 @dataclass(frozen=True)
 class ScalingFit:
+    """A power law fitted on [t_min, t_max]; the constructor checks the fields' types."""
+
     a: float
     b: float
     c: float
@@ -55,8 +57,10 @@ class ScalingFit:
     t_max: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0 or self.c < 0:
-            raise FitError(f"invalid fit parameters a={self.a}, b={self.b}, c={self.c}")
+        check_fields(self, FitError)
+        if not (self.a > 0 and self.b > 0 and self.c >= 0 and 0 < self.t_min <= self.t_max
+                and self.residual >= 0):
+            raise FitError(f"need a, b > 0, c >= 0, 0 < t_min <= t_max and residual >= 0: {self}")
 
     def predict(self, tokens) -> np.ndarray | float:
         t = np.asarray(tokens, dtype=np.float64)
@@ -71,11 +75,8 @@ class ScalingFit:
 
     @classmethod
     def load(cls, path: str | Path) -> "ScalingFit":
-        fields, _ = read_arrays(path, FIT_MAGIC, FIT_VERSION, FitError)
-        try:
-            return cls(**fields)
-        except (TypeError, FitError) as e:  # a missing, unknown or malformed field
-            raise FitError(f"{path}: bad scaling fit ({e})") from e
+        header, _ = read_arrays(path, FIT_MAGIC, FIT_VERSION, FitError)
+        return from_fields(cls, header, FitError, f"{path}: ")
 
 
 def _solve_ac(u: np.ndarray, p: np.ndarray, w: np.ndarray):
@@ -138,7 +139,7 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     resid, a, c = _log_objective(t, p, b)
     if np.isnan(a):
         raise FitError("no feasible fit with a > 0 after refinement")
-    return ScalingFit(a=float(a), b=b, c=float(c), residual=float(resid),
+    return ScalingFit(a=float(a), b=float(b), c=float(c), residual=float(resid),
                       t_min=float(t[0]), t_max=float(t[-1]))
 
 

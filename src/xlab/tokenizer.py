@@ -27,7 +27,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .corpus import DocumentStore, TokenStream
-from .util import read_arrays, write_arrays, json_digest
+from .util import check_fields, checked_ids, from_fields, json_digest, read_arrays, write_arrays
 
 MARKER = "▁"  # word-begin marker, prefixed to every pretoken
 UNK_PIECE = "<unk>"
@@ -48,7 +48,8 @@ class Vocabulary:
     vocabulary), then the base alphabet in sorted order, then merge results in
     merge order. Every merge result is itself a piece, and ``merges[k]``
     produced piece ``n_base + k``. Both sides of a merge are pieces, and
-    neither is the unk piece. Every pretoken begins with ``marker``.
+    neither is the unk piece. Every pretoken begins with ``marker``. The
+    constructor checks each field's type (:func:`~xlab.util.check_fields`).
     """
 
     pieces: tuple[str, ...]
@@ -57,6 +58,7 @@ class Vocabulary:
     marker: ClassVar[str] = MARKER
 
     def __post_init__(self):
+        check_fields(self, TokenizerError)
         pieces = set(self.pieces)
         if not pieces or len(pieces) != len(self.pieces):
             raise TokenizerError("vocabulary pieces must be unique and begin with the unk piece")
@@ -235,13 +237,8 @@ def encode(vocab: Vocabulary, text: str) -> list[int]:
 def decode(vocab: Vocabulary, ids: Sequence[int]) -> str:
     """Inverse of encode on trained-domain text (up to unk substitution and
     whitespace normalisation: pretokens rejoin with single spaces)."""
-    n = len(vocab.pieces)
-    out = []
-    for i in ids:
-        if not 0 <= int(i) < n:
-            raise TokenizerError(f"id {i} out of range for vocabulary of size {n}")
-        out.append(vocab.pieces[int(i)])
-    return "".join(out).replace(MARKER, " ").lstrip(" ")
+    ids = checked_ids(ids, len(vocab), TokenizerError, "ids", " of the vocabulary")
+    return "".join(vocab.pieces[i] for i in ids.tolist()).replace(MARKER, " ").lstrip(" ")
 
 
 def _vocab_fields(vocab: Vocabulary) -> dict:
@@ -275,38 +272,17 @@ def save_vocab(path: str | Path, vocab: Vocabulary) -> None:
 
 def load_vocab(path: str | Path) -> Vocabulary:
     """TokenizerError naming the file unless it matches its digest and holds a vocabulary."""
-    fields, _ = read_arrays(path, VOCAB_MAGIC, VOCAB_VERSION, TokenizerError)
-    try:
-        pieces, merges = fields["pieces"], fields["merges"]
-        unk_id, marker = fields["unk_id"], fields["marker"]
-    except KeyError as e:
-        raise TokenizerError(f"{path}: vocabulary lacks field {e}") from e
-    if not (type(pieces) is list and type(merges) is list
-            and all(type(m) is list and len(m) == 2 for m in merges)
-            and all(type(x) is str for x in [marker, *pieces, *(x for m in merges for x in m)])
-            and type(unk_id) is int):
-        raise TokenizerError(f"{path}: the pieces and marker must be strings, each merge two "
-                             "pieces and unk_id an int")
-    if (unk_id, marker) != (Vocabulary.unk_id, Vocabulary.marker):
-        raise TokenizerError(f"{path}: unk_id {unk_id} and marker {marker!r} are not "
+    header, _ = read_arrays(path, VOCAB_MAGIC, VOCAB_VERSION, TokenizerError)
+    # the constants, written for the digest's sake; a JSON false is no 0
+    unk_id, marker = header.pop("unk_id", None), header.pop("marker", None)
+    if (type(unk_id), unk_id, marker) != (int, Vocabulary.unk_id, Vocabulary.marker):
+        raise TokenizerError(f"{path}: unk_id {unk_id!r} and marker {marker!r} are not "
                              f"{Vocabulary.unk_id} and {Vocabulary.marker!r}")
-    try:
-        return Vocabulary(tuple(pieces), tuple(map(tuple, merges)))
-    except TokenizerError as e:
-        raise TokenizerError(f"{path}: {e}") from e
+    return from_fields(Vocabulary, header, TokenizerError, f"{path}: ")
 
 
 # ---------------------------------------------------------------------------
 # Id layouts: where each language's source ids sit in the model id space
-
-
-def _ids_below(ids, size: int, kind: str, where: str) -> np.ndarray:
-    """``ids`` as int64; TokenizerError unless every one is in [0, size)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and not 0 <= ids.min() <= ids.max() < size:
-        raise TokenizerError(f"{kind} ids {ids.min()}..{ids.max()} are outside "
-                             f"[0, {size}) {where}")
-    return ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +320,8 @@ class IdLayout:
         if not 0 <= language < self.n_languages:
             raise TokenizerError(f"language {language} out of range")
         lut = self.luts[language]
-        return lut[_ids_below(ids, len(lut), "source", f"of language {language}")]
+        return lut[checked_ids(ids, len(lut), TokenizerError, "source ids",
+                               f" of language {language}")]
 
     @cached_property
     def _inverse(self) -> np.ndarray:
@@ -358,7 +335,8 @@ class IdLayout:
         """Project model ids back to base ids (any language). Clone layouts
         only: the first call checks the layout as :meth:`language_slices`
         does and builds the inverse table."""
-        return self._inverse[_ids_below(ids, self.total_size, "model", "of the layout")]
+        return self._inverse[checked_ids(ids, self.total_size, TokenizerError, "model ids",
+                                         " of the layout")]
 
     def duplicated_base_ids(self) -> np.ndarray:
         """Base ids that are not anchors. Clone layouts only (:meth:`language_slices`)."""
@@ -412,7 +390,7 @@ def clone_vocab(
 def relabel(layout: IdLayout, permutation: Sequence[int]) -> IdLayout:
     """Permute language roles: the relabelled layout maps language n the way
     the original mapped ``permutation[n]``. Anchors are unchanged."""
-    perm = [int(p) for p in permutation]
+    perm = checked_ids(permutation, layout.n_languages, TokenizerError, "permutation").tolist()
     if sorted(perm) != list(range(layout.n_languages)):
         raise TokenizerError(
             f"permutation {permutation!r} is not a bijection over "

@@ -14,7 +14,7 @@ import ctypes
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -30,7 +30,7 @@ from .model import (
     save_checkpoint,
 )
 from .tokenizer import IdLayout
-from .util import read_arrays, write_arrays, json_digest
+from .util import check_fields, from_fields, json_digest, read_arrays, write_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -66,21 +66,21 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self):
-        for f in fields(self):  # the annotation is the type: the digest reads 10 and 10.0 apart
-            value, least = getattr(self, f.name), 1 if f.name in ("batch_size", "seq_len") else 0
-            if f.type == "int" and (type(value) is not int or value < least):
-                raise ValueError(f"{f.name} must be >= {least} and an int, got {value!r}")
-            if f.type == "float" and not (isinstance(value, float) and math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite float, got {value!r}")
+        check_fields(self, ValueError)  # the digest reads 10 and 10.0 apart
+        for name in ("total_steps", "batch_size", "seq_len", "warmup_steps", "seed",
+                     "checkpoint_every"):
+            value, least = getattr(self, name), 1 if name in ("batch_size", "seq_len") else 0
+            if value < least:
+                raise ValueError(f"{name} must be >= {least} and an int, got {value}")
         if not 0 <= self.lr_min <= self.lr_max or self.lr_max <= 0:
             raise ValueError("need 0 <= lr_min <= lr_max and 0 < lr_max")
-        if self.total_steps > 0 and not 0 < self.warmup_steps < self.total_steps:
-            raise ValueError("need 0 < warmup_steps < total_steps")
+        if self.total_steps > 0 and not 0 <= self.warmup_steps < self.total_steps:
+            raise ValueError("need 0 <= warmup_steps < total_steps")
 
 
 def lr_at(config: TrainConfig, step: int) -> float:
-    """Linear warmup 0 -> lr_max over warmup_steps, then cosine decay reaching
-    lr_min at total_steps."""
+    """Linear warmup 0 -> lr_max over warmup_steps (none at 0), then cosine decay
+    reaching lr_min at total_steps."""
     if not 0 <= step < max(config.total_steps, 1):
         raise ValueError(f"step {step} out of range [0, {config.total_steps})")
     if step < config.warmup_steps:
@@ -144,10 +144,10 @@ class Adam:
 
 @dataclass
 class RunRecord:
-    """Everything a finished (or interrupted) run reports about itself. Step
-    count and per-language token totals are derived, not stored. ``evals``
-    holds only what a checkpoint's JSON header gives back unchanged: see
-    :func:`_reads_back`."""
+    """Everything a finished (or interrupted) run reports about itself; step count and
+    per-language token totals are derived, not stored. The constructor checks the
+    fields' types (:func:`~xlab.util.check_fields`: ``evals`` holds what JSON reads
+    back) and that ``step_lang_tokens`` holds a row of counts per loss."""
 
     seed: int
     config_digest: str
@@ -155,6 +155,13 @@ class RunRecord:
     losses: list[float] = field(default_factory=list)
     step_lang_tokens: list[list[int]] = field(default_factory=list)
     evals: dict[str, dict] = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_fields(self, ValueError)
+        n, rows = self.n_languages, self.step_lang_tokens
+        if n < 1 or len(rows) != len(self.losses) or any(len(r) != n or min(r) < 0 for r in rows):
+            raise ValueError(f"need n_languages >= 1 and a row of that many counts >= 0 per loss, "
+                             f"got n_languages {n}, {len(rows)} rows, {len(self.losses)} losses")
 
     @property
     def steps(self) -> int:
@@ -168,15 +175,7 @@ class RunRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
         """Raises ValueError naming every missing or unknown field."""
-        if not isinstance(d, dict):
-            raise ValueError(f"a run record is a JSON object, got {type(d).__name__}")
-        names = {f.name for f in fields(cls)}
-        missing, unknown = sorted(names - d.keys()), sorted(d.keys() - names)
-        if missing or unknown:
-            raise ValueError(
-                f"run record with missing fields {missing} and unknown fields {unknown}"
-            )
-        return cls(**d)
+        return from_fields(cls, d, ValueError)
 
     def save(self, path: str | Path) -> None:
         write_arrays(path, RECORD_MAGIC, RECORD_VERSION, asdict(self))
@@ -184,10 +183,7 @@ class RunRecord:
     @classmethod
     def load(cls, path: str | Path) -> "RunRecord":
         header, _ = read_arrays(path, RECORD_MAGIC, RECORD_VERSION, ValueError)
-        try:
-            return cls.from_dict(header)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from e
+        return from_fields(cls, header, ValueError, f"{path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +209,9 @@ class MixtureSource:
         batch_size: int,
         seed: int,
     ):
+        if policy.n_languages != layout.n_languages:
+            raise ValueError(f"a policy of {policy.n_languages} languages, a layout of "
+                             f"{layout.n_languages}")
         shared = isinstance(cursors, StreamCursor)
         self.cursors = [cursors] if shared else list(cursors)
         if not shared and len(self.cursors) != policy.n_languages:
@@ -286,19 +285,6 @@ def _clip_gradients(grads, vocab_groups: VocabGroups | None) -> float:
         for g in grads.values():
             g *= scale
     return norm
-
-
-def _reads_back(value) -> bool:
-    """Whether JSON gives ``value`` back unchanged: a str, int, bool, None or
-    finite float, or a list or str-keyed dict of these."""
-    if value is None or type(value) in (str, int, bool):
-        return True
-    if type(value) is float:
-        return math.isfinite(value)
-    if type(value) is list:
-        return all(map(_reads_back, value))
-    return type(value) is dict and all(type(k) is str and _reads_back(v)
-                                        for k, v in value.items())
 
 
 def _keep_freed_memory() -> None:
@@ -382,13 +368,11 @@ def train(
         hooks = [fn for at, fn in eval_hooks if at == steps_done]
         for fn in hooks:
             fn(state, steps_done, record)
-        for key, value in record.evals.items() if hooks else ():
-            where = f"record.evals key {key!r} after the hooks of step {steps_done}"
-            if type(key) is not str:
-                raise ValueError(f"{where} is not a str")
-            if not _reads_back(value):
-                raise ValueError(f"{where} holds {value!r}, which JSON does not give back "
-                                 "unchanged")
+        if hooks:
+            try:
+                check_fields(record, ValueError, "evals")
+            except ValueError as e:
+                raise ValueError(f"after the hooks of step {steps_done}, record.{e}") from e
         if out is not None and (steps_done == config.total_steps or config.checkpoint_every
                                 and steps_done % config.checkpoint_every == 0):
             path = out / f"checkpoint_{steps_done:07d}.xlck"

@@ -1,10 +1,17 @@
-"""JSON digests, and the one layout of every xlab file: checkpoints (``XLCK``),
-token streams (``XLTS``), vocabularies (``XLVB``), run records (``XLRR``) and
-scaling fits (``XLSF``). A file is the caller's magic; ``<BI``, the version and
-the header length; the SHA-256 of the header bytes followed by the payload; the
-JSON header, keys sorted, with the caller's fields and ``tensors`` (a ``[name,
-shape, dtype]`` per array); then the arrays in that order, C-ordered and
-little-endian. Vocabularies, run records and scaling fits hold no arrays."""
+"""JSON digests, the two checks of what xlab is given, and the one layout of every
+xlab file. Each check raises the caller's own error class and names what it refuses.
+:func:`check_fields`: each field of a dataclass holds its annotated type, an int (not
+a bool), a finite float, a bool, a str, or a list, tuple or str-keyed dict of these; a
+bare ``list`` or ``dict`` holds what JSON gives back unchanged. :func:`checked_ids`:
+ids have an integer dtype and lie in ``[0, size)``.
+
+The files are checkpoints (``XLCK``), token streams (``XLTS``), vocabularies
+(``XLVB``), run records (``XLRR``) and scaling fits (``XLSF``). A file is the
+caller's magic; ``<BI``, the version and the header length; the SHA-256 of the
+header bytes followed by the payload; the JSON header, keys sorted, with the
+caller's fields and ``tensors`` (a ``[name, shape, dtype]`` per array); then the
+arrays in that order, C-ordered and little-endian. Vocabularies, run records and
+scaling fits hold no arrays."""
 
 from __future__ import annotations
 
@@ -13,9 +20,91 @@ import json
 import math
 import os
 import struct
+from dataclasses import fields
+from functools import cache
+from itertools import chain, count, repeat
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
+
+# a class's annotations and a type's origin and arguments, worked out once, not at every check
+_hints = cache(get_type_hints)
+_kind_and_args = cache(lambda hint: (get_origin(hint) or hint, get_args(hint)))
+_NAMES = {int: "an int", float: "a finite float", bool: "a bool", str: "a str", dict: "a dict",
+          object: "a JSON value"}
+
+
+def _misfit(value, hint):
+    """``(where, hint, part)`` of the first part of ``value``, at index path ``where``,
+    that is not of the type ``hint``, or None; ``object`` is any value JSON reads back."""
+    if type(value) is hint and hint in (int, bool, str):
+        return None  # the common case, first
+    if hint is object and (value is None or type(value) in (int, float, bool, str, list, dict)):
+        hint = type(value)
+    kind, args = _kind_and_args(hint)
+    fixed = kind is tuple and args[-1:] != (...,)
+    if (type(value) is not kind or kind is float and not math.isfinite(value)
+            or fixed and len(value) != len(args)):
+        return "", hint, value
+    if kind is dict:  # the keys, at None, then the items
+        parts = chain(zip(repeat(None), value, repeat(str)),
+                      zip(value, value.values(), repeat(args[1] if args else object)))
+    elif kind in (list, tuple):
+        parts = zip(count(), value, args if fixed else repeat(args[0] if args else object))
+    else:
+        return None
+    for at, part, part_hint in parts:
+        if bad := _misfit(part, part_hint):
+            return (" key" if at is None else f"[{at!r}]") + bad[0], *bad[1:]
+    return None
+
+
+def check_fields(obj, error: type[Exception], *names: str) -> None:
+    """``error`` naming the first field of the dataclass ``obj`` (of ``names``, if
+    given) that does not hold its annotated type, and the part that does not."""
+    hints = _hints(type(obj))
+    for name in names or [f.name for f in fields(obj)]:
+        if bad := _misfit(getattr(obj, name), hints[name]):
+            raise error(f"{name}{bad[0]} must be {_NAMES.get(bad[1], bad[1])}, got {bad[2]!r}")
+
+
+def _tuples(value):
+    """A list as a tuple, and so the lists in it; anything else as it is."""
+    return tuple(map(_tuples, value)) if type(value) is list else value
+
+
+def from_fields(cls, header, error: type[Exception], prefix: str = ""):
+    """The dataclass ``cls`` built from the fields of a JSON ``header``, the lists of a
+    field annotated as a tuple read as tuples; ``error``, its message after ``prefix``,
+    names every missing and unknown field, or what ``cls`` refuses."""
+    if type(header) is not dict:
+        raise error(f"{prefix}a {cls.__name__} is a JSON object, got {type(header).__name__}")
+    names = {f.name for f in fields(cls)}
+    missing, unknown = sorted(names - header.keys()), sorted(header.keys() - names)
+    if missing or unknown:
+        raise error(f"{prefix}{cls.__name__} with missing fields {missing} and unknown fields "
+                    f"{unknown}")
+    hints = _hints(cls)
+    try:
+        return cls(**{name: _tuples(value) if get_origin(hints[name]) is tuple else value
+                      for name, value in header.items()})
+    except ValueError as e:  # each class raises its own ValueError
+        raise error(f"{prefix}{e}") from e
+
+
+def checked_ids(ids, size: int, error: type[Exception], what: str, where: str = "",
+                dtype=np.int64) -> np.ndarray:
+    """``ids`` as a contiguous ``dtype`` array; ``error`` unless they are integers in
+    [0, size). An array of an unsigned ``dtype`` too narrow to hold ``size`` is not scanned."""
+    if not (isinstance(ids, np.ndarray) and ids.dtype == dtype and np.dtype(dtype).kind == "u"
+            and np.iinfo(dtype).max < size):
+        ids = np.asarray(ids)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise error(f"{what}{where} must be integers, got dtype {ids.dtype}")
+        if ids.size and not 0 <= ids.min() <= int(ids.max()) < size:
+            raise error(f"{what} {ids.min()}..{ids.max()} are outside [0, {size}){where}")
+    return np.ascontiguousarray(ids, dtype=dtype)
 
 
 def json_digest(obj) -> str:

@@ -448,7 +448,7 @@ def test_oversized_sequence_rejected():
 
 def test_id_out_of_range_rejected():
     st = make_model(vocab_size=10)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"token ids 0..10 are outside \[0, 10\)"):
         model.forward(st, np.array([0, 10]))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,9 +134,10 @@ def test_fit_json_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("text, match", [
-    ('{"a": 1.0, "b": 0.5, "c": 1.0, "domain": [1, 10]}', "argument 'domain'"),
-    ('{"a": 1.0, "b": 0.5, "c": 1.0, "t_min": 1, "t_max": 10}', "argument: 'residual'"),
-    ('{"a": -1.0, "b": 0.5, "c": 1.0, "residual": 0, "t_min": 1, "t_max": 10}', "a=-1.0"),
+    ('{"a": 1.0, "b": 0.5, "c": 1.0, "domain": [1, 10]}', r"unknown fields \['domain'\]"),
+    ('{"a": 1.0, "b": 0.5, "c": 1.0, "t_min": 1, "t_max": 10}', r"missing fields \['residual'\]"),
+    ('{"a": -1.0, "b": 0.5, "c": 1.0, "residual": 0, "t_min": 1, "t_max": 10}',
+     "residual must be a finite float, got 0"),
 ])
 def test_fit_load_errors_name_file_and_field(tmp_path, text, match):
     path = tmp_path / "fit.xlsf"
@@ -143,6 +145,22 @@ def test_fit_load_errors_name_file_and_field(tmp_path, text, match):
     with pytest.raises(scaling.FitError, match=match) as info:
         scaling.ScalingFit.load(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("edit", [dict(t_min=5.0, t_max=2.0), dict(t_min=0.0),
+                                  dict(residual=-1.0)])
+def test_a_fit_needs_an_ordered_positive_domain_and_a_residual_of_zero_or_more(tmp_path, edit):
+    good = dict(a=1.0, b=0.5, c=1.0, residual=0.0, t_min=1.0, t_max=10.0)
+    got = {**good, **edit}
+    match = re.escape("need a, b > 0, c >= 0, 0 < t_min <= t_max and residual >= 0: "
+                      "ScalingFit(a={a}, b={b}, c={c}, residual={residual}, t_min={t_min}, "
+                      "t_max={t_max})".format(**got))
+    with pytest.raises(scaling.FitError, match=match):
+        scaling.ScalingFit(**got)
+    path = tmp_path / "fit.xlsf"
+    util.write_arrays(path, scaling.FIT_MAGIC, scaling.FIT_VERSION, got)
+    with pytest.raises(scaling.FitError, match=f"{path}: {match}"):
+        scaling.ScalingFit.load(path)
 
 
 def test_efficiency_report_rows():

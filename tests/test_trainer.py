@@ -50,6 +50,22 @@ def test_train_config_validation():
         trainer.TrainConfig(total_steps=10, batch_size=0, seq_len=8, warmup_steps=2)
 
 
+def test_a_run_of_one_step_trains_without_warmup(tmp_path):
+    # 0 < warmup_steps < total_steps had no solution at total_steps=1
+    cfg = trainer.TrainConfig(total_steps=1, batch_size=8, seq_len=16, warmup_steps=0)
+    assert trainer.lr_at(cfg, 0) == cfg.lr_max
+    st, source, _, _ = small_setup()
+    before = st.copy()
+    st, record = trainer.train(st, source, cfg, out_dir=tmp_path)
+    assert record.steps == 1
+    assert not np.array_equal(st.params["token_embedding"], before.params["token_embedding"])
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint_0000001.xlck"]
+    for total_steps, warmup_steps in ((1, 1), (10, 10)):
+        with pytest.raises(ValueError, match="need 0 <= warmup_steps < total_steps"):
+            trainer.TrainConfig(total_steps=total_steps, batch_size=1, seq_len=8,
+                                warmup_steps=warmup_steps)
+
+
 @pytest.mark.parametrize("field, value", [("checkpoint_every", -1)])
 def test_train_config_rejects_settings_it_would_misread(field, value):
     # a negative checkpoint_every would checkpoint every step
@@ -60,13 +76,13 @@ def test_train_config_rejects_settings_it_would_misread(field, value):
 
 @pytest.mark.parametrize("field, value, match", [
     # a float step count failed in range() and digested apart from its int
-    ("total_steps", 10.0, "total_steps must be >= 0 and an int, got 10.0"),
-    ("batch_size", True, "batch_size must be >= 1 and an int, got True"),
-    ("seq_len", np.int64(8), "seq_len must be >= 1 and an int"),
-    ("warmup_steps", 2.5, "warmup_steps must be >= 0 and an int"),
-    ("seed", "0", "seed must be >= 0 and an int, got '0'"),
+    ("total_steps", 10.0, "total_steps must be an int, got 10.0"),
+    ("batch_size", True, "batch_size must be an int, got True"),
+    ("seq_len", np.int64(8), "seq_len must be an int, got np.int64.8."),
+    ("warmup_steps", 2.5, "warmup_steps must be an int, got 2.5"),
+    ("seed", "0", "seed must be an int, got '0'"),
     ("seed", -1, "seed must be >= 0 and an int, got -1"),
-    ("checkpoint_every", None, "checkpoint_every must be >= 0 and an int"),
+    ("checkpoint_every", None, "checkpoint_every must be an int, got None"),
     ("lr_max", float("nan"), "lr_max must be a finite float, got nan"),
     ("lr_min", float("inf"), "lr_min must be a finite float, got inf"),
     ("lr_max", 1, "lr_max must be a finite float, got 1"),
@@ -460,7 +476,7 @@ def test_an_evals_key_that_is_not_a_str_fails_whole_and_resumed_runs_alike(tmp_p
     def record_step(key):
         return lambda state, steps_done, record: record.evals.update({key(steps_done): {}})
 
-    match = "record.evals key 6 after the hooks of step 6 is not a str"
+    match = "after the hooks of step 6, record.evals key must be a str, got 6"
     hooks = [(3, record_step(str)), (6, record_step(int))]
     for resume in (None, tmp_path / "full" / "checkpoint_0000003.xlck"):
         st, src, _, _ = small_setup(seed=2, batch_size=4)
@@ -468,7 +484,8 @@ def test_an_evals_key_that_is_not_a_str_fails_whole_and_resumed_runs_alike(tmp_p
             trainer.train(st, src, cfg, eval_hooks=hooks, out_dir=tmp_path / "full",
                           resume_from=resume)
     st, src, _, _ = small_setup(seed=2, batch_size=4)
-    with pytest.raises(ValueError, match="record.evals key 3 after the hooks of step 3"):
+    with pytest.raises(ValueError,
+                       match="after the hooks of step 3, record.evals key must be a str, got 3"):
         trainer.train(st, src, cfg, eval_hooks=[(3, record_step(int))])
 
 
@@ -485,8 +502,9 @@ def test_an_evals_value_json_does_not_give_back_is_refused(tmp_path, value, show
         record.evals[str(steps_done)] = {"ppl": [1.5, {"0": value}]}
 
     st, src, _, _ = small_setup(seed=2, batch_size=4)
-    with pytest.raises(ValueError, match=f"record.evals key '1' after the hooks of step 1 holds "
-                                         f".*{shown}.*, which JSON does not give back unchanged"):
+    with pytest.raises(ValueError, match=rf"after the hooks of step 1, record.evals\['1'\]\['ppl'\]"
+                                         rf"\[1\]\['0'\] must be a (JSON value|finite float), "
+                                         f"got {shown}"):
         trainer.train(st, src, cfg, eval_hooks=[(1, hook)], out_dir=tmp_path)
 
 
@@ -658,6 +676,28 @@ def test_run_record_rejects_missing_and_unknown_fields(tmp_path, edit, match):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("edit, match", [
+    (dict(n_languages=0), "got n_languages 0, 2 rows, 2 losses"),
+    (dict(losses=[2.0]), "got n_languages 2, 2 rows, 1 losses"),
+    (dict(step_lang_tokens=[[1, 2], [3, 4], [5, 6]]), "got n_languages 2, 3 rows, 2 losses"),
+    (dict(step_lang_tokens=[[1, 2], [3]]), "got n_languages 2, 2 rows, 2 losses"),
+    (dict(step_lang_tokens=[[1, 2], [3, -4]]), "got n_languages 2, 2 rows, 2 losses"),
+])
+def test_run_record_holds_one_row_of_counts_per_loss(tmp_path, edit, match):
+    # a record of n_languages=-3, losses "abc" and rows [[1.5]] used to load with 3 steps
+    good = dict(seed=1, config_digest="abc", n_languages=2, losses=[3.0, 2.5],
+                step_lang_tokens=[[10, 6], [0, 16]])
+    trainer.RunRecord(**good)
+    match = "need n_languages >= 1 and a row of that many counts >= 0 per loss, " + match
+    with pytest.raises(ValueError, match=match):
+        trainer.RunRecord(**{**good, **edit})
+    path = tmp_path / "r.xlrr"
+    util.write_arrays(path, trainer.RECORD_MAGIC, trainer.RECORD_VERSION,
+                      {**asdict(trainer.RunRecord(**good)), **edit})
+    with pytest.raises(ValueError, match=f"{path}: .*{match}"):
+        trainer.RunRecord.load(path)
+
+
 def test_run_record_load_names_file_on_bad_json(tmp_path):
     path = tmp_path / "r.json"
     path.write_text('{"seed": 1,')  # neither a run record file nor JSON
@@ -704,3 +744,15 @@ def test_clone_symmetry_short_run():
             assert np.array_equal(st_a.params[name][perm_ids], st_b.params[name])
         else:
             assert np.array_equal(st_a.params[name], st_b.params[name]), name
+
+
+@pytest.mark.parametrize("probs", [[1.0], [0.3, 0.3, 0.4]])
+def test_a_source_needs_a_policy_over_the_layout_languages(probs):
+    # with 3 policy languages a run failed at the first batch of language 2; with 1,
+    # language 1 was never trained
+    cv = tokenizer.clone_vocab(make_vocab(10), 2)
+    policy = mixer.parse_policy([{"until": 1.0, "probs": probs}])
+    cursor = mixer.StreamCursor(markov_stream(200, 10, seed=0)[0], seq_len=8)
+    with pytest.raises(ValueError, match=f"a policy of {policy.n_languages} languages, a "
+                                         "layout of 2"):
+        trainer.MixtureSource(cursor, cv, policy, batch_size=2, seed=0)

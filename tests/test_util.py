@@ -1,9 +1,12 @@
+import re
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xlab import corpus, model, scaling, tokenizer, trainer, util
+from xlab import alignment, corpus, evaluator, model, scaling, tokenizer, trainer, util
 
 from conftest import edit_array_file, make_model, make_vocab
 
@@ -120,3 +123,91 @@ def test_failed_save_keeps_earlier_file(tmp_path, monkeypatch, writer, target):
     monkeypatch.undo()
     assert (tmp_path / target).read_bytes() == before
     assert not list(tmp_path.glob("*.tmp"))
+
+
+# every class that checks its fields' types, its error and the fields of a valid object
+CHECKED = {
+    "ModelConfig": (model.ModelConfig, ValueError, dict(
+        n_layers=1, d_model=8, n_heads=2, d_ff=16, vocab_size=5, max_seq_len=4)),
+    "TrainConfig": (trainer.TrainConfig, ValueError, dict(
+        total_steps=10, batch_size=1, seq_len=8, warmup_steps=2)),
+    "RunRecord": (trainer.RunRecord, ValueError, dict(
+        seed=1, config_digest="d", n_languages=1, losses=[1.0], step_lang_tokens=[[8]],
+        evals={"1": {"ppl": 2.0}})),
+    "ScalingFit": (scaling.ScalingFit, scaling.FitError, dict(
+        a=1.0, b=0.5, c=1.0, residual=0.0, t_min=1.0, t_max=10.0)),
+    "Vocabulary": (tokenizer.Vocabulary, tokenizer.TokenizerError, dict(
+        pieces=("<unk>", "a", "b", "ab"), merges=(("a", "b"),))),
+}
+
+# for the classes a file holds: its writer, its loader and where the header keeps the fields
+FILES = {
+    "ModelConfig": (lambda path, c: model.save_checkpoint(path, model.init(c, seed=0), step=0),
+                    model.load_checkpoint, lambda header: header["config"]),
+    "RunRecord": (lambda path, r: r.save(path), trainer.RunRecord.load, lambda header: header),
+    "ScalingFit": (lambda path, f: f.save(path), scaling.ScalingFit.load, lambda header: header),
+    "Vocabulary": (tokenizer.save_vocab, tokenizer.load_vocab, lambda header: header),
+}
+
+
+def _wrong(value):
+    """``(value with one part of another type, that part)``: a bool for an int, an int
+    for a float or a bool, an int for a str, in a list or tuple its first item's; a
+    dict's first value goes into a list."""
+    if type(value) in (list, tuple):
+        first, part = _wrong(value[0])
+        return type(value)([first, *value[1:]]), part
+    if type(value) is dict:
+        key, item = next(iter(value.items()))
+        return {**value, key: [item]}, [item]
+    part = {int: True, float: 1, bool: 0, str: 7}[type(value)]
+    return part, part
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_every_field_refuses_a_value_of_another_type(tmp_path, name):
+    cls, error, good = CHECKED[name]
+    values = asdict(cls(**good))
+    for f in fields(cls):
+        bad, part = _wrong(values[f.name])
+        match = rf"{f.name}[\[ ].*must be .*, got {re.escape(repr(part))}$"
+        with pytest.raises(error, match="^" + match):
+            cls(**{**values, f.name: bad})
+        if name in FILES:
+            save, load, fields_of = FILES[name]
+            path = tmp_path / f"{f.name}.dat"
+            save(path, cls(**values))
+            edit_array_file(path, lambda header, arrays: fields_of(header).update({f.name: bad}))
+            with pytest.raises(error, match=f"^{re.escape(str(path))}: .*{match}"):
+                load(path)
+
+
+FLOAT_IDS = [1.7, 2.2, 3.9]  # once cast, the ids 1, 2 and 3
+
+# each call that takes ids, given float ids, and the error of its module
+FLOAT_ID_CALLS = {
+    "map_ids": (lambda: tokenizer.clone_vocab(make_vocab(10), 2).map_ids(FLOAT_IDS, 1),
+                tokenizer.TokenizerError),
+    "to_base": (lambda: tokenizer.clone_vocab(make_vocab(10), 2).to_base(FLOAT_IDS),
+                tokenizer.TokenizerError),
+    "decode": (lambda: tokenizer.decode(make_vocab(10), FLOAT_IDS), tokenizer.TokenizerError),
+    "relabel": (lambda: tokenizer.relabel(tokenizer.clone_vocab(make_vocab(10), 2), [1.7, 0.2]),
+                tokenizer.TokenizerError),
+    "sliding_logprobs": (lambda: evaluator.sliding_logprobs(make_model(), FLOAT_IDS, 4, 2),
+                         evaluator.EvalError),
+    "ParallelPair": (lambda: alignment.ParallelPair(FLOAT_IDS, [1, 2, 3], mode="cloned"),
+                     alignment.AlignmentError),
+    "hidden_states": (lambda: model.hidden_states(make_model(), FLOAT_IDS), ValueError),
+    "loss_and_grads ids": (lambda: model.loss_and_grads(make_model(), FLOAT_IDS, [1, 2, 3]),
+                           ValueError),
+    "loss_and_grads targets": (lambda: model.loss_and_grads(make_model(), [1, 2, 3], FLOAT_IDS),
+                               ValueError),
+    "TokenStream": (lambda: corpus.TokenStream(FLOAT_IDS, [3], "0" * 64), corpus.CorpusError),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_ID_CALLS)
+def test_float_ids_raise_the_module_error(call):
+    run, error = FLOAT_ID_CALLS[call]
+    with pytest.raises(error, match="must be integers, got dtype float64"):
+        run()
