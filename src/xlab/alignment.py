@@ -123,8 +123,8 @@ class ParallelPair:
     mode: str  # "cloned" | "real"
 
     def __post_init__(self):
-        object.__setattr__(self, "seq_a", checked_ids(self.seq_a, 2**63, AlignmentError, "seq_a"))
-        object.__setattr__(self, "seq_b", checked_ids(self.seq_b, 2**63, AlignmentError, "seq_b"))
+        object.__setattr__(self, "seq_a", checked_ids(self.seq_a, None, AlignmentError, "seq_a"))
+        object.__setattr__(self, "seq_b", checked_ids(self.seq_b, None, AlignmentError, "seq_b"))
         if self.mode not in ("cloned", "real"):
             raise AlignmentError(f"unknown pair mode {self.mode!r}")
         if self.mode == "cloned" and len(self.seq_a) != len(self.seq_b):

@@ -30,7 +30,7 @@ from .model import (
     save_checkpoint,
 )
 from .tokenizer import IdLayout
-from .util import check_fields, from_fields, json_digest, read_arrays, write_arrays
+from .util import check_fields, check_type, from_fields, json_digest, read_arrays, write_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -369,10 +369,8 @@ def train(
         for fn in hooks:
             fn(state, steps_done, record)
         if hooks:
-            try:
-                check_fields(record, ValueError, "evals")
-            except ValueError as e:
-                raise ValueError(f"after the hooks of step {steps_done}, record.{e}") from e
+            check_type(record.evals, dict[str, dict], ValueError,
+                       f"after the hooks of step {steps_done}, record.evals")
         if out is not None and (steps_done == config.total_steps or config.checkpoint_every
                                 and steps_done % config.checkpoint_every == 0):
             path = out / f"checkpoint_{steps_done:07d}.xlck"

@@ -1,9 +1,9 @@
 """JSON digests, the two checks of what xlab is given, and the one layout of every
-xlab file. Each check raises the caller's own error class and names what it refuses.
-:func:`check_fields`: each field of a dataclass holds its annotated type, an int (not
-a bool), a finite float, a bool, a str, or a list, tuple or str-keyed dict of these; a
-bare ``list`` or ``dict`` holds what JSON gives back unchanged. :func:`checked_ids`:
-ids have an integer dtype and lie in ``[0, size)``.
+xlab file. Each check raises the caller's own error class and names what it refuses:
+:func:`check_fields`, that each field of a dataclass holds its annotated type (an int
+but no bool, a finite float, a bool, a str, or a list, tuple or str-keyed dict of
+these; a bare ``list`` or ``dict`` holds JSON values), and :func:`checked_ids`, that
+ids have an integer dtype and, given a ``size``, lie in ``[0, size)``.
 
 The files are checkpoints (``XLCK``), token streams (``XLTS``), vocabularies
 (``XLVB``), run records (``XLRR``) and scaling fits (``XLSF``). A file is the
@@ -21,52 +21,51 @@ import math
 import os
 import struct
 from dataclasses import fields
-from functools import cache
-from itertools import chain, count, repeat
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-# a class's annotations and a type's origin and arguments, worked out once, not at every check
-_hints = cache(get_type_hints)
-_kind_and_args = cache(lambda hint: (get_origin(hint) or hint, get_args(hint)))
 _NAMES = {int: "an int", float: "a finite float", bool: "a bool", str: "a str", dict: "a dict",
           object: "a JSON value"}
+_JSON = (type(None), int, float, bool, str, list, dict)
 
 
 def _misfit(value, hint):
     """``(where, hint, part)`` of the first part of ``value``, at index path ``where``,
-    that is not of the type ``hint``, or None; ``object`` is any value JSON reads back."""
+    that is not of the type ``hint``, or None."""
     if type(value) is hint and hint in (int, bool, str):
         return None  # the common case, first
-    if hint is object and (value is None or type(value) in (int, float, bool, str, list, dict)):
-        hint = type(value)
-    kind, args = _kind_and_args(hint)
-    fixed = kind is tuple and args[-1:] != (...,)
+    kind, args = get_origin(hint) or hint, get_args(hint)
+    fixed = kind is tuple and ... not in args
     if (type(value) is not kind or kind is float and not math.isfinite(value)
             or fixed and len(value) != len(args)):
         return "", hint, value
-    if kind is dict:  # the keys, at None, then the items
-        parts = chain(zip(repeat(None), value, repeat(str)),
-                      zip(value, value.values(), repeat(args[1] if args else object)))
-    elif kind in (list, tuple):
-        parts = zip(count(), value, args if fixed else repeat(args[0] if args else object))
-    else:
+    if kind not in (dict, list, tuple):
         return None
-    for at, part, part_hint in parts:
+    if kind is dict and (keys := [k for k in value if type(k) is not str]):
+        return " key", str, keys[0]
+    for at, part in value.items() if kind is dict else enumerate(value):
+        if not args:  # a bare list or dict holds JSON values
+            part_hint = type(part) if type(part) in _JSON else object
+        else:
+            part_hint = args[at] if fixed else args[1 if kind is dict else 0]
         if bad := _misfit(part, part_hint):
-            return (" key" if at is None else f"[{at!r}]") + bad[0], *bad[1:]
+            return f"[{at!r}]" + bad[0], *bad[1:]
     return None
 
 
-def check_fields(obj, error: type[Exception], *names: str) -> None:
-    """``error`` naming the first field of the dataclass ``obj`` (of ``names``, if
-    given) that does not hold its annotated type, and the part that does not."""
-    hints = _hints(type(obj))
-    for name in names or [f.name for f in fields(obj)]:
-        if bad := _misfit(getattr(obj, name), hints[name]):
-            raise error(f"{name}{bad[0]} must be {_NAMES.get(bad[1], bad[1])}, got {bad[2]!r}")
+def check_type(value, hint, error: type[Exception], name: str) -> None:
+    """``error`` naming ``name`` and the part of ``value`` that is not of the type ``hint``."""
+    if bad := _misfit(value, hint):
+        raise error(f"{name}{bad[0]} must be {_NAMES.get(bad[1], bad[1])}, got {bad[2]!r}")
+
+
+def check_fields(obj, error: type[Exception]) -> None:
+    """:func:`check_type` of each field of the dataclass ``obj`` against its annotation."""
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        check_type(getattr(obj, f.name), hints[f.name], error, f.name)
 
 
 def _tuples(value):
@@ -85,7 +84,7 @@ def from_fields(cls, header, error: type[Exception], prefix: str = ""):
     if missing or unknown:
         raise error(f"{prefix}{cls.__name__} with missing fields {missing} and unknown fields "
                     f"{unknown}")
-    hints = _hints(cls)
+    hints = get_type_hints(cls)
     try:
         return cls(**{name: _tuples(value) if get_origin(hints[name]) is tuple else value
                       for name, value in header.items()})
@@ -93,16 +92,17 @@ def from_fields(cls, header, error: type[Exception], prefix: str = ""):
         raise error(f"{prefix}{e}") from e
 
 
-def checked_ids(ids, size: int, error: type[Exception], what: str, where: str = "",
+def checked_ids(ids, size: int | None, error: type[Exception], what: str, where: str = "",
                 dtype=np.int64) -> np.ndarray:
-    """``ids`` as a contiguous ``dtype`` array; ``error`` unless they are integers in
-    [0, size). An array of an unsigned ``dtype`` too narrow to hold ``size`` is not scanned."""
+    """``ids`` as a contiguous ``dtype`` array; ``error`` unless they are integers, and
+    in [0, size) if a ``size`` is given. Ids of ``dtype`` are not scanned when no value
+    of that dtype lies outside the range, nor at all without a ``size``."""
     if not (isinstance(ids, np.ndarray) and ids.dtype == dtype and np.dtype(dtype).kind == "u"
             and np.iinfo(dtype).max < size):
         ids = np.asarray(ids)
         if ids.size and ids.dtype.kind not in "iu":
             raise error(f"{what}{where} must be integers, got dtype {ids.dtype}")
-        if ids.size and not 0 <= ids.min() <= int(ids.max()) < size:
+        if size is not None and ids.size and not 0 <= ids.min() <= int(ids.max()) < size:
             raise error(f"{what} {ids.min()}..{ids.max()} are outside [0, {size}){where}")
     return np.ascontiguousarray(ids, dtype=dtype)
 

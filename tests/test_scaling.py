@@ -147,9 +147,10 @@ def test_fit_load_errors_name_file_and_field(tmp_path, text, match):
     assert str(path) in str(info.value)
 
 
-@pytest.mark.parametrize("edit", [dict(t_min=5.0, t_max=2.0), dict(t_min=0.0),
+@pytest.mark.parametrize("edit", [dict(a=-1.0), dict(b=0.0), dict(c=-1.0),
+                                  dict(t_min=5.0, t_max=2.0), dict(t_min=0.0),
                                   dict(residual=-1.0)])
-def test_a_fit_needs_an_ordered_positive_domain_and_a_residual_of_zero_or_more(tmp_path, edit):
+def test_a_fit_refuses_parameters_domain_and_residual_out_of_range(tmp_path, edit):
     good = dict(a=1.0, b=0.5, c=1.0, residual=0.0, t_min=1.0, t_max=10.0)
     got = {**good, **edit}
     match = re.escape("need a, b > 0, c >= 0, 0 < t_min <= t_max and residual >= 0: "
