@@ -31,7 +31,7 @@ from .corpus import TokenStream
 # ``forward`` through ``scored_logprobs``, so it is imported but not called
 from .model import ModelState, VocabGroups, forward, scored_logprobs  # noqa: F401
 from .tokenizer import IdLayout
-from .util import checked_ids
+from .util import check_type, checked_ids
 
 
 # windows scored per scored_logprobs call
@@ -78,7 +78,10 @@ def sliding_logprobs(state: ModelState, doc_ids: np.ndarray, window: int = 512, 
 
     Returns (target_positions, logprobs); position p is the index of the
     scored token within the document. Each predictable token appears once.
+    ``window`` and ``stride`` are ints (:func:`window_spans`).
     """
+    check_type(window, int, EvalError, "window")
+    check_type(stride, int, EvalError, "stride")
     if window > (limit := state.config.max_seq_len):
         raise EvalError(f"window {window} exceeds the model's max_seq_len {limit}")
     ids = checked_ids(doc_ids, None, EvalError, "token ids")  # forward checks their range

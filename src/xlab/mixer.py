@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CorpusError, TokenStream
+from .util import check_type
 
 logger = logging.getLogger(__name__)
 
@@ -137,10 +138,17 @@ class StreamCursor:
     covers positions [k*seq_len, k*seq_len + seq_len] so consecutive slices
     share one token (the next-token target of the previous slice). When the
     tail cannot fill a slice the cursor wraps to the start and logs an epoch
-    increment. Raises CorpusError on a stream with no tokens or a ``seq_len`` below 1.
+    increment. Raises CorpusError on a stream with no tokens, a ``seq_len``
+    that is not an int of at least 1, or a ``separator_id`` that is neither
+    None nor a non-negative int.
     """
 
     def __init__(self, stream: TokenStream, seq_len: int, separator_id: int | None = None):
+        check_type(seq_len, int, CorpusError, "seq_len")
+        if separator_id is not None:
+            check_type(separator_id, int, CorpusError, "separator_id")
+            if separator_id < 0:
+                raise CorpusError(f"separator_id must be a non-negative id, got {separator_id}")
         if len(stream.ids) == 0:
             raise CorpusError("cannot read training slices from a stream of 0 tokens")
         if seq_len < 1:

@@ -1,8 +1,8 @@
 """BPE vocabularies and the id layouts of this lab.
 
 An :class:`IdLayout` says where each language's source ids sit in the one id
-space a model sees. It is built by cloning a base vocabulary (full or
-partial, i.e. anchored), by role relabelling of a layout, by placing
+space a model sees. It is built by cloning a base vocabulary (with or
+without shared anchor ids), by role relabelling of a layout, by placing
 independently trained vocabularies side by side, or by merging them so that
 shared surface forms get one id.
 
@@ -13,6 +13,14 @@ pair of ids is the key ``left * len(pieces) + right``. There is no byte
 fallback: a character that is not a piece encodes to exactly one unk id, and
 no merge may be over the unk piece, so an unk id never merges. Vocabulary
 objects are immutable after training and safe to share across threads.
+
+A vocabulary caches the ids of the pretokens it has encoded, up to
+``WORD_CACHE_SIZE`` words. :func:`train_bpe` seeds the cache with its own
+final segmentation of each training word, so tokenizing the training split
+runs no merge loop. The seeded ids are the encoder's: encoding applies the
+merges that apply in increasing merge order, as training did, because the
+piece merge j makes is in no earlier merge, so no merge becomes applicable
+after a later one.
 """
 
 from __future__ import annotations
@@ -20,14 +28,16 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .corpus import DocumentStore, TokenStream
-from .util import check_fields, checked_ids, from_fields, json_digest, read_arrays, write_arrays
+from .util import (check_fields, check_type, checked_ids, from_fields, json_digest, read_arrays,
+                   write_arrays)
 
 MARKER = "▁"  # word-begin marker, prefixed to every pretoken
 UNK_PIECE = "<unk>"
@@ -89,13 +99,28 @@ class Vocabulary:
                 for k, (left, right) in enumerate(self.merges)}
 
     @cached_property
-    def _word_encoder(self):
-        """Encodes one pretoken, remembering the last WORD_CACHE_SIZE
-        distinct words. It holds this vocabulary's tables, not the
-        vocabulary, so no reference cycle keeps a dropped vocabulary and its
-        cache alive until the cyclic garbage collector runs."""
-        return lru_cache(maxsize=WORD_CACHE_SIZE)(partial(
-            _encode_word, self._merged, len(self.pieces), self._piece_to_id, self.unk_id))
+    def _word_ids(self) -> _WordCache:
+        return _WordCache(self._merged, len(self.pieces), self._piece_to_id, self.unk_id)
+
+
+class _WordCache(dict):
+    """A pretoken, without its marker, to its ids. A miss encodes the word,
+    after emptying a cache of WORD_CACHE_SIZE words, so it never holds more.
+    It holds the vocabulary's tables, not the vocabulary, so no reference
+    cycle keeps a dropped vocabulary and its cache alive until the cyclic
+    garbage collector runs."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self, *tables):
+        super().__init__()
+        self.tables = tables
+
+    def __missing__(self, word: str) -> tuple[int, ...]:
+        if len(self) >= WORD_CACHE_SIZE:
+            self.clear()
+        ids = self[word] = _encode_word(*self.tables, MARKER + word)
+        return ids
 
 
 def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
@@ -119,6 +144,10 @@ def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
     the word under the new pairs. So one merge costs time in proportion to the
     words that hold its pair, not to the corpus. A word is never taken out of
     an index; one that no longer holds the pair rewrites to itself.
+
+    Each training word's final segmentation is its encoding (see the module
+    docstring), so the returned vocabulary's word cache starts with them: all
+    of them, or the ``WORD_CACHE_SIZE`` most frequent.
     """
     word_counts: Counter[str] = Counter()
     for doc in store.documents:
@@ -201,7 +230,15 @@ def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
                 pair_words.pop(key, None)
         touched.clear()
 
-    return Vocabulary(pieces=tuple(pieces), merges=tuple(merges))
+    heap.clear()  # the pair tables are dead; free them before the cache grows
+    pair_words.clear()
+    pair_counts.clear()
+    vocab = Vocabulary(pieces=tuple(pieces), merges=tuple(merges))
+    seeds = zip(word_counts, map(tuple, words))
+    if len(words) > WORD_CACHE_SIZE:
+        seeds = heapq.nlargest(WORD_CACHE_SIZE, seeds, key=lambda seed: word_counts[seed[0]])
+    vocab._word_ids.update(seeds)
+    return vocab
 
 
 def _encode_word(merged, n, piece_to_id, unk_id, word: str) -> tuple[int, ...]:
@@ -227,11 +264,10 @@ def _encode_word(merged, n, piece_to_id, unk_id, word: str) -> tuple[int, ...]:
 
 def encode(vocab: Vocabulary, text: str) -> list[int]:
     """Greedy BPE encoding: merges apply in training order within each
-    marker-prefixed pretoken; unseen characters map to unk, one id each."""
-    ids: list[int] = []
-    for word in text.split():
-        ids.extend(vocab._word_encoder(MARKER + word))
-    return ids
+    marker-prefixed pretoken; unseen characters map to unk, one id each. A
+    pretoken in the vocabulary's word cache, as every training word of a
+    vocabulary fresh from :func:`train_bpe` is, costs one lookup."""
+    return list(chain.from_iterable(map(vocab._word_ids.__getitem__, text.split())))
 
 
 def decode(vocab: Vocabulary, ids: Sequence[int]) -> str:
@@ -316,7 +352,10 @@ class IdLayout:
         return max((int(lut.max()) + 1 for lut in self.luts if lut.size), default=0)
 
     def map_ids(self, ids: np.ndarray, language: int) -> np.ndarray:
-        """Remap a source-id sequence into the given language's model ids."""
+        """Remap a source-id sequence into the given language's model ids; the
+        language is an int or a NumPy integer, not a bool."""
+        if type(language) is bool or not isinstance(language, (int, np.integer)):
+            raise TokenizerError(f"language must be an int, got {language!r}")
         if not 0 <= language < self.n_languages:
             raise TokenizerError(f"language {language} out of range")
         lut = self.luts[language]
@@ -370,6 +409,7 @@ def clone_vocab(
     """Clone a vocabulary into ``n_languages`` blocks sharing
     ``floor(anchor_fraction * |base|)`` anchors, chosen uniformly at random
     under ``seed``."""
+    check_type(n_languages, int, TokenizerError, "n_languages")
     if n_languages < 1:
         raise TokenizerError("n_languages must be >= 1")
     if not 0 <= anchor_fraction <= 1:

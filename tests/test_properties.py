@@ -2,7 +2,8 @@
 file round trips, the one-block meaning of ``vocab_groups=None``, the bitwise
 equivariance of training and evaluation under clone permutations, the document
 join, BPE training against the recount oracle, BPE encoding against the string
-reference, the BPE round trip, role relabelling and the policy marginal."""
+reference, the BPE round trip, a trained vocabulary's ids against its cold copy's,
+role relabelling and the policy marginal."""
 
 import hashlib
 import math
@@ -331,6 +332,27 @@ def test_bpe_training_matches_the_recount_oracle(case):
             tokenizer.train_bpe(store, size)
     else:
         assert tokenizer.train_bpe(store, size).merges == tuple(every_merge[:n_merges])
+
+
+@settings(max_examples=100, deadline=None)
+@given(bpe_training_cases(), st.text(alphabet="abcde \n", max_size=40))
+@example(("aaaa aaaa abab", 5), "aaa ab e abab")
+def test_a_trained_vocabulary_encodes_as_its_cold_copy(case, held_out):
+    """Training seeds the word cache with its own segmentations; a copy with
+    an empty cache runs the merge loop on every word."""
+    text, n_merges = case
+    words = text.split()
+    store = corpus.DocumentStore.from_documents(" ".join(words[i : i + 3])
+                                                for i in range(0, len(words), 3))
+    try:
+        trained = tokenizer.train_bpe(store, 2 + len(set(text) - {" "}) + n_merges)
+    except tokenizer.TokenizerError:  # too few distinct pairs for that many merges
+        assume(False)
+    cold = tokenizer.Vocabulary(trained.pieces, trained.merges)
+    ids, cold_ids = (tokenizer.tokenize_store(v, store) for v in (trained, cold))
+    assert np.array_equal(ids.ids, cold_ids.ids)
+    assert np.array_equal(ids.doc_boundaries, cold_ids.doc_boundaries)
+    assert tokenizer.encode(trained, held_out) == tokenizer.encode(cold, held_out)
 
 
 @st.composite

@@ -149,18 +149,53 @@ def test_a_merge_over_a_non_piece_or_the_unk_piece_is_refused(tmp_path):
             tokenizer.load_vocab(p)
 
 
-def test_word_cache_is_bounded():
+def _count_encoded_words(monkeypatch, seen=lambda: None) -> list[tuple[str, object]]:
+    """The pretokens the merge loop encodes from now on, each recorded with
+    ``seen()`` called just before it is encoded."""
+    calls, encode_word = [], tokenizer._encode_word
+
+    def counted(*args):
+        calls.append((args[-1], seen()))
+        return encode_word(*args)
+
+    monkeypatch.setattr(tokenizer, "_encode_word", counted)
+    return calls
+
+
+def test_word_cache_is_bounded(monkeypatch):
     vocab = tokenizer.Vocabulary(pieces=("<unk>", MARKER, "w", "0", "1"), merges=())
+    calls = _count_encoded_words(monkeypatch, lambda: len(vocab._word_ids))
     n_words = tokenizer.WORD_CACHE_SIZE + 100
     tokenizer.encode(vocab, " ".join(f"w{i:b}" for i in range(n_words)))
-    info = vocab._word_encoder.cache_info()
-    assert info.misses == n_words
-    assert info.currsize == info.maxsize == tokenizer.WORD_CACHE_SIZE
-    # the first word was evicted and encodes the same again; the last is a hit
+    assert len(calls) == n_words
+    # a word is stored after its encoding, so the cache never held more than its size
+    assert max(size for _, size in calls) == tokenizer.WORD_CACHE_SIZE - 1
+    assert len(vocab._word_ids) <= tokenizer.WORD_CACHE_SIZE
+    # the first word was evicted and encodes the same again; the last is not re-encoded
     last = f"w{n_words - 1:b}"
     ids = tokenizer.encode(vocab, f"w0 {last}")
     assert ids[:3] == [1, 2, 3] and len(ids) == 3 + len(last) + 1
-    assert vocab._word_encoder.cache_info().hits == 1
+    assert [word for word, _ in calls[n_words:]] == [MARKER + "w0"]
+
+
+def test_tokenizing_the_training_store_runs_no_merge_loop(monkeypatch, tiny_store):
+    vocab = tokenizer.train_bpe(tiny_store, vocab_size=60)
+    calls = _count_encoded_words(monkeypatch)
+    ids = tokenizer.tokenize_store(vocab, tiny_store).ids
+    assert calls == []
+    cold = tokenizer.tokenize_store(tokenizer.Vocabulary(vocab.pieces, vocab.merges), tiny_store)
+    assert len(calls) == len(pretoken_counts(tiny_store.documents))
+    assert np.array_equal(cold.ids, ids)
+
+
+def test_training_seeds_at_most_the_cache_size_most_frequent_words(monkeypatch):
+    monkeypatch.setattr(tokenizer, "WORD_CACHE_SIZE", 3)
+    counts = {"abab": 5, "ba": 4, "aab": 3, "bba": 2, "b": 1}
+    store = DocumentStore.from_documents([" ".join(w for w, n in counts.items()
+                                                   for _ in range(n))])
+    vocab = tokenizer.train_bpe(store, vocab_size=7)
+    cold = tokenizer.Vocabulary(vocab.pieces, vocab.merges)
+    assert vocab._word_ids == {w: tuple(tokenizer.encode(cold, w)) for w in ("abab", "ba", "aab")}
 
 
 def test_dropped_vocabulary_is_freed_without_the_cycle_collector(tiny_store):

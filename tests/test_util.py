@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xlab import alignment, corpus, evaluator, model, scaling, tokenizer, trainer, util
+from xlab import alignment, corpus, evaluator, mixer, model, scaling, tokenizer, trainer, util
 
 from conftest import edit_array_file, make_model, make_vocab
 
@@ -211,3 +211,43 @@ def test_float_ids_raise_the_module_error(call):
     run, error = FLOAT_ID_CALLS[call]
     with pytest.raises(error, match="must be integers, got dtype float64"):
         run()
+
+
+# each call given a float or a bool where it takes an int, or a negative id, the error
+# of its module and what the message names
+BAD_INT_CALLS = {
+    "cursor separator_id 2.5": (lambda: mixer.StreamCursor(_stream(), 4, separator_id=2.5),
+                                corpus.CorpusError, "separator_id must be an int"),
+    "cursor separator_id -1": (lambda: mixer.StreamCursor(_stream(), 4, separator_id=-1),
+                               corpus.CorpusError, "separator_id must be a non-negative"),
+    "cursor seq_len 2.5": (lambda: mixer.StreamCursor(_stream(), 2.5),
+                           corpus.CorpusError, "seq_len must be an int"),
+    "map_ids language 1.0": (lambda: tokenizer.clone_vocab(make_vocab(10), 2).map_ids([1], 1.0),
+                             tokenizer.TokenizerError, "language must be an int"),
+    "map_ids language True": (lambda: tokenizer.clone_vocab(make_vocab(10), 2).map_ids([1], True),
+                              tokenizer.TokenizerError, "language must be an int"),
+    "clone_vocab n_languages 2.0": (lambda: tokenizer.clone_vocab(make_vocab(10), 2.0),
+                                    tokenizer.TokenizerError, "n_languages must be an int"),
+    "sliding_logprobs window 4.5": (lambda: evaluator.sliding_logprobs(make_model(), [1, 2, 3],
+                                                                       4.5, 2),
+                                    evaluator.EvalError, "window must be an int"),
+    "sliding_logprobs stride 2.0": (lambda: evaluator.sliding_logprobs(make_model(), [1, 2, 3],
+                                                                       4, 2.0),
+                                    evaluator.EvalError, "stride must be an int"),
+}
+
+
+def _stream():
+    return corpus.TokenStream(np.arange(1, 9), [4, 8], "0" * 64)
+
+
+@pytest.mark.parametrize("call", BAD_INT_CALLS)
+def test_a_bad_int_argument_raises_the_module_error(call):
+    run, error, match = BAD_INT_CALLS[call]
+    with pytest.raises(error, match=match):
+        run()
+
+
+def test_a_numpy_integer_language_is_an_int():
+    layout = tokenizer.clone_vocab(make_vocab(10), 2)
+    assert np.array_equal(layout.map_ids([1], np.int64(1)), layout.map_ids([1], 1))

@@ -15,7 +15,8 @@ line carries the tokenizer fingerprint ``bpe=``, a SHA-256 over the
 ``vocab_digest`` and the ``tokenize_store`` ids of BPE trained on a small seeded
 Zipfian corpus in each of two alphabets, and over the ``encode`` ids of a
 held-out line with characters outside the alphabet and a word of the other one,
-which pin down the unk ids.
+which pin down the unk ids. The script fails if a cold copy of each vocabulary,
+one whose word cache training did not seed, tokenizes the store to other ids.
 
 A change that claims to keep every floating-point operation, or the checkpoint
 bytes, must print the same lines as its parent; run the script in both
@@ -104,7 +105,8 @@ def run(name, dtype, tied, grouped, policy, anchor_fraction, tmp: Path) -> str:
 def bpe() -> str:
     """For each alphabet, 30 documents of 100 words drawn Zipfian from 200
     seeded words; a vocabulary of BPE_VOCAB pieces trained on them, their ids,
-    and the ids of a held-out line."""
+    and the ids of a held-out line. Exits if a cold copy of the vocabulary
+    gives the documents other ids."""
     rng = np.random.default_rng(11)
     fingerprint = hashlib.sha256()
     for alphabet, other in zip(BPE_ALPHABETS, BPE_ALPHABETS[::-1]):
@@ -115,7 +117,12 @@ def bpe() -> str:
             " ".join(words[i : i + 100]) for i in range(0, len(words), 100))
         vocab = tokenizer.train_bpe(store, BPE_VOCAB)
         fingerprint.update(tokenizer.vocab_digest(vocab).encode())
-        fingerprint.update(tokenizer.tokenize_store(vocab, store).ids.astype("<u4"))
+        ids = tokenizer.tokenize_store(vocab, store).ids
+        cold = tokenizer.Vocabulary(vocab.pieces, vocab.merges)
+        if not np.array_equal(tokenizer.tokenize_store(cold, store).ids, ids):
+            sys.exit(f"bpe over {alphabet}: a cold copy of the vocabulary tokenizes the "
+                     "training documents to other ids")
+        fingerprint.update(ids.astype("<u4"))
         held_out = f"{lexicon[0]}z{lexicon[1]} {other} 9{lexicon[2]}! {lexicon[3]}{other[0]}é"
         fingerprint.update(np.asarray(tokenizer.encode(vocab, held_out), dtype="<u4"))
     return f"bpe={fingerprint.hexdigest()}"
