@@ -70,25 +70,27 @@ def embedding_similarity(
 ) -> EmbeddingSimilarity:
     """Mean cosine over all equivalent duplicated-id pairs (every unordered
     language pair), with a seeded random-pair baseline of the same size drawn
-    from the duplicated pool. ``freq`` is an optional per-base-id count used
-    for decade bucketing."""
+    from the duplicated pool. ``freq``, optional, holds one finite count >= 0 per
+    base id, for decade bucketing; AlignmentError otherwise."""
     if cv.n_languages < 2:
         raise AlignmentError("embedding similarity needs at least 2 languages")
     dup = cv.duplicated_base_ids()
     if len(dup) == 0:
         raise AlignmentError("fully anchored vocabulary has no duplicated pairs")
+    decades = np.empty(0, int)
+    if freq is not None:
+        freq, n_base = np.asarray(freq), len(cv.luts[0])
+        if (freq.shape != (n_base,) or freq.dtype.kind not in "iuf"
+                or not np.all(np.isfinite(freq) & (freq >= 0))):
+            raise AlignmentError(f"freq must hold one finite count >= 0 for each of the "
+                                 f"{n_base} base ids, got {freq.dtype} of shape {freq.shape}")
+        decades = np.floor(np.log10(np.maximum(freq[dup], 1))).astype(int)
     emb = state.params["token_embedding"]
-    cos_all, buckets = [], {}
-    for n in range(cv.n_languages):
-        for m in range(n + 1, cv.n_languages):
-            cos = _cosine_rows(emb[cv.luts[n][dup]], emb[cv.luts[m][dup]])
-            cos_all.append(cos)
-            if freq is not None:
-                decades = np.floor(np.log10(np.maximum(np.asarray(freq)[dup], 1))).astype(int)
-                for dec in np.unique(decades):
-                    buckets.setdefault(int(dec), []).append(cos[decades == dec])
-    cos_all = np.concatenate(cos_all)
-    n_pairs = len(cos_all)
+    # a row per language pair; each mean is over raveled rows, since a 2-D mean sums
+    # in another order
+    cos_all = np.stack([_cosine_rows(emb[cv.luts[n][dup]], emb[cv.luts[m][dup]])
+                        for n in range(cv.n_languages) for m in range(n + 1, cv.n_languages)])
+    n_pairs = cos_all.size
 
     pool = np.concatenate([cv.luts[n][dup] for n in range(cv.n_languages)])
     rng = np.random.default_rng(seed)
@@ -100,9 +102,10 @@ def embedding_similarity(
         clash = left == right
     baseline = float(_cosine_rows(emb[left], emb[right]).mean())
 
-    by_decade = {d: float(np.concatenate(v).mean()) for d, v in sorted(buckets.items())}
+    by_decade = {int(d): float(cos_all[:, decades == d].ravel().mean())
+                 for d in np.unique(decades)}
     return EmbeddingSimilarity(
-        mean=float(cos_all.mean()),
+        mean=float(cos_all.ravel().mean()),
         baseline=baseline,
         n_pairs=n_pairs,
         by_frequency_decade=by_decade,

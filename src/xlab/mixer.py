@@ -50,8 +50,8 @@ class MixPolicy:
             p = np.asarray(p, dtype=np.float64)
             if len(p) != n:
                 raise PolicyError("all stages must cover the same number of languages")
-            if np.any(p < 0):
-                raise PolicyError(f"negative probability in stage ending at {e}")
+            if not np.all(np.isfinite(p) & (p >= 0)):  # a NaN passes both checks otherwise
+                raise PolicyError(f"negative or non-finite probability in stage ending at {e}")
             if abs(p.sum() - 1.0) > 1e-12:
                 raise PolicyError(f"stage ending at {e} has probabilities summing to {p.sum()!r}")
             norm.append((float(e), p / p.sum()))

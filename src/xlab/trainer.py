@@ -10,10 +10,7 @@ checkpoint can restore the run mid-stream: ``train(..., resume_from=path)``.
 
 from __future__ import annotations
 
-import ctypes
-import logging
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -31,8 +28,6 @@ from .model import (
 )
 from .tokenizer import IdLayout
 from .util import check_fields, check_type, from_fields, json_digest, read_arrays, write_arrays
-
-logger = logging.getLogger(__name__)
 
 RECORD_MAGIC = b"XLRR"
 RECORD_VERSION = 1
@@ -92,16 +87,14 @@ def lr_at(config: TrainConfig, step: int) -> float:
 
 
 class Adam:
-    """Vanilla Adam with bias correction at ``BETA1``, ``BETA2`` and ``EPS``, which
-    the run digest of :func:`train` covers; moments live in the model dtype. A step
-    works in two scratch buffers the size of the largest parameter, made once."""
+    """Vanilla Adam (Kingma & Ba, arXiv:1412.6980) with bias correction at ``BETA1``,
+    ``BETA2`` and ``EPS``, which the run digest of :func:`train` covers; moments live
+    in the model dtype."""
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        largest = max(params.values(), key=np.size)
-        self._scratch = np.empty((2, largest.size), largest.dtype)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
         """``m += (1 - BETA1) * (g - m)``, ``v += (1 - BETA2) * (g * g - v)``, ``p -=
@@ -110,14 +103,10 @@ class Adam:
         b1c = 1.0 - BETA1**self.t
         b2c = 1.0 - BETA2**self.t
         for k, p in params.items():
-            g = grads[k]
-            m, v = self.m[k], self.v[k]
-            s, u = (buf[: p.size].reshape(p.shape) for buf in self._scratch)
-            m += np.multiply(np.subtract(g, m, out=s), 1.0 - BETA1, out=s)
-            np.subtract(np.multiply(g, g, out=s), v, out=s)
-            v += np.multiply(s, 1.0 - BETA2, out=s)
-            np.add(np.sqrt(np.divide(v, b2c, out=s), out=s), EPS, out=s)
-            p -= np.divide(np.multiply(m, lr / b1c, out=u), s, out=u)
+            g, m, v = grads[k], self.m[k], self.v[k]
+            m += (1.0 - BETA1) * (g - m)
+            v += (1.0 - BETA2) * (g * g - v)
+            p -= (lr / b1c) * m / (np.sqrt(v / b2c) + EPS)
 
     def tensors(self) -> dict[str, np.ndarray]:
         out = {f"adam_m.{k}": v for k, v in self.m.items()}
@@ -171,11 +160,6 @@ class RunRecord:
     def lang_token_counts(self) -> list[int]:
         """Tokens seen per language: the column sums of ``step_lang_tokens``."""
         return [sum(col) for col in zip(*self.step_lang_tokens)] or [0] * self.n_languages
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        """Raises ValueError naming every missing or unknown field."""
-        return from_fields(cls, d, ValueError)
 
     def save(self, path: str | Path) -> None:
         write_arrays(path, RECORD_MAGIC, RECORD_VERSION, asdict(self))
@@ -273,27 +257,18 @@ ClonedMixtureSource = MixtureSource
 
 
 def _clip_gradients(grads, vocab_groups: VocabGroups | None) -> float:
-    """Scale ``grads`` in place to a global norm of ``GRAD_CLIP`` if it is larger;
-    returns the norm before clipping, summed in float64 by :func:`grouped_sumsq`."""
+    """Scale ``grads`` in place to a global norm of ``GRAD_CLIP`` if it is larger, by
+    the Python float ``GRAD_CLIP / norm``, which takes each gradient's dtype; returns
+    the norm before clipping, summed in float64 by :func:`grouped_sumsq`."""
     sq = 0.0
     for name in sorted(grads):
         groups = vocab_groups if name in ("token_embedding", "output_head.weight") else None
         sq += grouped_sumsq(grads[name], groups)
     norm = math.sqrt(sq)
     if norm > GRAD_CLIP:
-        scale = np.asarray(GRAD_CLIP / norm, dtype=next(iter(grads.values())).dtype)
         for g in grads.values():
-            g *= scale
+            g *= GRAD_CLIP / norm
     return norm
-
-
-def _keep_freed_memory() -> None:
-    """Have glibc keep freed memory for the process (arrays up to 32 MiB from its
-    heap, no trimming); by default it returns the free top of the heap to the OS,
-    and every step faults its caches back in. Without ``mallopt``, a no-op."""
-    mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
-    if mallopt is not None and mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD
-        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD, else 128 KiB once the above is set
 
 
 def train(
@@ -315,7 +290,6 @@ def train(
     writes at every ``checkpoint_every``-th step and at the last. A resumed run
     continues the RunRecord and matches the uninterrupted run bit for bit.
     """
-    _keep_freed_memory()
     # under the keys the constants had as TrainConfig fields, so existing checkpoints resume
     run = {**asdict(config), "beta1": BETA1, "beta2": BETA2, "eps": EPS, "grad_clip": GRAD_CLIP}
     digest = json_digest({"train": run, "model": asdict(state.config)})
@@ -327,7 +301,7 @@ def train(
     if resume_from is not None:
         ck_state, ck_step, opt, extra = load_checkpoint(resume_from)
         try:  # each owner checks before it adopts: a failed resume moves neither state nor source
-            record = RunRecord.from_dict(extra.get("record"))
+            record = from_fields(RunRecord, extra.get("record"), ValueError)
             if record.config_digest != digest:
                 raise ValueError(f"it was produced by a different run config "
                                  f"({record.config_digest} != {digest}); refusing to resume")

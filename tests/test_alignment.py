@@ -140,6 +140,22 @@ def test_embedding_similarity_frequency_buckets():
     assert set(rep.by_frequency_decade) == {0, 2}
 
 
+@pytest.mark.parametrize("freq", [
+    np.full(30, 5),  # shorter than the base vocabulary: a bare IndexError
+    np.full(61, 5),
+    np.r_[np.full(59, 5.0), np.nan],  # a decade of -9223372036854775808
+    np.r_[np.full(59, 5.0), np.inf],
+    np.r_[np.full(59, 5), -1],
+    np.full((60, 1), 5),
+    np.full(60, "5"),
+], ids=["short", "long", "nan", "inf", "negative", "2-d", "str"])
+def test_embedding_similarity_refuses_a_freq_without_one_count_per_base_id(freq):
+    cv = tokenizer.clone_vocab(make_vocab(60), 2, anchor_fraction=0.0)
+    st = make_model(vocab_size=cv.total_size, d_model=64, seed=2)
+    with pytest.raises(alignment.AlignmentError, match="one finite count >= 0 for each of the 60"):
+        alignment.embedding_similarity(st, cv, freq=freq, seed=0)
+
+
 def test_hidden_similarity_identical_sequences(trained_cloned):
     st, cv, stream = trained_cloned
     ids = cv.map_ids(stream.ids[:20], 0)

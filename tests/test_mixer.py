@@ -64,6 +64,14 @@ def test_policy_validation():
         mixer.parse_policy("90/10", n_languages=3)
 
 
+@pytest.mark.parametrize("spec", ["nanvnan", "nan/nan", [{"until": 1.0, "probs": [np.nan, 1.0]}]],
+                         ids=["nanvnan", "nan/nan", "stage list"])
+def test_policy_rejects_a_nan_probability(spec):
+    # a NaN passed both the sign and the sum check, and every sequence was then tagged 0
+    with pytest.raises(mixer.PolicyError, match="non-finite probability"):
+        mixer.parse_policy(spec)
+
+
 def _stream(ids, digest="0" * 64):
     return TokenStream(
         ids=np.asarray(ids, dtype=np.uint32),

@@ -1,6 +1,5 @@
 import gc
 import math
-import platform
 import weakref
 from dataclasses import asdict
 
@@ -162,27 +161,6 @@ def test_adam_step_is_bitwise_the_reference_and_writes_no_grad(dtype):
             assert grads[k].tobytes() == grads_before[k].tobytes(), k
             for got, want in ((params, want_p), (adam.m, want_m), (adam.v, want_v)):
                 assert got[k].dtype == dtype and got[k].tobytes() == want[k].tobytes(), k
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's heap thresholds")
-def test_training_steps_reuse_freed_memory():
-    # the caches of a step are several times its largest array, the case in
-    # which glibc's default trimming makes every step fault them back in
-    resource = pytest.importorskip("resource")
-    stream, _ = markov_stream(2000, 50, seed=0)
-    source = trainer.MixtureSource(mixer.StreamCursor(stream, seq_len=32),
-                                   tokenizer.clone_vocab(make_vocab(50), 1),
-                                   mixer.parse_policy([{"until": 1.0, "probs": [1.0]}]), 8, 0)
-    st = make_model(n_layers=3, d_model=32, n_heads=2, d_ff=256, vocab_size=50,
-                    max_seq_len=32, dtype="float32")
-    cfg = trainer.TrainConfig(total_steps=10, batch_size=8, seq_len=32, warmup_steps=1)
-    faults = []
-
-    def count_faults(*_):
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
-
-    trainer.train(st, source, cfg, eval_hooks=[(k, count_faults) for k in range(5, 11)])
-    assert np.median(np.diff(faults)) <= 10, np.diff(faults)  # pages faulted per step
 
 
 def test_zero_steps_is_identity():
@@ -668,7 +646,7 @@ def test_run_record_rejects_missing_and_unknown_fields(tmp_path, edit, match):
     d = asdict(trainer.RunRecord(seed=1, config_digest="abc", n_languages=2))
     edit(d)
     with pytest.raises(ValueError, match=match):
-        trainer.RunRecord.from_dict(d)
+        util.from_fields(trainer.RunRecord, d, ValueError)
     path = tmp_path / "r.xlrr"
     util.write_arrays(path, trainer.RECORD_MAGIC, trainer.RECORD_VERSION, d)
     with pytest.raises(ValueError, match=match) as info:
