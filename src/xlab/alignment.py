@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # ``forward`` stays importable here because perfbench/drive.py traces it by name
 from .model import ModelState, forward, group_of, hidden_states, loss_and_grads  # noqa: F401
@@ -146,7 +145,13 @@ def match_tokens(
     The complete bipartite graph's edge (i, j) is weighted by the mean across
     layers of the cosine between the two tokens' hidden states; every position
     of the shorter sequence is matched injectively into the longer one.
+
+    SciPy's ``linear_sum_assignment`` solves it. SciPy is imported here, at
+    the first call, so a process that never matches tokens (training, BPE)
+    never loads it and its own OpenBLAS.
     """
+    from scipy.optimize import linear_sum_assignment
+
     ta, tb = hidden_a[0].shape[0], hidden_b[0].shape[0]
     if ta == 0 or tb == 0:
         raise AlignmentError("cannot match empty sequences")

@@ -12,6 +12,7 @@ per-sequence, never per-token.
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,8 @@ class MixPolicy:
     """Ordered schedule stages: (end_fraction, probability vector).
 
     Stage i is active for training progress in [end_{i-1}, end_i); switches
-    are immediate at stage boundaries. The final end fraction must be 1.
+    are immediate at stage boundaries. The final end fraction must be 1. Each
+    probability vector is 1-d and non-empty, and all have one length.
     """
 
     stages: tuple[tuple[float, np.ndarray], ...]
@@ -44,11 +46,13 @@ class MixPolicy:
             raise PolicyError(f"stage end fractions must be strictly increasing in (0, 1], got {ends}")
         if ends[-1] != 1.0:
             raise PolicyError(f"final stage must end at 1.0, got {ends[-1]}")
-        n = len(self.stages[0][1])
         norm = []
         for e, p in self.stages:
             p = np.asarray(p, dtype=np.float64)
-            if len(p) != n:
+            if p.ndim != 1 or not len(p):
+                raise PolicyError(f"stage ending at {e} needs a non-empty 1-d probability "
+                                  f"vector, got shape {p.shape}")
+            if norm and len(p) != len(norm[0][1]):
                 raise PolicyError("all stages must cover the same number of languages")
             if not np.all(np.isfinite(p) & (p >= 0)):  # a NaN passes both checks otherwise
                 raise PolicyError(f"negative or non-finite probability in stage ending at {e}")
@@ -63,7 +67,8 @@ class MixPolicy:
 
 
 def parse_policy(spec, n_languages: int | None = None) -> MixPolicy:
-    """Accept a MixPolicy, a stage list like [{"until": 0.5, "probs": [0.9, 0.1]}],
+    """Accept a MixPolicy, a stage list like [{"until": 0.5, "probs": [0.9, 0.1]}]
+    (a list of mappings, each with exactly the keys ``until`` and ``probs``),
     or a two-language shorthand: "50/50" (constant) or "90v10" (two-stage
     mirror, switching halfway)."""
     if isinstance(spec, MixPolicy):
@@ -86,8 +91,18 @@ def parse_policy(spec, n_languages: int | None = None) -> MixPolicy:
             stages = ((0.5, p), (1.0, p[::-1]))
         policy = MixPolicy(stages=stages)
     else:
-        stages = tuple((float(st["until"]), np.asarray(st["probs"], float)) for st in spec)
-        policy = MixPolicy(stages=stages)
+        if not isinstance(spec, (list, tuple)):
+            raise PolicyError(f"a stage list is a list of stages, got {spec!r}")
+        stages = []
+        for i, st in enumerate(spec):
+            if not isinstance(st, Mapping) or st.keys() != {"until", "probs"}:
+                raise PolicyError(f"stage {i} must be a mapping with the keys 'until' and "
+                                  f"'probs', got {st!r}")
+            try:
+                stages.append((float(st["until"]), np.asarray(st["probs"], float)))
+            except (TypeError, ValueError) as e:
+                raise PolicyError(f"stage {i} {st!r}: {e}") from e
+        policy = MixPolicy(stages=tuple(stages))
     if n_languages is not None and policy.n_languages != n_languages:
         raise PolicyError(
             f"policy covers {policy.n_languages} languages but the vocabulary "

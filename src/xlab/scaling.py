@@ -7,7 +7,9 @@ minimizes squared error in log-ppl space. It is solved by a deterministic grid
 over b with a closed-form weighted linear least-squares solve for (a, c)
 at each b (weights 1/ppl^2, the delta-method approximation of log residuals),
 followed by Brent's bounded refinement of b (``scipy.optimize.minimize_scalar``)
-between the grid neighbours of the best cell.
+between the grid neighbours of the best cell. SciPy is imported inside
+:func:`fit_power_law`, at its first call, so a process that never fits
+(training, BPE) never loads it and its own OpenBLAS.
 
 Metric vocabulary: given a multilingual run that saw t_n tokens of language n
 and reached perplexity ppl_n there,
@@ -26,7 +28,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .util import check_fields, from_fields, read_arrays, write_arrays
 
@@ -115,6 +116,8 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     averaging the perplexities of each token count); otherwise no strictly
     decreasing curve fits and a FitError reports the best achievable residual.
     """
+    from scipy.optimize import minimize_scalar
+
     t_all, p_all = np.asarray(points, dtype=np.float64).reshape(len(points), 2).T
     t, which, counts = np.unique(t_all, return_inverse=True, return_counts=True)
     p = np.bincount(which, weights=p_all) / counts

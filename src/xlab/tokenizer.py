@@ -14,10 +14,12 @@ fallback: a character that is not a piece encodes to exactly one unk id, and
 no merge may be over the unk piece, so an unk id never merges. Vocabulary
 objects are immutable after training and safe to share across threads.
 
-A vocabulary caches the ids of the pretokens it has encoded, up to
-``WORD_CACHE_SIZE`` words. :func:`train_bpe` seeds the cache with its own
-final segmentation of each training word, so tokenizing the training split
-runs no merge loop. The seeded ids are the encoder's: encoding applies the
+A vocabulary caches the ids of pretokens. :func:`train_bpe` seeds the cache
+with its own final segmentation of each training word, up to
+``WORD_CACHE_SIZE`` words, so tokenizing the training split runs no merge
+loop. Seeded words are never evicted. A word that misses is encoded and kept;
+once ``WORD_CACHE_SIZE`` such words are kept, the next miss drops all of them
+and no seeded word. The seeded ids are the encoder's: encoding applies the
 merges that apply in increasing merge order, as training did, because the
 piece merge j makes is in no earlier merge, so no merge becomes applicable
 after a later one.
@@ -43,7 +45,7 @@ MARKER = "▁"  # word-begin marker, prefixed to every pretoken
 UNK_PIECE = "<unk>"
 VOCAB_MAGIC = b"XLVB"
 VOCAB_VERSION = 2
-WORD_CACHE_SIZE = 1 << 16  # encoded words remembered per vocabulary
+WORD_CACHE_SIZE = 1 << 16  # per vocabulary: the most words seeded, and the most misses kept
 
 
 class TokenizerError(ValueError):
@@ -104,22 +106,29 @@ class Vocabulary:
 
 
 class _WordCache(dict):
-    """A pretoken, without its marker, to its ids. A miss encodes the word,
-    after emptying a cache of WORD_CACHE_SIZE words, so it never holds more.
-    It holds the vocabulary's tables, not the vocabulary, so no reference
-    cycle keeps a dropped vocabulary and its cache alive until the cyclic
-    garbage collector runs."""
+    """A pretoken, without its marker, to its ids. A hit is one dict lookup.
+    Words put in by :func:`train_bpe` stay. A miss encodes the word and keeps
+    it, after dropping every word earlier misses kept if there are
+    WORD_CACHE_SIZE of them, so misses never hold more than that. It holds the
+    vocabulary's tables, not the vocabulary, so no reference cycle keeps a
+    dropped vocabulary and its cache alive until the cyclic garbage collector
+    runs."""
 
-    __slots__ = ("tables",)
+    __slots__ = ("tables", "missed")
 
     def __init__(self, *tables):
         super().__init__()
         self.tables = tables
+        self.missed: list[str] = []  # the words misses added, in order
 
     def __missing__(self, word: str) -> tuple[int, ...]:
-        if len(self) >= WORD_CACHE_SIZE:
-            self.clear()
+        if len(self.missed) >= WORD_CACHE_SIZE:
+            # swap, then pop with a default: two threads that drop at once both succeed
+            missed, self.missed = self.missed, []
+            for w in missed:
+                self.pop(w, None)
         ids = self[word] = _encode_word(*self.tables, MARKER + word)
+        self.missed.append(word)
         return ids
 
 
@@ -146,8 +155,8 @@ def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
     an index; one that no longer holds the pair rewrites to itself.
 
     Each training word's final segmentation is its encoding (see the module
-    docstring), so the returned vocabulary's word cache starts with them: all
-    of them, or the ``WORD_CACHE_SIZE`` most frequent.
+    docstring), so the returned vocabulary's word cache starts with them, and
+    keeps them: all of them, or the ``WORD_CACHE_SIZE`` most frequent.
     """
     word_counts: Counter[str] = Counter()
     for doc in store.documents:

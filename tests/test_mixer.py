@@ -64,6 +64,22 @@ def test_policy_validation():
         mixer.parse_policy("90/10", n_languages=3)
 
 
+@pytest.mark.parametrize("spec, match", [
+    ([{"probs": [0.5, 0.5]}], "stage 0 must be a mapping"),
+    ([{"until": 1.0}], "stage 0 must be a mapping"),
+    (5, "a stage list is a list of stages, got 5"),
+    (["x"], "stage 0 must be a mapping"),
+    ({"until": 1.0, "probs": [0.5, 0.5]}, "a stage list is a list of stages"),
+    ([{"until": 1.0, "probs": [[0.5, 0.5]]}], r"stage ending at 1.0 .* got shape \(1, 2\)"),
+    ([{"until": "end", "probs": [1.0]}], "stage 0 .* could not convert"),
+], ids=["no until", "no probs", "not a list", "not a mapping", "bare stage", "2-d probs",
+        "until not a number"])
+def test_policy_refuses_a_stage_list_of_the_wrong_shape(spec, match):
+    # these raised a bare KeyError or TypeError, and 2-d probs made a one-language policy
+    with pytest.raises(mixer.PolicyError, match=match):
+        mixer.parse_policy(spec)
+
+
 @pytest.mark.parametrize("spec", ["nanvnan", "nan/nan", [{"until": 1.0, "probs": [np.nan, 1.0]}]],
                          ids=["nanvnan", "nan/nan", "stage list"])
 def test_policy_rejects_a_nan_probability(spec):

@@ -198,6 +198,24 @@ def test_training_seeds_at_most_the_cache_size_most_frequent_words(monkeypatch):
     assert vocab._word_ids == {w: tuple(tokenizer.encode(cold, w)) for w in ("abab", "ba", "aab")}
 
 
+def test_a_miss_never_evicts_a_seeded_word(monkeypatch):
+    monkeypatch.setattr(tokenizer, "WORD_CACHE_SIZE", 3)
+    counts = {"abab": 5, "ba": 4, "aab": 3, "bba": 2, "b": 1}
+    store = DocumentStore.from_documents([" ".join(w for w, n in counts.items()
+                                                   for _ in range(n))])
+    vocab = tokenizer.train_bpe(store, vocab_size=7)
+    seeded = dict(vocab._word_ids)
+    calls = _count_encoded_words(monkeypatch)
+    ids = tokenizer.tokenize_store(vocab, store).ids
+    assert [word for word, _ in calls] == [MARKER + "bba", MARKER + "b"]
+    assert seeded.items() <= vocab._word_ids.items() and len(seeded) == 3
+    cold = tokenizer.Vocabulary(vocab.pieces, vocab.merges)
+    assert np.array_equal(tokenizer.tokenize_store(cold, store).ids, ids)
+    # the third miss fills the misses' share; the fourth drops those three, and no seeded word
+    tokenizer.encode(vocab, "a aa bb")
+    assert vocab._word_ids.keys() == seeded.keys() | {"aa", "bb"}
+
+
 def test_dropped_vocabulary_is_freed_without_the_cycle_collector(tiny_store):
     vocab = tokenizer.train_bpe(tiny_store, vocab_size=40)
     tokenizer.encode(vocab, "the cat sat")
