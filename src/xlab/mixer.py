@@ -32,15 +32,22 @@ class MixPolicy:
     """Ordered schedule stages: (end_fraction, probability vector).
 
     Stage i is active for training progress in [end_{i-1}, end_i); switches
-    are immediate at stage boundaries. The final end fraction must be 1. Each
-    probability vector is 1-d and non-empty, and all have one length.
+    are immediate at stage boundaries. Each stage is a pair whose end is a real
+    number, not a bool; the final end fraction must be 1. Each probability
+    vector is 1-d and non-empty, and all have one length.
     """
 
     stages: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self):
-        if not self.stages:
-            raise PolicyError("policy needs at least one stage")
+        if not isinstance(self.stages, (list, tuple)) or not self.stages:
+            raise PolicyError(f"policy needs a non-empty tuple of stages, got {self.stages!r}")
+        for i, st in enumerate(self.stages):
+            if (not isinstance(st, (list, tuple)) or len(st) != 2
+                    or not isinstance(st[0], (int, float, np.integer, np.floating))
+                    or isinstance(st[0], bool)):
+                raise PolicyError(f"stage {i} must be an (end, probabilities) pair with a real "
+                                  f"end, got {st!r}")
         ends = [e for e, _ in self.stages]
         if any(b <= a for a, b in zip(ends, ends[1:])) or not all(0 < e <= 1 for e in ends):
             raise PolicyError(f"stage end fractions must be strictly increasing in (0, 1], got {ends}")
@@ -99,6 +106,8 @@ def parse_policy(spec, n_languages: int | None = None) -> MixPolicy:
                 raise PolicyError(f"stage {i} must be a mapping with the keys 'until' and "
                                   f"'probs', got {st!r}")
             try:
+                if isinstance(st["until"], bool):
+                    raise TypeError("until must be a number, not a bool")
                 stages.append((float(st["until"]), np.asarray(st["probs"], float)))
             except (TypeError, ValueError) as e:
                 raise PolicyError(f"stage {i} {st!r}: {e}") from e

@@ -6,10 +6,10 @@ additive floor c, clamped to >= 1 (no perplexity is below 1). The fit
 minimizes squared error in log-ppl space. It is solved by a deterministic grid
 over b with a closed-form weighted linear least-squares solve for (a, c)
 at each b (weights 1/ppl^2, the delta-method approximation of log residuals),
-followed by Brent's bounded refinement of b (``scipy.optimize.minimize_scalar``)
-between the grid neighbours of the best cell. SciPy is imported inside
-:func:`fit_power_law`, at its first call, so a process that never fits
-(training, BPE) never loads it and its own OpenBLAS.
+followed by Brent's bounded refinement of b between the grid neighbours of
+the best cell. The refinement, :func:`_fminbound`, is SciPy's bounded
+``minimize_scalar`` ported op for op, so a fit returns the bits SciPy's would
+and xlab needs numpy alone.
 
 Metric vocabulary: given a multilingual run that saw t_n tokens of language n
 and reached perplexity ppl_n there,
@@ -24,6 +24,7 @@ and reached perplexity ppl_n there,
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from math import sqrt
 from pathlib import Path
 from typing import Sequence
 
@@ -109,6 +110,88 @@ def _log_objective(t: np.ndarray, p: np.ndarray, b):
     return np.where(ok, resid, np.inf), np.where(ok, a, np.nan), c
 
 
+def _fminbound(func, lo: float, hi: float, xatol: float) -> float:
+    """The x in [lo, hi] at which Brent's bounded method (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 5) stops minimizing ``func``.
+
+    A port, op for op, of ``_minimize_scalar_bounded`` in SciPy 1.17.1's
+    ``optimize/_optimize.py`` (BSD 3-clause licence, Copyright (c) 2001-2002
+    Enthought, Inc. 2003, SciPy Developers), without its printing and its
+    result object: the same steps in the same order, so the same x.
+    """
+    maxfun = 500  # SciPy's default maxiter
+    sqrt_eps = sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # a parabola through the three best points, if it is acceptable
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+        if golden:  # a golden-section step otherwise
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf
+
+
 def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     """Fit ppl(t) = a*t^(-b) + c to >= 3 (tokens, ppl) points.
 
@@ -116,8 +199,6 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     averaging the perplexities of each token count); otherwise no strictly
     decreasing curve fits and a FitError reports the best achievable residual.
     """
-    from scipy.optimize import minimize_scalar
-
     t_all, p_all = np.asarray(points, dtype=np.float64).reshape(len(points), 2).T
     t, which, counts = np.unique(t_all, return_inverse=True, return_counts=True)
     p = np.bincount(which, weights=p_all) / counts
@@ -137,8 +218,7 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
         raise FitError("no feasible fit with a > 0 on the search grid")
 
     bracket = grid[max(best_i - 1, 0)], grid[min(best_i + 1, len(grid) - 1)]
-    b = minimize_scalar(lambda x: float(_log_objective(t, p, x)[0]), bounds=bracket,
-                        method="bounded", options={"xatol": 1e-10}).x
+    b = _fminbound(lambda x: float(_log_objective(t, p, x)[0]), *bracket, xatol=1e-10)
     resid, a, c = _log_objective(t, p, b)
     if np.isnan(a):
         raise FitError("no feasible fit with a > 0 after refinement")

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from xlab import alignment, mixer, tokenizer, trainer
 from xlab.alignment import ParallelPair
@@ -30,9 +31,9 @@ def fake_hidden(weights: np.ndarray):
     Rows of A are scaled copies of an orthonormal-ish basis; instead of
     reverse-engineering vectors we just exploit match_tokens' contract by
     passing unit vectors built from an SVD-free trick: for tests of the
-    matcher itself we call linear_sum_assignment indirectly through a
-    one-layer identity embedding, so here we simply return matrices whose
-    normalized Gram matrix is ``weights`` via Cholesky on a PSD completion.
+    matcher itself we reach it through a one-layer identity embedding, so
+    here we simply return matrices whose normalized Gram matrix is
+    ``weights`` via Cholesky on a PSD completion.
     """
     # Build unit vectors u_i, v_j with u_i . v_j = weights[i, j] by embedding
     # [I, W; W^T, I]-style block matrix; add ridge until PSD.
@@ -74,6 +75,77 @@ def test_match_random_matrices_against_brute_force():
         assert matched_weight(actual_w, pairs) == pytest.approx(
             brute_force_matching_weight(actual_w), abs=1e-9
         )
+
+
+def _scipy_pairs(weights: np.ndarray) -> list[tuple[int, int]]:
+    rows, cols = linear_sum_assignment(weights, maximize=True)
+    return sorted(zip(rows.tolist(), cols.tolist()))
+
+
+def _oracle_shapes(rng):
+    """1x1, 1xm, nx1 and square shapes, then random ones of both orientations."""
+    yield from [(1, 1)] + [(1, m) for m in range(2, 40)] + [(n, 1) for n in range(2, 40)]
+    yield from ((n, n) for n in range(2, 50))
+    for _ in range(1000):
+        n, m = (int(x) for x in rng.integers(1, 50, size=2))
+        yield n, m
+        yield m, n
+
+
+def test_max_weight_matching_is_scipys_linear_sum_assignment():
+    rng = np.random.default_rng(24)
+    checked = 0
+    for n, m in _oracle_shapes(rng):
+        weights = rng.uniform(-1, 1, size=(n, m))
+        assert alignment._max_weight_matching(weights) == _scipy_pairs(weights), (n, m)
+        checked += 1
+    assert checked >= 2000
+
+
+def test_max_weight_matching_breaks_ties_as_scipy_does():
+    # small integer weights tie often; constant ones make every assignment optimal
+    rng = np.random.default_rng(25)
+    for _ in range(400):
+        n, m = (int(x) for x in rng.integers(1, 12, size=2))
+        weights = rng.integers(0, 3, size=(n, m)).astype(np.float64)
+        assert alignment._max_weight_matching(weights) == _scipy_pairs(weights), weights
+    for shape in [(1, 1), (3, 3), (2, 5), (5, 2)]:
+        weights = np.ones(shape)
+        assert alignment._max_weight_matching(weights) == _scipy_pairs(weights), shape
+
+
+def test_match_tokens_is_scipys_matching_of_the_mean_layer_cosine():
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        ta, tb = (int(x) for x in rng.integers(1, 20, size=2))
+        layers = int(rng.integers(1, 4))
+        ha = [rng.standard_normal((ta, 8)).astype(np.float32) for _ in range(layers)]
+        hb = [rng.standard_normal((tb, 8)).astype(np.float32) for _ in range(layers)]
+        weights = sum(_cosine_matrix(a, b) for a, b in zip(ha, hb)) / layers
+        assert alignment.match_tokens(ha, hb) == _scipy_pairs(weights)
+
+
+def _cosine_matrix(a, b):
+    na = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-300)
+    nb = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), 1e-300)
+    return na.astype(np.float64) @ nb.astype(np.float64).T
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_match_tokens_refuses_a_non_finite_hidden_state(bad):
+    ha = [np.ones((3, 4)), np.ones((3, 4))]
+    hb = [np.eye(4)[:2], np.eye(4)[:2]]
+    ha[1][2, 0] = bad
+    with pytest.raises(alignment.AlignmentError, match="non-finite cosines"):
+        alignment.match_tokens(ha, hb)
+
+
+def test_max_weight_hidden_similarity_refuses_a_nan_hidden_state():
+    st = make_model(seed=1)
+    st.params["token_embedding"][3, 0] = np.nan
+    pair = ParallelPair(np.arange(5), np.array([4, 3, 2]), "real")
+    with pytest.raises(alignment.AlignmentError, match="non-finite cosines"):
+        alignment.hidden_similarity(st, pair, matching="max_weight")
 
 
 def cloned_pair_through(cv, stream, count=24):
@@ -254,3 +326,29 @@ def test_validate_cloned_refuses_a_layout_that_is_not_a_clone_layout():
     # model id 2 is A's "y" and id 1 is A's "x"; both used to project to base id 1
     with pytest.raises(tokenizer.TokenizerError, match="not a clone layout"):
         ParallelPair([2], [1], "cloned").validate_cloned(unequal_merged_layout())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("anchor_fraction", [0.0, 0.25])
+def test_gradient_similarity_with_vocab_groups_is_clone_swap_equivariant(seed, anchor_fraction):
+    # without vocab_groups the vocabulary sums run over the swapped clones in another order
+    cv = tokenizer.clone_vocab(make_vocab(20), 2, anchor_fraction=anchor_fraction, seed=seed)
+    groups = cv.language_slices()
+    _, (b0, b1) = groups
+    perm = np.arange(cv.total_size)
+    perm[b0], perm[b1] = np.arange(cv.total_size)[b1], np.arange(cv.total_size)[b0]
+    st = make_model(n_layers=2, d_model=16, vocab_size=cv.total_size, dtype="float32",
+                    seed=seed)
+    swapped = st.copy()
+    swapped.params["token_embedding"] = st.params["token_embedding"][perm]
+    pair = cloned_pair_through(cv, markov_stream(200, 20, seed=seed)[0], count=12)
+
+    rep = alignment.gradient_similarity(st, pair, vocab_groups=groups)
+    rep_swapped = alignment.gradient_similarity(
+        swapped, ParallelPair(perm[pair.seq_a], perm[pair.seq_b], "cloned"), vocab_groups=groups)
+    assert rep.per_group == rep_swapped.per_group  # bitwise
+    assert rep.macro_average == rep_swapped.macro_average
+    emb, emb_swapped = rep.embedding_groups, rep_swapped.embedding_groups
+    assert emb["position_embedding"] == emb_swapped["position_embedding"]
+    # its float64 dot runs over permuted rows
+    assert emb["token_embedding"] == pytest.approx(emb_swapped["token_embedding"], abs=1e-12)

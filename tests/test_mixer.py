@@ -80,6 +80,20 @@ def test_policy_refuses_a_stage_list_of_the_wrong_shape(spec, match):
         mixer.parse_policy(spec)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: mixer.MixPolicy(stages=5), "non-empty tuple of stages, got 5"),
+    (lambda: mixer.MixPolicy(stages=((1.0,),)), r"stage 0 must be an \(end, probabilities\) pair"),
+    (lambda: mixer.MixPolicy(stages=((1.0, [1.0], 3),)), "stage 0 must be an"),
+    (lambda: mixer.MixPolicy(stages=(("1.0", [1.0]),)), "stage 0 must be an .* real end"),
+    (lambda: mixer.MixPolicy(stages=((0.5, [1.0]), (True, [1.0]))), "stage 1 must be an"),
+    (lambda: mixer.parse_policy([{"until": True, "probs": [1.0]}]), "stage 0 .* not a bool"),
+], ids=["not a tuple", "no probabilities", "three parts", "str end", "bool end", "bool until"])
+def test_policy_refuses_a_stage_that_is_not_an_end_and_probabilities(build, match):
+    # these raised a bare TypeError or ValueError, and an end of True was taken as 1.0
+    with pytest.raises(mixer.PolicyError, match=match):
+        build()
+
+
 @pytest.mark.parametrize("spec", ["nanvnan", "nan/nan", [{"until": 1.0, "probs": [np.nan, 1.0]}]],
                          ids=["nanvnan", "nan/nan", "stage list"])
 def test_policy_rejects_a_nan_probability(spec):

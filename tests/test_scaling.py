@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from xlab import scaling, util
 
@@ -229,3 +231,34 @@ def test_vectorised_fit_grid_is_bitwise_the_scalar_objective(curve):
     want = np.array([scalar_log_objective(t, p, b) for b in grid])
     assert got.tobytes() == want.tobytes()
     assert scaling._log_objective(t, p, grid[7])[0] == want[7]
+
+
+def _fit_or_message(points):
+    try:
+        return np.array(dataclasses.astuple(scaling.fit_power_law(points))).tobytes()
+    except scaling.FitError as e:
+        return str(e)
+
+
+def test_fit_is_bitwise_the_fit_with_scipys_bounded_minimize_scalar(monkeypatch):
+    rng = np.random.default_rng(24)
+    curves = []
+    for k in range(240):
+        # 3 to 15 points over 1 to 4 decades, starting 1 to 30 times the floor above it
+        t = rng.uniform(1e3, 1e6) * np.geomspace(1, 10 ** rng.uniform(1, 4), rng.integers(3, 16))
+        b, c = rng.uniform(0.08, 1.9), rng.uniform(1.5, 40.0)
+        p = rng.uniform(1, 30) * c * (t / t[0]) ** -b + c
+        if k % 2:  # half of them with up to 3% noise
+            p *= 1 + rng.uniform(-0.03, 0.03, size=len(t))
+        curves.append(list(zip(t.tolist(), p.tolist())))
+    ours = [_fit_or_message(pts) for pts in curves]
+
+    def scipy_fminbound(func, lo, hi, xatol):
+        return minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                               options={"xatol": xatol}).x
+
+    monkeypatch.setattr(scaling, "_fminbound", scipy_fminbound)
+    theirs = [_fit_or_message(pts) for pts in curves]
+    assert ours == theirs
+    errors = sum(isinstance(x, str) for x in ours)
+    assert 20 <= errors <= 60  # both outcomes are compared
