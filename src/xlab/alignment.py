@@ -17,6 +17,10 @@ Three views of cross-lingual alignment inside one model:
 Layer tables cover the block outputs (layers 1..L); the embedding output is
 part of the forward trace but not of the tables or the matching weights.
 
+Cosines of embeddings and hidden states, so also the matching weights, are float64
+for any model dtype: a zero row scores 0, and a NaN or an infinity raises
+AlignmentError. A zero-norm gradient group is reported as undefined instead.
+
 The exact matching runs in numpy: shortest augmenting paths with row and
 column potentials (Crouse 2016), one Dijkstra search over the longer sequence
 per token of the shorter one, vectorised over the longer one's tokens, in
@@ -57,13 +61,20 @@ class AlignmentError(ValueError):
     pass
 
 
+def _rows_and_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` in float64 (not copied if it is; never write it) and its row norms, 0
+    for a zero row; AlignmentError if a NaN or an infinity makes a norm non-finite."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(norms := np.linalg.norm(x, axis=-1)).all():
+        raise AlignmentError("cannot compare states or embeddings with non-finite cosines")
+    return x, norms
+
+
 def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cosine in float64; zero rows yield 0."""
-    a = a.astype(np.float64)
-    b = b.astype(np.float64)
-    num = (a * b).sum(axis=-1)
-    den = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
-    return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+    """Row-wise cosine as :func:`_rows_and_norms` rules; zero rows yield 0."""
+    (a, norm_a), (b, norm_b) = _rows_and_norms(a), _rows_and_norms(b)
+    den = norm_a * norm_b
+    return np.where(den > 0, (a * b).sum(axis=-1) / np.maximum(den, 1e-300), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +231,17 @@ def match_tokens(
     of the shorter sequence is matched injectively into the longer one, by
     shortest augmenting paths in O(n**2 * m) for n <= m positions (the module
     docstring gives measured costs). A weight matrix with one optimum gets the
-    pairs of SciPy's ``linear_sum_assignment``. A non-finite hidden state raises
-    AlignmentError.
+    pairs of SciPy's ``linear_sum_assignment``. Cosines are float64 for any dtype of
+    state, a zero row scores 0, and a non-finite hidden state raises AlignmentError.
     """
     ta, tb = hidden_a[0].shape[0], hidden_b[0].shape[0]
     if ta == 0 or tb == 0:
         raise AlignmentError("cannot match empty sequences")
     weights = np.zeros((ta, tb))
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite weight is refused below
-        for ha, hb in zip(hidden_a, hidden_b):
-            na = ha / np.maximum(np.linalg.norm(ha, axis=1, keepdims=True), 1e-300)
-            nb = hb / np.maximum(np.linalg.norm(hb, axis=1, keepdims=True), 1e-300)
-            weights += na.astype(np.float64) @ nb.astype(np.float64).T
+    for ha, hb in zip(hidden_a, hidden_b):
+        (a, na), (b, nb) = _rows_and_norms(ha), _rows_and_norms(hb)
+        weights += (a / np.maximum(na, 1e-300)[:, None]) @ (b / np.maximum(nb, 1e-300)[:, None]).T
     weights /= len(hidden_a)
-    if not np.all(np.isfinite(weights)):
-        raise AlignmentError("cannot match tokens whose hidden states give non-finite cosines")
     return _max_weight_matching(weights)
 
 

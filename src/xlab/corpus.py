@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .util import checked_ids, read_arrays, write_arrays
+from .util import check_type, checked_ids, read_arrays, write_arrays
 
 STREAM_MAGIC = b"XLTS"
 STREAM_VERSION = 3
@@ -41,18 +41,21 @@ def _digest_documents(documents: Sequence[str]) -> str:
 class DocumentStore:
     """Ordered UTF-8 documents plus ``source_id``, the digest the store computes.
 
-    The digest changes iff any document byte (or the document order) changes.
+    ``documents``, any iterable of ``str`` but a bare ``str`` or ``bytes``, is stored
+    as a tuple; CorpusError otherwise. The digest changes iff any document byte (or
+    the document order) changes.
     """
 
     documents: tuple[str, ...]
     source_id: str = field(init=False)
 
     def __post_init__(self):
+        docs = self.documents
+        if isinstance(docs, (str, bytes)) or not isinstance(docs, Iterable):
+            raise CorpusError(f"documents must be an iterable of str, got {type(docs).__name__}")
+        object.__setattr__(self, "documents", tuple(docs))
+        check_type(self.documents, tuple[str, ...], CorpusError, "documents")
         object.__setattr__(self, "source_id", _digest_documents(self.documents))
-
-    @classmethod
-    def from_documents(cls, documents: Iterable[str]) -> "DocumentStore":
-        return cls(documents=tuple(documents))
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -81,7 +84,7 @@ def ingest(paths: Sequence[str | Path], doc_separator: str | None = None) -> Doc
             docs.append(text)
         else:
             docs.extend(part for part in text.split(doc_separator) if part.strip())
-    return DocumentStore.from_documents(docs)
+    return DocumentStore(docs)
 
 
 def split(
@@ -94,11 +97,12 @@ def split(
     (store, fraction, seed): a seeded permutation assigns the first k permuted
     documents to the test half; both halves keep the original store order.
     """
-    if not (0 <= test_fraction < 1):
-        raise CorpusError(f"test_fraction must be in [0, 1), got {test_fraction}")
+    if not (isinstance(test_fraction, (int, float)) and 0 <= test_fraction < 1):
+        raise CorpusError(f"test_fraction must be a number in [0, 1), got {test_fraction!r}")
+    check_type(seed, int, CorpusError, "seed")
     n = len(store)
     if test_fraction == 0:
-        return store, DocumentStore.from_documents(())
+        return store, DocumentStore(())
     if n == 0:
         raise CorpusError("cannot split an empty store with test_fraction > 0")
     k = int(np.floor(n * test_fraction + 0.5))
@@ -107,8 +111,8 @@ def split(
     order = rng.permutation(n)
     test_idx = np.sort(order[:k])
     train_idx = np.sort(order[k:])
-    train = DocumentStore.from_documents(store.documents[i] for i in train_idx)
-    test = DocumentStore.from_documents(store.documents[i] for i in test_idx)
+    train = DocumentStore(store.documents[i] for i in train_idx)
+    test = DocumentStore(store.documents[i] for i in test_idx)
     return train, test
 
 
@@ -118,7 +122,8 @@ class TokenStream:
 
     ``doc_boundaries`` holds the (strictly increasing) end offset of each
     document; the last boundary equals ``len(ids)``. ``vocab_digest`` ties the
-    stream to the vocabulary that produced it.
+    stream to the vocabulary that produced it: 64 hex digits of either case, which
+    only the constructor checks.
     """
 
     ids: np.ndarray  # uint32
@@ -131,6 +136,9 @@ class TokenStream:
                              dtype=np.uint64)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "doc_boundaries", bounds)
+        if not (isinstance(self.vocab_digest, str)
+                and re.fullmatch("[0-9a-fA-F]{64}", self.vocab_digest)):
+            raise CorpusError(f"vocab_digest {self.vocab_digest!r} is not a 32-byte hex digest")
         if len(bounds) == 0:
             if len(ids) != 0:
                 raise CorpusError("nonempty ids require document boundaries")
@@ -150,20 +158,19 @@ class TokenStream:
         return len(self.doc_boundaries)
 
     def document(self, i: int) -> np.ndarray:
+        """The ids of document ``i``; CorpusError unless ``i`` is an int in
+        [0, n_documents)."""
+        check_type(i, int, CorpusError, "document index")
+        if not 0 <= i < self.n_documents:
+            raise CorpusError(f"document {i} out of range [0, {self.n_documents})")
         start = 0 if i == 0 else int(self.doc_boundaries[i - 1])
         return self.ids[start : int(self.doc_boundaries[i])]
-
-
-def _vocab_digest(value, path) -> str:
-    if not (isinstance(value, str) and re.fullmatch("[0-9a-fA-F]{64}", value)):
-        raise CorpusError(f"{path}: vocab_digest {value!r} is not a 32-byte hex digest")
-    return value
 
 
 def write_token_stream(path: str | Path, stream: TokenStream) -> None:
     """Write XLTS version 3 with :func:`~xlab.util.write_arrays`: the
     ``vocab_digest`` in the header, then ``ids`` (``<u4``) and ``doc_boundaries`` (``<u8``)."""
-    header = {"vocab_digest": _vocab_digest(stream.vocab_digest, path)}
+    header = {"vocab_digest": stream.vocab_digest}
     arrays = {"ids": stream.ids, "doc_boundaries": stream.doc_boundaries}
     write_arrays(path, STREAM_MAGIC, STREAM_VERSION, header, arrays)
 
@@ -175,4 +182,7 @@ def read_token_stream(path: str | Path) -> TokenStream:
     if [(n, a.dtype.str, a.ndim) for n, a in arrays.items()] != [
             ("ids", "<u4", 1), ("doc_boundaries", "<u8", 1)]:
         raise CorpusError(f"{path}: the arrays are not 1-d ids <u4 and doc_boundaries <u8")
-    return TokenStream(**arrays, vocab_digest=_vocab_digest(header.get("vocab_digest"), path))
+    try:
+        return TokenStream(**arrays, vocab_digest=header.get("vocab_digest"))
+    except CorpusError as e:
+        raise CorpusError(f"{path}: {e}") from e

@@ -32,9 +32,10 @@ class MixPolicy:
     """Ordered schedule stages: (end_fraction, probability vector).
 
     Stage i is active for training progress in [end_{i-1}, end_i); switches
-    are immediate at stage boundaries. Each stage is a pair whose end is a real
-    number, not a bool; the final end fraction must be 1. Each probability
-    vector is 1-d and non-empty, and all have one length.
+    are immediate at stage boundaries. Each stage, from :func:`parse_policy` too, is
+    a pair whose end is a real number, not a bool or a str; the final end fraction
+    must be 1. Each probability vector holds numbers, is 1-d and non-empty, and all
+    have one length; PolicyError names a stage it refuses.
     """
 
     stages: tuple[tuple[float, np.ndarray], ...]
@@ -54,8 +55,11 @@ class MixPolicy:
         if ends[-1] != 1.0:
             raise PolicyError(f"final stage must end at 1.0, got {ends[-1]}")
         norm = []
-        for e, p in self.stages:
-            p = np.asarray(p, dtype=np.float64)
+        for i, (e, p) in enumerate(self.stages):
+            try:
+                p = np.asarray(p, dtype=np.float64)
+            except (TypeError, ValueError) as err:
+                raise PolicyError(f"stage {i} probabilities {p!r} are not numbers") from err
             if p.ndim != 1 or not len(p):
                 raise PolicyError(f"stage ending at {e} needs a non-empty 1-d probability "
                                   f"vector, got shape {p.shape}")
@@ -77,7 +81,8 @@ def parse_policy(spec, n_languages: int | None = None) -> MixPolicy:
     """Accept a MixPolicy, a stage list like [{"until": 0.5, "probs": [0.9, 0.1]}]
     (a list of mappings, each with exactly the keys ``until`` and ``probs``),
     or a two-language shorthand: "50/50" (constant) or "90v10" (two-stage
-    mirror, switching halfway)."""
+    mirror, switching halfway). :class:`MixPolicy` alone checks a stage's ``until``
+    and ``probs``, so a str ``until`` is refused as a str end is."""
     if isinstance(spec, MixPolicy):
         policy = spec
     elif isinstance(spec, str):
@@ -100,18 +105,11 @@ def parse_policy(spec, n_languages: int | None = None) -> MixPolicy:
     else:
         if not isinstance(spec, (list, tuple)):
             raise PolicyError(f"a stage list is a list of stages, got {spec!r}")
-        stages = []
         for i, st in enumerate(spec):
             if not isinstance(st, Mapping) or st.keys() != {"until", "probs"}:
                 raise PolicyError(f"stage {i} must be a mapping with the keys 'until' and "
                                   f"'probs', got {st!r}")
-            try:
-                if isinstance(st["until"], bool):
-                    raise TypeError("until must be a number, not a bool")
-                stages.append((float(st["until"]), np.asarray(st["probs"], float)))
-            except (TypeError, ValueError) as e:
-                raise PolicyError(f"stage {i} {st!r}: {e}") from e
-        policy = MixPolicy(stages=tuple(stages))
+        policy = MixPolicy(stages=tuple((st["until"], st["probs"]) for st in spec))
     if n_languages is not None and policy.n_languages != n_languages:
         raise PolicyError(
             f"policy covers {policy.n_languages} languages but the vocabulary "

@@ -343,14 +343,23 @@ class IdLayout:
     ``merge_vocabs(...).layout``) maps separately trained vocabularies and has
     no ``anchor_ids``. ``total_size``, the size of the model id space, is one
     past the largest id of any table. Layouts (one language or more) compare by identity.
+    Each table and ``anchor_ids`` (base ids, below the first table's length) must hold
+    1-d integer ids >= 0, stored as contiguous int64 arrays; TokenizerError otherwise.
     """
 
     luts: tuple[np.ndarray, ...]  # int64, one per language
     anchor_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
-        if not self.luts:
-            raise TokenizerError("a layout needs at least one language, got none")
+        if not isinstance(self.luts, (list, tuple)) or not self.luts:
+            raise TokenizerError(f"a layout needs at least one language, got {self.luts!r}")
+        luts = tuple(checked_ids(lut, 2**63, TokenizerError, "ids", f" in language {n}'s table")
+                     for n, lut in enumerate(self.luts))
+        if any(lut.ndim != 1 for lut in luts) or np.ndim(self.anchor_ids) != 1:
+            raise TokenizerError("each language's table and anchor_ids must be 1-d")
+        anchors = checked_ids(self.anchor_ids, len(luts[0]), TokenizerError, "anchor_ids")
+        object.__setattr__(self, "luts", luts)
+        object.__setattr__(self, "anchor_ids", anchors)
 
     @property
     def n_languages(self) -> int:
@@ -421,8 +430,10 @@ def clone_vocab(
     check_type(n_languages, int, TokenizerError, "n_languages")
     if n_languages < 1:
         raise TokenizerError("n_languages must be >= 1")
-    if not 0 <= anchor_fraction <= 1:
-        raise TokenizerError(f"anchor_fraction must be in [0, 1], got {anchor_fraction}")
+    if not (isinstance(anchor_fraction, (int, float)) and 0 <= anchor_fraction <= 1):
+        raise TokenizerError(f"anchor_fraction must be a number in [0, 1], got "
+                             f"{anchor_fraction!r}")
+    check_type(seed, int, TokenizerError, "seed")
     n_base = len(vocab)
     n_anchor = int(np.floor(anchor_fraction * n_base))
     rng = np.random.default_rng(seed)
@@ -433,7 +444,7 @@ def clone_vocab(
     lut[:, anchor_ids] = np.arange(a)
     for n in range(n_languages):
         lut[n, dup_ids] = a + n * d + np.arange(d)
-    return IdLayout(luts=tuple(lut), anchor_ids=anchor_ids.astype(np.int64))
+    return IdLayout(luts=tuple(lut), anchor_ids=anchor_ids)
 
 
 def relabel(layout: IdLayout, permutation: Sequence[int]) -> IdLayout:

@@ -182,7 +182,8 @@ class MixtureSource:
     languages read the same base stream) or a sequence with one cursor per
     language (real pairs read their own corpora). Tag n is language n of
     ``layout``; to swap clone roles, pass a layout from
-    :func:`xlab.tokenizer.relabel`.
+    :func:`xlab.tokenizer.relabel`. ``batch_size`` is an int >= 1 and ``seed`` an
+    int >= 0; ValueError names either field otherwise.
     """
 
     def __init__(
@@ -196,6 +197,10 @@ class MixtureSource:
         if policy.n_languages != layout.n_languages:
             raise ValueError(f"a policy of {policy.n_languages} languages, a layout of "
                              f"{layout.n_languages}")
+        for name, value, least in (("batch_size", batch_size, 1), ("seed", seed, 0)):
+            check_type(value, int, ValueError, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         shared = isinstance(cursors, StreamCursor)
         self.cursors = [cursors] if shared else list(cursors)
         if not shared and len(self.cursors) != policy.n_languages:

@@ -13,7 +13,7 @@ def tiny_store() -> corpus.DocumentStore:
         "a bird flew over the old barn while the cat slept " * 12,
         "the dog dug under the fence near the tall green tree " * 12,
     ]
-    return corpus.DocumentStore.from_documents(docs)
+    return corpus.DocumentStore(docs)
 
 
 @pytest.fixture(scope="session")

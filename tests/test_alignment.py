@@ -148,6 +148,67 @@ def test_max_weight_hidden_similarity_refuses_a_nan_hidden_state():
         alignment.hidden_similarity(st, pair, matching="max_weight")
 
 
+def _num_den_cosine_rows(a, b):
+    """The row cosine ``_cosine_rows`` keeps: a . b / (|a| |b|) in float64, zero rows 0."""
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    num = (a * b).sum(axis=-1)
+    den = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
+    return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cosine_rows_keeps_its_formula_bit_for_bit_and_writes_no_input(dtype):
+    rng = np.random.default_rng(27)
+    scales = 10.0 ** rng.integers(-3, 4, (2, 40, 1))
+    a, b = (rng.standard_normal((2, 40, 16)) * scales).astype(dtype)
+    a[3], b[5], a[7], b[7] = 0, 0, 0, 0
+    a_in, b_in = a.copy(), b.copy()
+    got = alignment._cosine_rows(a, b)
+    assert got.dtype == np.float64 and np.array_equal(got, _num_den_cosine_rows(a, b))
+    assert got[[3, 5, 7]].tolist() == [0.0, 0.0, 0.0]
+    assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
+
+
+def test_match_tokens_weighs_float64_states_by_their_unit_rows_and_writes_no_input(monkeypatch):
+    seen = []
+    monkeypatch.setattr(alignment, "_max_weight_matching", lambda w: seen.append(w.copy()) or [])
+    rng = np.random.default_rng(28)
+    ha = [rng.standard_normal((7, 8)) for _ in range(3)]
+    hb = [rng.standard_normal((9, 8)) for _ in range(3)]
+    ha[1][2] = 0
+    before = [h.copy() for h in ha + hb]
+    alignment.match_tokens(ha, hb)
+    assert np.array_equal(seen[0], sum(_cosine_matrix(a, b) for a, b in zip(ha, hb)) / 3)
+    assert all(np.array_equal(h, h_in) for h, h_in in zip(ha + hb, before))
+
+
+def test_a_float32_zero_row_matches_as_a_float64_one():
+    # the float32 norm floor of 1e-300 was 0, so a zero row divided 0 by 0 and the
+    # matching was refused
+    rng = np.random.default_rng(29)
+    ha = [rng.standard_normal((4, 6)) for _ in range(2)]
+    hb = [rng.standard_normal((5, 6)) for _ in range(2)]
+    ha[0][1], hb[1][3] = 0, 0
+    as32 = alignment.match_tokens([h.astype(np.float32) for h in ha],
+                                  [h.astype(np.float32) for h in hb])
+    assert as32 == alignment.match_tokens(ha, hb)
+    assert len(as32) == 4
+
+
+@pytest.mark.parametrize("view", ["positional", "max_weight", "embedding"])
+def test_a_nan_embedding_is_refused_by_every_hidden_and_embedding_view(view):
+    # positional hidden_similarity scored the NaN states 0 ([0, 0]) and embedding_similarity
+    # gave a finite mean, while max_weight matching refused them
+    cv = tokenizer.clone_vocab(make_vocab(20), 2)
+    st = make_model(n_layers=2, d_model=16, vocab_size=cv.total_size, seed=4)
+    pair = cloned_pair_through(cv, markov_stream(200, 20, seed=4)[0], count=10)
+    st.params["token_embedding"][pair.seq_a[4], 0] = np.nan
+    run = {"embedding": lambda: alignment.embedding_similarity(st, cv)}.get(
+        view, lambda: alignment.hidden_similarity(st, pair, matching=view))
+    with pytest.raises(alignment.AlignmentError, match="non-finite cosines"):
+        run()
+
+
 def cloned_pair_through(cv, stream, count=24):
     base = stream.ids[:count]
     return ParallelPair(cv.map_ids(base, 0), cv.map_ids(base, 1), "cloned")

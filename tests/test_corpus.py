@@ -46,6 +46,28 @@ def test_source_id_is_computed_not_taken():
         struct.pack("<Q", len(raw)) + raw).hexdigest()
 
 
+def test_a_store_takes_any_iterable_of_str_and_keeps_a_tuple():
+    # a list used to be kept inside the frozen store
+    stores = [corpus.DocumentStore(docs) for docs in
+              (["a", "b"], ("a", "b"), (d for d in "ab"), {"a": 0, "b": 1}.keys())]
+    assert all(type(s.documents) is tuple and s.documents == ("a", "b") for s in stores)
+    assert len({s.source_id for s in stores}) == 1
+
+
+@pytest.mark.parametrize("documents, match", [
+    ("abc", "documents must be an iterable of str, got str"),
+    (b"ab", "documents must be an iterable of str, got bytes"),
+    (5, "documents must be an iterable of str, got int"),
+    ((1,), r"documents\[0\] must be a str, got 1"),
+    (["a", b"b"], r"documents\[1\] must be a str, got b'b'"),
+], ids=["str", "bytes", "int", "int document", "bytes document"])
+def test_a_store_refuses_a_bare_string_and_a_document_that_is_not_a_str(documents, match):
+    # "abc" was kept as three one-letter documents with the source_id of ("a", "b", "c"),
+    # and (1,) or b"ab" failed with a bare AttributeError in the digest, also in train_bpe
+    with pytest.raises(corpus.CorpusError, match=match):
+        corpus.DocumentStore(documents)
+
+
 def test_ingest_rejects_bad_utf8(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_bytes(b"fine until \xff\xfe here")
@@ -54,13 +76,13 @@ def test_ingest_rejects_bad_utf8(tmp_path):
 
 
 def test_split_zero_fraction():
-    store = corpus.DocumentStore.from_documents([f"d{i}" for i in range(10)])
+    store = corpus.DocumentStore([f"d{i}" for i in range(10)])
     train, test = corpus.split(store, 0.0, seed=1)
     assert len(train) == 10 and len(test) == 0
 
 
 def test_split_deterministic():
-    store = corpus.DocumentStore.from_documents([f"d{i}" for i in range(10)])
+    store = corpus.DocumentStore([f"d{i}" for i in range(10)])
     a = corpus.split(store, 0.2, seed=7)
     b = corpus.split(store, 0.2, seed=7)
     assert (len(a[0]), len(a[1])) == (8, 2)
@@ -69,7 +91,7 @@ def test_split_deterministic():
 
 
 def test_split_size_matches_reimplemented_shuffle():
-    store = corpus.DocumentStore.from_documents([f"d{i}" for i in range(100)])
+    store = corpus.DocumentStore([f"d{i}" for i in range(100)])
     train, test = corpus.split(store, 0.1, seed=3)
     assert len(test) == 10
     # independent reimplementation of the seeded selection
@@ -80,20 +102,20 @@ def test_split_size_matches_reimplemented_shuffle():
 
 def test_split_is_partition():
     docs = [f"doc {i} body" for i in range(31)]
-    store = corpus.DocumentStore.from_documents(docs)
+    store = corpus.DocumentStore(docs)
     train, test = corpus.split(store, 0.3, seed=11)
     assert sorted(train.documents + test.documents) == sorted(docs)
     assert not set(train.documents) & set(test.documents)
 
 
 def test_split_min_one_test_doc():
-    store = corpus.DocumentStore.from_documents(["only", "two"])
+    store = corpus.DocumentStore(["only", "two"])
     _, test = corpus.split(store, 0.01, seed=0)
     assert len(test) == 1
 
 
 def test_split_rejects_fraction_one():
-    store = corpus.DocumentStore.from_documents(["x"])
+    store = corpus.DocumentStore(["x"])
     with pytest.raises(corpus.CorpusError):
         corpus.split(store, 1.0, seed=0)
 
@@ -167,6 +189,7 @@ def test_token_stream_version_1_is_refused(tmp_path):
     (lambda h, a: h.update(vocab_digest="ab" * 31), "not a 32-byte hex digest"),
     (lambda h, a: h.update(vocab_digest="zz" * 32), "not a 32-byte hex digest"),
     (lambda h, a: h.pop("vocab_digest"), "vocab_digest None"),
+    (lambda h, a: h.update(vocab_digest="x"), r"s\.xlts: vocab_digest 'x' is not a 32-byte"),
     (lambda h, a: a.update(ids=a.pop("ids")), "not 1-d ids <u4 and doc_boundaries <u8"),
 ])
 def test_token_stream_header_is_checked(tmp_path, edit, match):
@@ -180,13 +203,36 @@ def test_token_stream_header_is_checked(tmp_path, edit, match):
         corpus.read_token_stream(path)
 
 
-def test_token_stream_writer_refuses_a_bad_vocab_digest(tmp_path):
-    stream = corpus.TokenStream(ids=np.arange(4, dtype=np.uint32),
-                                doc_boundaries=np.array([4], dtype=np.uint64),
-                                vocab_digest="abc")
+def test_a_bad_vocab_digest_is_refused_before_a_stream_is_written(tmp_path):
+    # the constructor took it, and the writer refused it later
     with pytest.raises(corpus.CorpusError, match="not a 32-byte hex digest"):
-        corpus.write_token_stream(tmp_path / "s.xlts", stream)
+        corpus.write_token_stream(tmp_path / "s.xlts", corpus.TokenStream(
+            ids=np.arange(4, dtype=np.uint32), doc_boundaries=np.array([4], dtype=np.uint64),
+            vocab_digest="abc"))
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("digest", ["x", "ab" * 31, "zz" * 32, "ab" * 33, None, b"ab" * 32],
+                         ids=["short", "31 bytes", "not hex", "33 bytes", "None", "bytes"])
+def test_a_token_stream_checks_its_vocab_digest(digest):
+    with pytest.raises(corpus.CorpusError, match="not a 32-byte hex digest"):
+        corpus.TokenStream(np.arange(4), [4], digest)
+    for good in ("ab" * 32, "AB" * 32):
+        assert corpus.TokenStream(np.arange(4), [4], good).vocab_digest == good
+
+
+@pytest.mark.parametrize("i, match", [
+    (2, r"document 2 out of range \[0, 2\)"),
+    (-1, r"document -1 out of range \[0, 2\)"),
+    (1.0, "document index must be an int, got 1.0"),
+    (True, "document index must be an int, got True"),
+])
+def test_a_document_index_outside_the_stream_is_refused(i, match):
+    # 2 and 1.0 raised a bare IndexError, and -1 gave the last document
+    stream = corpus.TokenStream(np.arange(5), [2, 5], "0" * 64)
+    assert [stream.document(k).tolist() for k in range(2)] == [[0, 1], [2, 3, 4]]
+    with pytest.raises(corpus.CorpusError, match=match):
+        stream.document(i)
 
 
 def test_token_stream_validates_boundaries():

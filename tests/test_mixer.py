@@ -71,7 +71,8 @@ def test_policy_validation():
     (["x"], "stage 0 must be a mapping"),
     ({"until": 1.0, "probs": [0.5, 0.5]}, "a stage list is a list of stages"),
     ([{"until": 1.0, "probs": [[0.5, 0.5]]}], r"stage ending at 1.0 .* got shape \(1, 2\)"),
-    ([{"until": "end", "probs": [1.0]}], "stage 0 .* could not convert"),
+    ([{"until": "end", "probs": [1.0]}], r"stage 0 must be an \(end, probabilities\) pair with "
+                                          "a real end"),
 ], ids=["no until", "no probs", "not a list", "not a mapping", "bare stage", "2-d probs",
         "until not a number"])
 def test_policy_refuses_a_stage_list_of_the_wrong_shape(spec, match):
@@ -86,12 +87,33 @@ def test_policy_refuses_a_stage_list_of_the_wrong_shape(spec, match):
     (lambda: mixer.MixPolicy(stages=((1.0, [1.0], 3),)), "stage 0 must be an"),
     (lambda: mixer.MixPolicy(stages=(("1.0", [1.0]),)), "stage 0 must be an .* real end"),
     (lambda: mixer.MixPolicy(stages=((0.5, [1.0]), (True, [1.0]))), "stage 1 must be an"),
-    (lambda: mixer.parse_policy([{"until": True, "probs": [1.0]}]), "stage 0 .* not a bool"),
+    (lambda: mixer.parse_policy([{"until": True, "probs": [1.0]}]),
+     r"stage 0 must be an \(end, probabilities\) pair with a real end"),
 ], ids=["not a tuple", "no probabilities", "three parts", "str end", "bool end", "bool until"])
 def test_policy_refuses_a_stage_that_is_not_an_end_and_probabilities(build, match):
     # these raised a bare TypeError or ValueError, and an end of True was taken as 1.0
     with pytest.raises(mixer.PolicyError, match=match):
         build()
+
+
+@pytest.mark.parametrize("end, probs, match", [
+    ("1.0", [1.0], r"stage 0 must be an \(end, probabilities\) pair with a real end"),
+    (1.0, ["x"], r"stage 0 probabilities \['x'\] are not numbers"),
+    (1.0, {"a": 1}, r"stage 0 probabilities \{'a': 1\} are not numbers"),
+], ids=["str end", "str probability", "dict probabilities"])
+def test_a_stage_gets_one_answer_from_the_stage_list_and_the_constructor(end, probs, match):
+    # parse_policy took the end "1.0" that MixPolicy refused, and MixPolicy gave a bare
+    # ValueError or TypeError for probabilities that parse_policy refused
+    for build in (lambda: mixer.parse_policy([{"until": end, "probs": probs}]),
+                  lambda: mixer.MixPolicy(stages=((end, probs),))):
+        with pytest.raises(mixer.PolicyError, match=match):
+            build()
+
+
+def test_a_stage_list_is_converted_by_the_constructor():
+    policy = mixer.parse_policy([{"until": 0.5, "probs": [0, 1]}, {"until": 1, "probs": (1, 0)}])
+    assert [(type(e), e, p.dtype, p.tolist()) for e, p in policy.stages] == [
+        (float, 0.5, np.float64, [0.0, 1.0]), (float, 1.0, np.float64, [1.0, 0.0])]
 
 
 @pytest.mark.parametrize("spec", ["nanvnan", "nan/nan", [{"until": 1.0, "probs": [np.nan, 1.0]}]],

@@ -273,7 +273,7 @@ def bpe_cases(draw):
     """A vocabulary trained on drawn words, and text over the corpus alphabet
     with arbitrary whitespace."""
     words = draw(st.lists(_WORD, min_size=3, max_size=30))
-    store = corpus.DocumentStore.from_documents([" ".join(words)])
+    store = corpus.DocumentStore([" ".join(words)])
     alphabet = sorted(set("".join(words)))
     extra_merges = draw(st.integers(0, 12))
     try:
@@ -324,7 +324,7 @@ def bpe_training_cases(draw):
 def test_bpe_training_matches_the_recount_oracle(case):
     text, n_merges = case
     every_merge = _every_merge(text)
-    store = corpus.DocumentStore.from_documents([text])
+    store = corpus.DocumentStore([text])
     size = 2 + len(set(text) - {" "}) + n_merges
     if n_merges > len(every_merge):
         with pytest.raises(tokenizer.TokenizerError,
@@ -342,8 +342,7 @@ def test_a_trained_vocabulary_encodes_as_its_cold_copy(case, held_out):
     an empty cache runs the merge loop on every word."""
     text, n_merges = case
     words = text.split()
-    store = corpus.DocumentStore.from_documents(" ".join(words[i : i + 3])
-                                                for i in range(0, len(words), 3))
+    store = corpus.DocumentStore(" ".join(words[i : i + 3]) for i in range(0, len(words), 3))
     try:
         trained = tokenizer.train_bpe(store, 2 + len(set(text) - {" "}) + n_merges)
     except tokenizer.TokenizerError:  # too few distinct pairs for that many merges

@@ -13,7 +13,7 @@ from conftest import (edit_array_file, make_vocab, oracle_bpe_merges, pretoken_c
 
 
 def test_single_merge_ab():
-    store = DocumentStore.from_documents(["abababab"])
+    store = DocumentStore(["abababab"])
     # base = unk + {marker, a, b}; one extra slot -> exactly one merge
     vocab = tokenizer.train_bpe(store, vocab_size=5)
     assert vocab.merges == (("a", "b"),)
@@ -21,20 +21,20 @@ def test_single_merge_ab():
 
 
 def test_no_merges_at_base_size():
-    store = DocumentStore.from_documents(["aaaa"])
+    store = DocumentStore(["aaaa"])
     vocab = tokenizer.train_bpe(store, vocab_size=3)  # unk, marker, 'a'
     assert vocab.merges == ()
     assert set(vocab.pieces) == {"<unk>", MARKER, "a"}
 
 
 def test_vocab_size_below_alphabet_rejected():
-    store = DocumentStore.from_documents(["abc"])
+    store = DocumentStore(["abc"])
     with pytest.raises(tokenizer.TokenizerError, match="smaller than the base"):
         tokenizer.train_bpe(store, vocab_size=3)
 
 
 def test_first_merges_match_recount_oracle():
-    store = DocumentStore.from_documents(["low low lower"])
+    store = DocumentStore(["low low lower"])
     word_counts = pretoken_counts(store.documents)
     base = 1 + len({c for w in word_counts for c in w} | {MARKER})
     vocab = tokenizer.train_bpe(store, vocab_size=base + 3)
@@ -191,8 +191,7 @@ def test_tokenizing_the_training_store_runs_no_merge_loop(monkeypatch, tiny_stor
 def test_training_seeds_at_most_the_cache_size_most_frequent_words(monkeypatch):
     monkeypatch.setattr(tokenizer, "WORD_CACHE_SIZE", 3)
     counts = {"abab": 5, "ba": 4, "aab": 3, "bba": 2, "b": 1}
-    store = DocumentStore.from_documents([" ".join(w for w, n in counts.items()
-                                                   for _ in range(n))])
+    store = DocumentStore([" ".join(w for w, n in counts.items() for _ in range(n))])
     vocab = tokenizer.train_bpe(store, vocab_size=7)
     cold = tokenizer.Vocabulary(vocab.pieces, vocab.merges)
     assert vocab._word_ids == {w: tuple(tokenizer.encode(cold, w)) for w in ("abab", "ba", "aab")}
@@ -201,8 +200,7 @@ def test_training_seeds_at_most_the_cache_size_most_frequent_words(monkeypatch):
 def test_a_miss_never_evicts_a_seeded_word(monkeypatch):
     monkeypatch.setattr(tokenizer, "WORD_CACHE_SIZE", 3)
     counts = {"abab": 5, "ba": 4, "aab": 3, "bba": 2, "b": 1}
-    store = DocumentStore.from_documents([" ".join(w for w, n in counts.items()
-                                                   for _ in range(n))])
+    store = DocumentStore([" ".join(w for w, n in counts.items() for _ in range(n))])
     vocab = tokenizer.train_bpe(store, vocab_size=7)
     seeded = dict(vocab._word_ids)
     calls = _count_encoded_words(monkeypatch)
@@ -329,6 +327,32 @@ def test_the_unk_id_the_marker_and_the_layout_size_are_not_settable():
         assert size == total and type(size) is int
     cv = tokenizer.clone_vocab(vocab, 3, anchor_fraction=0.5, seed=1)
     assert cv.total_size == 3 + 3 * 3
+
+
+@pytest.mark.parametrize("luts, anchors, match", [
+    ((np.array([1.5, 0.2]),), (), "ids in language 0's table must be integers, got dtype float64"),
+    ((np.arange(3), np.array([-1, 0])), (), r"ids -1..0 are outside .* in language 1's table"),
+    ((np.zeros((2, 2), int),), (), "each language's table and anchor_ids must be 1-d"),
+    ((np.arange(3),), [[0]], "each language's table and anchor_ids must be 1-d"),
+    ((np.arange(3),), [0.0], "anchor_ids must be integers"),
+    ((np.arange(3),), [3], r"anchor_ids 3..3 are outside \[0, 3\)"),
+    ([], (), "at least one language"),
+    (np.arange(3), (), "at least one language"),
+], ids=["float table", "negative table", "2-d table", "2-d anchors", "float anchors",
+        "anchor past the base", "no table", "an array, not a tuple of tables"])
+def test_a_layout_refuses_tables_that_are_not_ids(luts, anchors, match):
+    # a float table mapped 0 to 1.5, a negative one mapped 0 to -1, and a list table
+    # failed with a bare AttributeError
+    with pytest.raises(tokenizer.TokenizerError, match=match):
+        tokenizer.IdLayout(luts, anchor_ids=anchors)
+
+
+def test_a_layout_stores_its_tables_as_contiguous_int64():
+    layout = tokenizer.IdLayout(([2, 0, 1], np.arange(6, dtype=np.uint8)[::2]), anchor_ids=[1])
+    for table in (*layout.luts, layout.anchor_ids):
+        assert table.dtype == np.int64 and table.flags.c_contiguous
+    assert layout.map_ids([0, 2], 0).tolist() == [2, 1]
+    assert layout.map_ids([1, 2], 1).tolist() == [2, 4]
 
 
 def test_a_layout_needs_a_language():

@@ -734,3 +734,21 @@ def test_a_source_needs_a_policy_over_the_layout_languages(probs):
     with pytest.raises(ValueError, match=f"a policy of {policy.n_languages} languages, a "
                                          "layout of 2"):
         trainer.MixtureSource(cursor, cv, policy, batch_size=2, seed=0)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("batch_size", 2.5, "batch_size must be an int, got 2.5"),
+    ("batch_size", True, "batch_size must be an int, got True"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("seed", 1.5, "seed must be an int, got 1.5"),
+])
+def test_a_source_names_a_bad_batch_size_or_seed(field, value, match):
+    # batch_size 0 failed at the first batch in np.stack, 2.5 with a bare TypeError, and a
+    # seed of -1 or 1.5 with numpy's errors
+    cv = tokenizer.clone_vocab(make_vocab(10), 1)
+    cursor = mixer.StreamCursor(markov_stream(200, 10, seed=0)[0], seq_len=8)
+    args = {"batch_size": 2, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=match):
+        trainer.MixtureSource(cursor, cv, mixer.parse_policy([{"until": 1.0, "probs": [1.0]}]),
+                              **args)

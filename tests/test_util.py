@@ -234,6 +234,15 @@ BAD_INT_CALLS = {
     "sliding_logprobs stride 2.0": (lambda: evaluator.sliding_logprobs(make_model(), [1, 2, 3],
                                                                        4, 2.0),
                                     evaluator.EvalError, "stride must be an int"),
+    "split test_fraction '0.5'": (lambda: corpus.split(corpus.DocumentStore(["a", "b"]), "0.5", 1),
+                                  corpus.CorpusError, "test_fraction must be a number"),
+    "split seed 1.5": (lambda: corpus.split(corpus.DocumentStore(["a", "b"]), 0.5, 1.5),
+                       corpus.CorpusError, "seed must be an int, got 1.5"),
+    "clone_vocab anchor_fraction '0.5'": (
+        lambda: tokenizer.clone_vocab(make_vocab(10), 2, anchor_fraction="0.5"),
+        tokenizer.TokenizerError, "anchor_fraction must be a number"),
+    "clone_vocab seed 1.5": (lambda: tokenizer.clone_vocab(make_vocab(10), 2, seed=1.5),
+                             tokenizer.TokenizerError, "seed must be an int, got 1.5"),
 }
 
 

@@ -113,7 +113,7 @@ def bpe() -> str:
         lexicon = ["".join(rng.choice(list(alphabet), size=n)) for n in rng.integers(1, 9, 200)]
         p = 1 / np.arange(1, len(lexicon) + 1)
         words = rng.choice(lexicon, size=3000, p=p / p.sum())
-        store = corpus.DocumentStore.from_documents(
+        store = corpus.DocumentStore(
             " ".join(words[i : i + 100]) for i in range(0, len(words), 100))
         vocab = tokenizer.train_bpe(store, BPE_VOCAB)
         fingerprint.update(tokenizer.vocab_digest(vocab).encode())
