@@ -50,7 +50,7 @@ import numpy as np
 from .model import (ModelState, VocabGroups, forward, group_of,  # noqa: F401
                     hidden_states, loss_and_grads)
 from .tokenizer import IdLayout
-from .util import checked_ids
+from .util import checked_ids, seeded_rng
 
 logger = logging.getLogger(__name__)
 
@@ -63,10 +63,21 @@ class AlignmentError(ValueError):
 
 def _rows_and_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``x`` in float64 (not copied if it is; never write it) and its row norms, 0
-    for a zero row; AlignmentError if a NaN or an infinity makes a norm non-finite."""
+    for a zero row; AlignmentError if a NaN or an infinity makes a norm non-finite.
+    A finite row whose squares overflow is scaled by a power of two into [-1, 1)
+    first, in a copy; a cosine does not see a row's scale, and other rows keep theirs."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(norms := np.linalg.norm(x, axis=-1)).all():
-        raise AlignmentError("cannot compare states or embeddings with non-finite cosines")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=-1)
+    if not np.isfinite(norms).all():
+        over = ~np.isfinite(norms) & np.isfinite(x).all(axis=-1)
+        if over.any():
+            x = x.copy()
+            _, exponent = np.frexp(np.abs(x[over]).max(axis=-1, keepdims=True))
+            x[over] = np.ldexp(x[over], -exponent)
+            norms[over] = np.linalg.norm(x[over], axis=-1)
+        if not np.isfinite(norms).all():
+            raise AlignmentError("cannot compare states or embeddings with non-finite cosines")
     return x, norms
 
 
@@ -120,7 +131,7 @@ def embedding_similarity(
     n_pairs = cos_all.size
 
     pool = np.concatenate([cv.luts[n][dup] for n in range(cv.n_languages)])
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed, AlignmentError)
     left = pool[rng.integers(0, len(pool), size=n_pairs)]
     right = pool[rng.integers(0, len(pool), size=n_pairs)]
     clash = left == right

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .util import check_type, checked_ids, read_arrays, write_arrays
+from .util import check_type, checked_ids, read_arrays, seeded_rng, write_arrays
 
 STREAM_MAGIC = b"XLTS"
 STREAM_VERSION = 3
@@ -99,7 +99,7 @@ def split(
     """
     if not (isinstance(test_fraction, (int, float)) and 0 <= test_fraction < 1):
         raise CorpusError(f"test_fraction must be a number in [0, 1), got {test_fraction!r}")
-    check_type(seed, int, CorpusError, "seed")
+    rng = seeded_rng(seed, CorpusError)
     n = len(store)
     if test_fraction == 0:
         return store, DocumentStore(())
@@ -107,7 +107,6 @@ def split(
         raise CorpusError("cannot split an empty store with test_fraction > 0")
     k = int(np.floor(n * test_fraction + 0.5))
     k = max(1, min(k, n))
-    rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     test_idx = np.sort(order[:k])
     train_idx = np.sort(order[k:])

@@ -52,7 +52,10 @@ class EvalResult:
 
 def window_spans(n: int, window: int, stride: int) -> list[tuple[int, int, int]]:
     """(window_start, first_scored_target, scored_end) spans for a document of
-    n tokens; target p means predicting token p from tokens [start, p)."""
+    n tokens; target p means predicting token p from tokens [start, p). All three
+    are ints; EvalError names the first that is not."""
+    for name, value in (("n", n), ("window", window), ("stride", stride)):
+        check_type(value, int, EvalError, name)
     if not 1 <= stride < window:
         raise EvalError(
             f"stride {stride} must be in [1, window {window}): a later window's "
@@ -80,12 +83,10 @@ def sliding_logprobs(state: ModelState, doc_ids: np.ndarray, window: int = 512, 
     scored token within the document. Each predictable token appears once.
     ``window`` and ``stride`` are ints (:func:`window_spans`).
     """
-    check_type(window, int, EvalError, "window")
-    check_type(stride, int, EvalError, "stride")
-    if window > (limit := state.config.max_seq_len):
-        raise EvalError(f"window {window} exceeds the model's max_seq_len {limit}")
     ids = checked_ids(doc_ids, None, EvalError, "token ids")  # forward checks their range
     spans, length = window_spans(len(ids), window, stride), min(window, len(ids))
+    if window > (limit := state.config.max_seq_len):
+        raise EvalError(f"window {window} exceeds the model's max_seq_len {limit}")
     positions: list[np.ndarray] = []
     values: list[np.ndarray] = []
     for i in range(0, len(spans), BATCH_WINDOWS):

@@ -82,7 +82,10 @@ def parse_policy(spec, n_languages: int | None = None) -> MixPolicy:
     (a list of mappings, each with exactly the keys ``until`` and ``probs``),
     or a two-language shorthand: "50/50" (constant) or "90v10" (two-stage
     mirror, switching halfway). :class:`MixPolicy` alone checks a stage's ``until``
-    and ``probs``, so a str ``until`` is refused as a str end is."""
+    and ``probs``, so a str ``until`` is refused as a str end is. ``n_languages``, if
+    given, is an int that the policy's language count must equal."""
+    if n_languages is not None:
+        check_type(n_languages, int, PolicyError, "n_languages")
     if isinstance(spec, MixPolicy):
         policy = spec
     elif isinstance(spec, str):

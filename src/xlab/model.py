@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import check_fields, checked_ids, from_fields, read_arrays, write_arrays
+from .util import check_fields, checked_ids, from_fields, read_arrays, seeded_rng, write_arrays
 
 CHECKPOINT_MAGIC = b"XLCK"
 CHECKPOINT_VERSION = 3
@@ -156,8 +156,9 @@ def _layer_params(params: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray
 def init(config: ModelConfig, seed: int) -> ModelState:
     """Deterministic initialization: N(0, 0.02) for embeddings and weights,
     residual-output projections scaled down by 1/sqrt(2*n_layers), ones for
-    norm gains, zeros for biases and offsets."""
-    rng = np.random.default_rng(seed)
+    norm gains, zeros for biases and offsets. ``seed`` is an int >= 0; ValueError
+    otherwise."""
+    rng = seeded_rng(seed, ValueError)
     dt = config.np_dtype
     resid_scale = 1.0 / np.sqrt(max(1, 2 * config.n_layers))
     params: dict[str, np.ndarray] = {}

@@ -39,7 +39,7 @@ import numpy as np
 
 from .corpus import DocumentStore, TokenStream
 from .util import (check_fields, check_type, checked_ids, from_fields, json_digest, read_arrays,
-                   write_arrays)
+                   seeded_rng, write_arrays)
 
 MARKER = "▁"  # word-begin marker, prefixed to every pretoken
 UNK_PIECE = "<unk>"
@@ -139,25 +139,38 @@ def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
     time, with a lexicographic (left, right) tie-break on the piece strings so
     training is bit-identical across platforms. The base symbol set counts the
     unk piece and the word-begin marker alongside the corpus alphabet, so the
-    smallest legal vocab_size is ``2 + len(alphabet)``. A corpus with too few
-    distinct pairs to reach ``vocab_size`` raises TokenizerError.
+    smallest legal vocab_size, an int, is ``2 + len(alphabet)``. A corpus with
+    too few distinct pairs to reach ``vocab_size`` raises TokenizerError.
 
     Training is incremental, as in Sennrich et al. (arXiv:1508.07909). Each
     distinct pretoken is held once, as a list of piece ids, with its count. A
     pair of ids is the key ``left * vocab_size + right``; one table holds every
-    pair's corpus count, another the words that may hold the pair, and a lazy
-    max-heap the counts. A merge rewrites only the words indexed under its
-    pair, left to right without overlap, as encoding does. At each
-    merge site it moves the word's count from ``(prev, left)`` to
-    ``(prev, new)`` and from ``(right, next)`` to ``(new, next)``, and indexes
-    the word under the new pairs. So one merge costs time in proportion to the
-    words that hold its pair, not to the corpus. A word is never taken out of
-    an index; one that no longer holds the pair rewrites to itself.
+    pair's corpus count, another the words that may hold the pair. A merge
+    visits only the words indexed under its pair. ``list.count`` skips a word
+    without the left symbol, and ``list.index`` finds each left symbol in turn,
+    the search resuming just past a merged site, so a run such as ``aaaaa``
+    merges left to right without overlap, as encoding does. At each merge site
+    the word's count moves from ``(prev, left)`` to ``(prev, new)`` and from
+    ``(right, next)`` to ``(new, next)``, and the word is indexed under the new
+    pairs. An index lists a word once each time the word is indexed, and keeps
+    a word that no longer holds the pair; a visit then finds no site in it. So
+    one merge costs time in proportion to the words indexed under its pair and
+    the sites it rewrites, not to the corpus.
+
+    Only the merge that makes a pair raises its count; after that it can only
+    fall, so the best count never rises. A lazy max-heap holds one entry per
+    queued pair, at the pair's count or at one it had; a popped entry whose
+    count has fallen is queued again at its count. A pair whose count is below
+    ``floor``, a power of two, waits outside the heap in a bucket by the bit
+    length of its count. When no entry reaches ``floor``, it halves and the
+    pairs of the next bucket are queued, so a pair below the last merge's count
+    is never queued.
 
     Each training word's final segmentation is its encoding (see the module
     docstring), so the returned vocabulary's word cache starts with them, and
     keeps them: all of them, or the ``WORD_CACHE_SIZE`` most frequent.
     """
+    check_type(vocab_size, int, TokenizerError, "vocab_size")
     word_counts: Counter[str] = Counter()
     for doc in store.documents:
         word_counts.update(doc.split())
@@ -172,74 +185,93 @@ def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
     pieces: list[str] = [UNK_PIECE] + alphabet
     merges: list[tuple[str, str]] = []
     piece_id = {p: i for i, p in enumerate(pieces)}
-    words = [[piece_id[c] for c in MARKER + w] for w in word_counts]
+    words = [list(map(piece_id.__getitem__, MARKER + w)) for w in word_counts]
     freqs = list(word_counts.values())
 
     V = vocab_size
-    pair_counts: dict[int, int] = {}
-    pair_words: defaultdict[int, set[int]] = defaultdict(set)
-    for wi, syms in enumerate(words):
+    pair_counts: defaultdict[int, int] = defaultdict(int)
+    pair_words: defaultdict[int, list[int]] = defaultdict(list)
+    for wi, (syms, f) in enumerate(zip(words, freqs)):
         for a, b in zip(syms, syms[1:]):
             key = a * V + b
-            pair_counts[key] = pair_counts.get(key, 0) + freqs[wi]
-            pair_words[key].add(wi)
-
-    def entry(key: int) -> tuple[int, str, str, int]:
-        """The heap entry of a pair: ties pop lexicographically on its strings."""
-        return -pair_counts[key], pieces[key // V], pieces[key % V], key
-
-    heap = [entry(key) for key in pair_counts]
-    heapq.heapify(heap)
-    touched: set[int] = set()  # the pairs whose counts one merge changed
-
-    def move(wi: int, old: int, key: int) -> None:
-        """Move word wi's count from pair ``old`` to pair ``key``."""
-        pair_counts[old] -= freqs[wi]
-        pair_counts[key] = pair_counts.get(key, 0) + freqs[wi]
-        pair_words[key].add(wi)
-        touched.add(old)
-        touched.add(key)
+            pair_counts[key] += f
+            pair_words[key].append(wi)
+    waiting: defaultdict[int, list[int]] = defaultdict(list)  # count bit length: pairs
+    for key, count in pair_counts.items():
+        waiting[count.bit_length()].append(key)
+    floor = 1 << max(waiting, default=0)
+    heap: list[tuple[int, str, str, int]] = []  # ties pop lexicographically on the strings
 
     while len(pieces) < vocab_size:
-        while heap:
+        while True:
+            if not heap or -heap[0][0] < floor:  # a waiting pair may outrank every entry
+                if floor == 1:  # none waits
+                    raise TokenizerError(
+                        f"corpus exhausted after {len(merges)} merges; "
+                        f"cannot reach vocab_size {vocab_size}"
+                    )
+                floor >>= 1
+                for key in waiting.pop(floor.bit_length(), ()):
+                    if count := pair_counts[key]:
+                        heapq.heappush(heap, (-count, pieces[key // V], pieces[key % V], key))
+                    else:
+                        del pair_counts[key], pair_words[key]
+                continue
             negc, left_piece, right_piece, best = heapq.heappop(heap)
-            if pair_counts.get(best) == -negc:
+            if (count := pair_counts[best]) == -negc:
                 break
-        else:
-            raise TokenizerError(
-                f"corpus exhausted after {len(merges)} merges; "
-                f"cannot reach vocab_size {vocab_size}"
-            )
+            if count:  # it fell since the entry was pushed
+                heapq.heappush(heap, (-count, left_piece, right_piece, best))
+            else:
+                del pair_counts[best], pair_words[best]
         left, right = divmod(best, V)
         new = len(pieces)
+        same, right_key, new_key = left == right, right * V, new * V
         merges.append((left_piece, right_piece))
         pieces.append(left_piece + right_piece)
 
+        born: defaultdict[int, list[int]] = defaultdict(list)  # pairs made, and words
         for wi in pair_words.pop(best):
             syms = words[wi]
-            if left not in syms:
+            n = syms.count(left)  # the left symbols not yet searched
+            if not n:
                 continue
-            i = 0
-            while i < len(syms) - 1:
-                if syms[i] == left and syms[i + 1] == right:
-                    if i:
-                        move(wi, syms[i - 1] * V + left, syms[i - 1] * V + new)
-                    if i + 2 < len(syms):
-                        move(wi, right * V + syms[i + 2], new * V + syms[i + 2])
-                    syms[i : i + 2] = [new]
-                i += 1
+            f, i, last = freqs[wi], -1, len(syms) - 1
+            while n:
+                i = syms.index(left, i + 1)
+                n -= 1
+                if i == last or syms[i + 1] != right:
+                    continue
+                n -= same
+                if i:
+                    prev_key = syms[i - 1] * V
+                    pair_counts[prev_key + left] -= f
+                    key = prev_key + new
+                    pair_counts[key] += f
+                    born[key].append(wi)
+                if i + 1 < last:
+                    nxt = syms[i + 2]
+                    pair_counts[right_key + nxt] -= f
+                    key = new_key + nxt
+                    pair_counts[key] += f
+                    born[key].append(wi)
+                syms[i] = new
+                del syms[i + 1]
+                last -= 1
 
         del pair_counts[best]
-        touched.discard(best)
-        for key in touched:
-            if pair_counts[key]:
-                heapq.heappush(heap, entry(key))
+        for key, wis in born.items():
+            if count := pair_counts[key]:
+                pair_words[key] = wis
+                if count < floor:
+                    waiting[count.bit_length()].append(key)
+                else:
+                    heapq.heappush(heap, (-count, pieces[key // V], pieces[key % V], key))
             else:
                 del pair_counts[key]
-                pair_words.pop(key, None)
-        touched.clear()
 
     heap.clear()  # the pair tables are dead; free them before the cache grows
+    waiting.clear()
     pair_words.clear()
     pair_counts.clear()
     vocab = Vocabulary(pieces=tuple(pieces), merges=tuple(merges))
@@ -433,10 +465,9 @@ def clone_vocab(
     if not (isinstance(anchor_fraction, (int, float)) and 0 <= anchor_fraction <= 1):
         raise TokenizerError(f"anchor_fraction must be a number in [0, 1], got "
                              f"{anchor_fraction!r}")
-    check_type(seed, int, TokenizerError, "seed")
     n_base = len(vocab)
     n_anchor = int(np.floor(anchor_fraction * n_base))
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed, TokenizerError)
     anchor_ids = np.sort(rng.choice(n_base, size=n_anchor, replace=False))
     dup_ids = np.setdiff1d(np.arange(n_base), anchor_ids)
     a, d = len(anchor_ids), len(dup_ids)

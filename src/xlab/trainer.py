@@ -27,7 +27,8 @@ from .model import (
     save_checkpoint,
 )
 from .tokenizer import IdLayout
-from .util import check_fields, check_type, from_fields, json_digest, read_arrays, write_arrays
+from .util import (check_fields, check_type, from_fields, json_digest, read_arrays, seeded_rng,
+                   write_arrays)
 
 RECORD_MAGIC = b"XLRR"
 RECORD_VERSION = 1
@@ -75,7 +76,8 @@ class TrainConfig:
 
 def lr_at(config: TrainConfig, step: int) -> float:
     """Linear warmup 0 -> lr_max over warmup_steps (none at 0), then cosine decay
-    reaching lr_min at total_steps."""
+    reaching lr_min at total_steps. ``step`` is an int."""
+    check_type(step, int, ValueError, "step")
     if not 0 <= step < max(config.total_steps, 1):
         raise ValueError(f"step {step} out of range [0, {config.total_steps})")
     if step < config.warmup_steps:
@@ -197,10 +199,9 @@ class MixtureSource:
         if policy.n_languages != layout.n_languages:
             raise ValueError(f"a policy of {policy.n_languages} languages, a layout of "
                              f"{layout.n_languages}")
-        for name, value, least in (("batch_size", batch_size, 1), ("seed", seed, 0)):
-            check_type(value, int, ValueError, name)
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+        check_type(batch_size, int, ValueError, "batch_size")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         shared = isinstance(cursors, StreamCursor)
         self.cursors = [cursors] if shared else list(cursors)
         if not shared and len(self.cursors) != policy.n_languages:
@@ -211,7 +212,7 @@ class MixtureSource:
         self.layout = layout
         self.policy = policy
         self.batch_size = batch_size
-        self.rng = np.random.default_rng(seed)
+        self.rng = seeded_rng(seed, ValueError)
 
     @property
     def n_languages(self) -> int:

@@ -1,9 +1,14 @@
-"""JSON digests, the two checks of what xlab is given, and the one layout of every
-xlab file. Each check raises the caller's own error class and names what it refuses:
-:func:`check_fields`, that each field of a dataclass holds its annotated type (an int
-but no bool, a finite float, a bool, a str, or a list, tuple or str-keyed dict of
-these; a bare ``list`` or ``dict`` holds JSON values), and :func:`checked_ids`, that
-ids have an integer dtype and, given a ``size``, lie in ``[0, size)``.
+"""JSON digests, the checks of what xlab is given, its one seed rule, and the one
+layout of every xlab file. Each check raises the caller's own error class and names
+what it refuses: :func:`check_fields`, that each field of a dataclass holds its
+annotated type (an int but no bool, a finite float, a bool, a str, or a list, tuple or
+str-keyed dict of these; a bare ``list`` or ``dict`` holds JSON values), and
+:func:`checked_ids`, that ids have an integer dtype and, given a ``size``, lie in
+``[0, size)``. A list or tuple of one type is checked a whole level at a time; only a
+misfit is then looked for part by part, to name it.
+
+Every seeded generator of xlab comes from :func:`seeded_rng`: a seed is an int >= 0,
+not a bool, and anything else raises the caller's error naming ``seed``.
 
 The files are checkpoints (``XLCK``), token streams (``XLTS``), vocabularies
 (``XLVB``), run records (``XLRR``) and scaling fits (``XLSF``). A file is the
@@ -21,6 +26,7 @@ import math
 import os
 import struct
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -31,11 +37,26 @@ _NAMES = {int: "an int", float: "a finite float", bool: "a bool", str: "a str", 
 _JSON = (type(None), int, float, bool, str, list, dict)
 
 
+def _all_fit(values: list | tuple, hint) -> bool:
+    """Whether every item of ``values`` is of the type ``hint``, one C-level pass per
+    level of nesting; False where a dict or a bare list is met, so the walk decides."""
+    kind, args = get_origin(hint) or hint, get_args(hint)
+    if not set(map(type, values)) <= {kind}:
+        return False
+    if kind is float:
+        return all(map(math.isfinite, values))
+    if kind is tuple and ... not in args:
+        return set(map(len, values)) <= {len(args)} and all(map(_all_fit, zip(*values), args))
+    if kind in (list, tuple):
+        return bool(args) and _all_fit(list(chain.from_iterable(values)), args[0])
+    return kind in (int, bool, str)
+
+
 def _misfit(value, hint):
     """``(where, hint, part)`` of the first part of ``value``, at index path ``where``,
-    that is not of the type ``hint``, or None."""
-    if type(value) is hint and hint in (int, bool, str):
-        return None  # the common case, first
+    that is not of the type ``hint``, or None. Only a misfit is looked for part by part."""
+    if type(value) is hint and hint in (int, bool, str) or _all_fit((value,), hint):
+        return None  # the common cases, first
     kind, args = get_origin(hint) or hint, get_args(hint)
     fixed = kind is tuple and ... not in args
     if (type(value) is not kind or kind is float and not math.isfinite(value)
@@ -59,6 +80,15 @@ def check_type(value, hint, error: type[Exception], name: str) -> None:
     """``error`` naming ``name`` and the part of ``value`` that is not of the type ``hint``."""
     if bad := _misfit(value, hint):
         raise error(f"{name}{bad[0]} must be {_NAMES.get(bad[1], bad[1])}, got {bad[2]!r}")
+
+
+def seeded_rng(seed, error: type[Exception]) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for an int ``seed`` >= 0; ``error`` naming ``seed``
+    otherwise."""
+    check_type(seed, int, error, "seed")
+    if seed < 0:
+        raise error(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def check_fields(obj, error: type[Exception]) -> None:

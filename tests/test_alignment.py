@@ -169,6 +169,25 @@ def test_cosine_rows_keeps_its_formula_bit_for_bit_and_writes_no_input(dtype):
     assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
 
 
+def test_cosine_rows_scales_only_the_finite_rows_whose_squares_overflow():
+    # numpy's overflow warning would fail the test: warnings are errors here
+    assert alignment._cosine_rows(np.full((2, 4), 1e160), np.full((2, 4), 1e160)).tolist() \
+        == [1.0, 1.0]
+    a, b = np.random.default_rng(28).standard_normal((2, 6, 16))
+    big_a, big_b = a.copy(), b.copy()
+    big_a[[1, 4]] *= 1e160
+    big_b[4] *= -1e200
+    got = alignment._cosine_rows(big_a, big_b)
+    keep, over = [0, 2, 3, 5], [1, 4]
+    assert np.array_equal(got[keep], _num_den_cosine_rows(a[keep], b[keep]))
+    assert np.allclose(got[over], _num_den_cosine_rows(a[over], b[over] * [[1], [-1]]),
+                       rtol=1e-12, atol=0)
+    assert np.array_equal(big_a[keep], a[keep]) and np.array_equal(big_a[over], a[over] * 1e160)
+    big_a[4, 0] = np.nan
+    with pytest.raises(alignment.AlignmentError, match="non-finite cosines"):
+        alignment._cosine_rows(big_a, big_b)
+
+
 def test_match_tokens_weighs_float64_states_by_their_unit_rows_and_writes_no_input(monkeypatch):
     seen = []
     monkeypatch.setattr(alignment, "_max_weight_matching", lambda w: seen.append(w.copy()) or [])

@@ -321,6 +321,8 @@ def bpe_training_cases(draw):
 @given(bpe_training_cases())
 @example(("aaaa aaaa abab", 5))
 @example(("aaaaaaa abababab ba", 40))  # past exhaustion
+@example(("aaaaa aaaaa aaa", 5))  # odd equal-symbol runs: aa merges left to right
+@example(("abaab ab", 4))  # a left symbol that recurs without its right
 def test_bpe_training_matches_the_recount_oracle(case):
     text, n_merges = case
     every_merge = _every_merge(text)

@@ -48,6 +48,29 @@ def test_longer_corpus_merges_match_recount_oracle(tiny_store):
     assert vocab.merges == tuple(oracle_bpe_merges(word_counts, 25))
 
 
+def _zipfian_store(seed: int, n_words: int, n_docs: int) -> DocumentStore:
+    """Documents of words drawn with Zipfian frequency from a seeded lexicon of short
+    words over five letters; most words are drawn a handful of times, so many pair
+    counts tie."""
+    rng = np.random.default_rng(seed)
+    lexicon = sorted({"".join(rng.choice(list("abcde"), size=rng.integers(2, 8)))
+                      for _ in range(n_words)})
+    p = 1.0 / np.arange(1, len(lexicon) + 1)
+    draws = rng.choice(len(lexicon), size=20 * n_words, p=p / p.sum())
+    docs = np.array_split(np.array(lexicon)[draws], n_docs)
+    return DocumentStore(" ".join(doc) for doc in docs)
+
+
+def test_zipfian_corpus_merges_match_recount_oracle():
+    # a pair's count falls under it at many merges, so its heap entry is queued
+    # again at its count before it can be taken
+    store = _zipfian_store(seed=5, n_words=400, n_docs=7)
+    word_counts = pretoken_counts(store.documents)
+    assert len(word_counts) >= 300
+    vocab = tokenizer.train_bpe(store, vocab_size=1 + 6 + 60)  # unk, marker, a-e
+    assert vocab.merges == tuple(oracle_bpe_merges(word_counts, 60))
+
+
 def test_training_determinism(tiny_store):
     a = tokenizer.train_bpe(tiny_store, vocab_size=60)
     b = tokenizer.train_bpe(tiny_store, vocab_size=60)

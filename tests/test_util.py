@@ -182,6 +182,42 @@ def test_every_field_refuses_a_value_of_another_type(tmp_path, name):
                 load(path)
 
 
+def _long(value, length, at, part):
+    """A list of ``length`` copies of ``value`` with ``part`` at index ``at``."""
+    out = [value] * length
+    out[at] = part
+    return out
+
+
+# a long field, checked a whole level at a time, names its first misfit as the
+# part-by-part walk does: (class, fields, error, message)
+DEEP_MISFITS = {
+    "pieces[1500]": (tokenizer.Vocabulary, dict(
+        pieces=("<unk>", *(f"p{i}" for i in range(1499)), 1500, *(f"q{i}" for i in range(547))),
+        merges=()), tokenizer.TokenizerError, "pieces[1500] must be a str, got 1500"),
+    "merges[1900][1]": (tokenizer.Vocabulary, dict(
+        pieces=("<unk>", "a", *("a" * k for k in range(2, 2002))),
+        merges=tuple(("a" * k, "a") if k != 1901 else ("a" * k, b"a") for k in range(1, 2001))),
+        tokenizer.TokenizerError, "merges[1900][1] must be a str, got b'a'"),
+    "losses[700]": (trainer.RunRecord, dict(
+        seed=1, config_digest="d", n_languages=1, losses=_long(1.0, 1000, 700, float("nan")),
+        step_lang_tokens=[[8]] * 1000), ValueError, "losses[700] must be a finite float, got nan"),
+    "step_lang_tokens[900][1]": (trainer.RunRecord, dict(
+        seed=1, config_digest="d", n_languages=2, losses=[1.0] * 1000,
+        step_lang_tokens=_long([8, 8], 1000, 900, [8, True])), ValueError,
+        "step_lang_tokens[900][1] must be an int, got True"),
+    "documents[3000]": (corpus.DocumentStore, dict(documents=_long("a b", 4000, 3000, None)),
+                        corpus.CorpusError, "documents[3000] must be a str, got None"),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_MISFITS)
+def test_a_misfit_deep_in_a_long_field_is_named(name):
+    cls, values, error, message = DEEP_MISFITS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        cls(**values)
+
+
 FLOAT_IDS = [1.7, 2.2, 3.9]  # once cast, the ids 1, 2 and 3
 
 # each call that takes ids, given float ids, and the error of its module
@@ -243,6 +279,34 @@ BAD_INT_CALLS = {
         tokenizer.TokenizerError, "anchor_fraction must be a number"),
     "clone_vocab seed 1.5": (lambda: tokenizer.clone_vocab(make_vocab(10), 2, seed=1.5),
                              tokenizer.TokenizerError, "seed must be an int, got 1.5"),
+    # every seeded generator is made by util.seeded_rng: an int >= 0, no bool
+    "split seed -1": (lambda: corpus.split(corpus.DocumentStore(["a", "b"]), 0.5, -1),
+                      corpus.CorpusError, "seed must be >= 0, got -1"),
+    "clone_vocab seed -1": (lambda: tokenizer.clone_vocab(make_vocab(10), 2, seed=-1),
+                            tokenizer.TokenizerError, "seed must be >= 0, got -1"),
+    "init seed -1": (lambda: make_model(seed=-1), ValueError, "seed must be >= 0, got -1"),
+    "init seed 1.5": (lambda: make_model(seed=1.5), ValueError, "seed must be an int, got 1.5"),
+    "init seed True": (lambda: make_model(seed=True), ValueError,
+                       "seed must be an int, got True"),
+    "embedding_similarity seed -1": (
+        lambda: alignment.embedding_similarity(make_model(), tokenizer.clone_vocab(
+            make_vocab(11), 2), seed=-1),
+        alignment.AlignmentError, "seed must be >= 0, got -1"),
+    "MixtureSource seed True": (
+        lambda: trainer.MixtureSource(mixer.StreamCursor(_stream(), 2), tokenizer.clone_vocab(
+            make_vocab(10), 2), mixer.parse_policy("50/50"), 1, True),
+        ValueError, "seed must be an int, got True"),
+    # a float that equals an int is no int
+    "window_spans stride 2.0": (lambda: evaluator.window_spans(10, 4, 2.0),
+                                evaluator.EvalError, "stride must be an int, got 2.0"),
+    "window_spans n 10.0": (lambda: evaluator.window_spans(10.0, 4, 2),
+                            evaluator.EvalError, "n must be an int, got 10.0"),
+    "lr_at step 2.5": (lambda: trainer.lr_at(trainer.TrainConfig(10, 1, 8, warmup_steps=2), 2.5),
+                       ValueError, "step must be an int, got 2.5"),
+    "train_bpe vocab_size 6.0": (lambda: tokenizer.train_bpe(corpus.DocumentStore(["ab ab"]), 6.0),
+                                 tokenizer.TokenizerError, "vocab_size must be an int, got 6.0"),
+    "parse_policy n_languages 2.0": (lambda: mixer.parse_policy("90/10", n_languages=2.0),
+                                     mixer.PolicyError, "n_languages must be an int, got 2.0"),
 }
 
 
