@@ -50,7 +50,7 @@ import numpy as np
 from .model import (ModelState, VocabGroups, forward, group_of,  # noqa: F401
                     hidden_states, loss_and_grads)
 from .tokenizer import IdLayout
-from .util import checked_ids, seeded_rng
+from .util import checked_args, checked_ids, seeded_rng
 
 logger = logging.getLogger(__name__)
 
@@ -100,6 +100,7 @@ class EmbeddingSimilarity:
     by_frequency_decade: dict[int, float] = field(default_factory=dict)
 
 
+@checked_args(AlignmentError)
 def embedding_similarity(
     state: ModelState,
     cv: IdLayout,
@@ -256,6 +257,7 @@ def match_tokens(
     return _max_weight_matching(weights)
 
 
+@checked_args(AlignmentError)
 def hidden_similarity(
     state: ModelState,
     pair: ParallelPair,

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .util import check_type, checked_ids, read_arrays, seeded_rng, write_arrays
+from .util import check_type, checked_args, checked_ids, read_arrays, seeded_rng, write_arrays
 
 STREAM_MAGIC = b"XLTS"
 STREAM_VERSION = 3
@@ -61,6 +61,7 @@ class DocumentStore:
         return len(self.documents)
 
 
+@checked_args(CorpusError)
 def ingest(paths: Sequence[str | Path], doc_separator: str | None = None) -> DocumentStore:
     """Read UTF-8 files into a store.
 
@@ -69,8 +70,11 @@ def ingest(paths: Sequence[str | Path], doc_separator: str | None = None) -> Doc
     with `doc_separator` (e.g. a blank line ``"\\n\\n"``) files are split into
     multiple documents and empty fragments are dropped.
 
-    Raises CorpusError naming the file and byte offset for non-UTF-8 input.
+    Raises CorpusError for an empty ``doc_separator``, and naming the file and
+    byte offset for non-UTF-8 input.
     """
+    if doc_separator == "":
+        raise CorpusError("doc_separator must not be empty")
     docs: list[str] = []
     for path in sorted(Path(p) for p in paths):
         raw = path.read_bytes()
@@ -87,6 +91,7 @@ def ingest(paths: Sequence[str | Path], doc_separator: str | None = None) -> Doc
     return DocumentStore(docs)
 
 
+@checked_args(CorpusError)
 def split(
     store: DocumentStore, test_fraction: float, seed: int
 ) -> tuple[DocumentStore, DocumentStore]:
@@ -97,8 +102,8 @@ def split(
     (store, fraction, seed): a seeded permutation assigns the first k permuted
     documents to the test half; both halves keep the original store order.
     """
-    if not (isinstance(test_fraction, (int, float)) and 0 <= test_fraction < 1):
-        raise CorpusError(f"test_fraction must be a number in [0, 1), got {test_fraction!r}")
+    if not 0 <= test_fraction < 1:
+        raise CorpusError(f"test_fraction must be in [0, 1), got {test_fraction!r}")
     rng = seeded_rng(seed, CorpusError)
     n = len(store)
     if test_fraction == 0:

@@ -31,7 +31,7 @@ from .corpus import TokenStream
 # ``forward`` through ``scored_logprobs``, so it is imported but not called
 from .model import ModelState, VocabGroups, forward, scored_logprobs  # noqa: F401
 from .tokenizer import IdLayout
-from .util import check_type, checked_ids
+from .util import checked_args, checked_ids
 
 
 # windows scored per scored_logprobs call
@@ -50,12 +50,10 @@ class EvalResult:
     stride: int
 
 
+@checked_args(EvalError)
 def window_spans(n: int, window: int, stride: int) -> list[tuple[int, int, int]]:
     """(window_start, first_scored_target, scored_end) spans for a document of
-    n tokens; target p means predicting token p from tokens [start, p). All three
-    are ints; EvalError names the first that is not."""
-    for name, value in (("n", n), ("window", window), ("stride", stride)):
-        check_type(value, int, EvalError, name)
+    n tokens; target p means predicting token p from tokens [start, p)."""
     if not 1 <= stride < window:
         raise EvalError(
             f"stride {stride} must be in [1, window {window}): a later window's "
@@ -75,13 +73,13 @@ def window_spans(n: int, window: int, stride: int) -> list[tuple[int, int, int]]
     return spans
 
 
+@checked_args(EvalError)
 def sliding_logprobs(state: ModelState, doc_ids: np.ndarray, window: int = 512, stride: int = 128,
                      vocab_groups: VocabGroups | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-token log-probabilities for one document under the sliding layout.
 
     Returns (target_positions, logprobs); position p is the index of the
     scored token within the document. Each predictable token appears once.
-    ``window`` and ``stride`` are ints (:func:`window_spans`).
     """
     ids = checked_ids(doc_ids, None, EvalError, "token ids")  # forward checks their range
     spans, length = window_spans(len(ids), window, stride), min(window, len(ids))
@@ -100,6 +98,7 @@ def sliding_logprobs(state: ModelState, doc_ids: np.ndarray, window: int = 512, 
     return np.concatenate(positions), np.concatenate(values)
 
 
+@checked_args(EvalError)
 def sliding_ppl(state: ModelState, stream: TokenStream, window: int = 512, stride: int = 128,
                 vocab_groups: VocabGroups | None = None) -> EvalResult:
     """exp(mean negative log-likelihood) over every predictable token of every
@@ -117,6 +116,7 @@ def sliding_ppl(state: ModelState, stream: TokenStream, window: int = 512, strid
     return EvalResult(ppl=ppl, tokens_scored=scored, window=window, stride=stride)
 
 
+@checked_args(EvalError)
 def per_language_eval(
     state: ModelState,
     layout: IdLayout,

@@ -14,11 +14,12 @@ from __future__ import annotations
 import logging
 from collections.abc import Mapping
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .corpus import CorpusError, TokenStream
-from .util import check_type
+from .util import checked_args
 
 logger = logging.getLogger(__name__)
 
@@ -45,8 +46,7 @@ class MixPolicy:
             raise PolicyError(f"policy needs a non-empty tuple of stages, got {self.stages!r}")
         for i, st in enumerate(self.stages):
             if (not isinstance(st, (list, tuple)) or len(st) != 2
-                    or not isinstance(st[0], (int, float, np.integer, np.floating))
-                    or isinstance(st[0], bool)):
+                    or type(st[0]) is bool or not isinstance(st[0], Real)):
                 raise PolicyError(f"stage {i} must be an (end, probabilities) pair with a real "
                                   f"end, got {st!r}")
         ends = [e for e, _ in self.stages]
@@ -77,15 +77,14 @@ class MixPolicy:
         return len(self.stages[0][1])
 
 
+@checked_args(PolicyError)
 def parse_policy(spec, n_languages: int | None = None) -> MixPolicy:
     """Accept a MixPolicy, a stage list like [{"until": 0.5, "probs": [0.9, 0.1]}]
     (a list of mappings, each with exactly the keys ``until`` and ``probs``),
     or a two-language shorthand: "50/50" (constant) or "90v10" (two-stage
     mirror, switching halfway). :class:`MixPolicy` alone checks a stage's ``until``
     and ``probs``, so a str ``until`` is refused as a str end is. ``n_languages``, if
-    given, is an int that the policy's language count must equal."""
-    if n_languages is not None:
-        check_type(n_languages, int, PolicyError, "n_languages")
+    given, is what the policy's language count must equal."""
     if isinstance(spec, MixPolicy):
         policy = spec
     elif isinstance(spec, str):
@@ -121,6 +120,7 @@ def parse_policy(spec, n_languages: int | None = None) -> MixPolicy:
     return policy
 
 
+@checked_args(PolicyError)
 def probs_at(policy: MixPolicy, step: int, total_steps: int) -> np.ndarray:
     """The active stage's probabilities at training progress step/total_steps."""
     if not 0 <= step < total_steps:
@@ -142,6 +142,7 @@ def marginal(policy: MixPolicy) -> np.ndarray:
     return out
 
 
+@checked_args(PolicyError)
 def sample_language(
     policy: MixPolicy, step: int, total_steps: int, rng: np.random.Generator
 ) -> int:
@@ -164,16 +165,11 @@ class StreamCursor:
     share one token (the next-token target of the previous slice). When the
     tail cannot fill a slice the cursor wraps to the start and logs an epoch
     increment. Raises CorpusError on a stream with no tokens, a ``seq_len``
-    that is not an int of at least 1, or a ``separator_id`` that is neither
-    None nor a non-negative int.
+    below 1, or a ``separator_id`` that :func:`concat_with_separator` refuses.
     """
 
+    @checked_args(CorpusError)
     def __init__(self, stream: TokenStream, seq_len: int, separator_id: int | None = None):
-        check_type(seq_len, int, CorpusError, "seq_len")
-        if separator_id is not None:
-            check_type(separator_id, int, CorpusError, "separator_id")
-            if separator_id < 0:
-                raise CorpusError(f"separator_id must be a non-negative id, got {separator_id}")
         if len(stream.ids) == 0:
             raise CorpusError("cannot read training slices from a stream of 0 tokens")
         if seq_len < 1:
@@ -214,10 +210,14 @@ class StreamCursor:
         return position, epoch
 
 
+@checked_args(CorpusError)
 def concat_with_separator(stream: TokenStream, separator_id: int | None) -> np.ndarray:
     """Flatten a stream's documents into one id array, inserting the separator
-    between consecutive documents (none at the ends)."""
+    between consecutive documents (none at the ends); CorpusError for a negative
+    ``separator_id``."""
     ids = stream.ids.astype(np.int64)
     if separator_id is None:
         return ids
+    if separator_id < 0:
+        raise CorpusError(f"separator_id must be a non-negative id, got {separator_id}")
     return np.insert(ids, stream.doc_boundaries[:-1].astype(np.intp), separator_id)

@@ -48,7 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import check_fields, checked_ids, from_fields, read_arrays, seeded_rng, write_arrays
+from .util import (check_fields, checked_args, checked_ids, from_fields, read_arrays, seeded_rng,
+                   write_arrays)
 
 CHECKPOINT_MAGIC = b"XLCK"
 CHECKPOINT_VERSION = 3
@@ -94,6 +95,7 @@ class ModelConfig:
         return np.dtype(self.dtype)
 
 
+@checked_args(ValueError)
 def group_of(param_name: str) -> str:
     """Component group a parameter belongs to (e.g. layers.0.attn_qkv)."""
     if param_name in ("token_embedding", "position_embedding"):
@@ -153,10 +155,11 @@ def _layer_params(params: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray
     return {k[len(pre):]: v for k, v in params.items() if k.startswith(pre)}
 
 
+@checked_args(ValueError)
 def init(config: ModelConfig, seed: int) -> ModelState:
     """Deterministic initialization: N(0, 0.02) for embeddings and weights,
     residual-output projections scaled down by 1/sqrt(2*n_layers), ones for
-    norm gains, zeros for biases and offsets. ``seed`` is an int >= 0; ValueError
+    norm gains, zeros for biases and offsets. ``seed`` is at least 0; ValueError
     otherwise."""
     rng = seeded_rng(seed, ValueError)
     dt = config.np_dtype
@@ -549,6 +552,7 @@ def loss_and_grads(
 # (:func:`~xlab.util.write_arrays`), the parameters, then the optimizer tensors.
 
 
+@checked_args(CheckpointError)
 def save_checkpoint(
     path: str | Path,
     state: ModelState,
@@ -558,7 +562,10 @@ def save_checkpoint(
 ) -> None:
     """Write the parameters, then the optimizer tensors, so that
     load_checkpoint returns them bit for bit and in the same dtypes. The write
-    is atomic (:func:`~xlab.util.write_arrays`)."""
+    is atomic (:func:`~xlab.util.write_arrays`); CheckpointError, before anything
+    is written, for a negative ``step``."""
+    if step < 0:
+        raise CheckpointError(f"step must be >= 0, got {step}")
     tensors = {n: state.params[n] for n in _param_shapes(state.config)}
     tensors.update((n, opt_tensors[n]) for n in sorted(opt_tensors or ()))
     header = {"config": asdict(state.config), "step": step, "extra": extra or {}}

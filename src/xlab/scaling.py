@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import check_fields, from_fields, read_arrays, write_arrays
+from .util import check_fields, checked_args, from_fields, read_arrays, write_arrays
 
 FIT_MAGIC = b"XLSF"
 FIT_VERSION = 1
@@ -69,6 +69,7 @@ class ScalingFit:
         out = self.a * t ** (-self.b) + self.c
         return float(out) if out.ndim == 0 else out
 
+    @checked_args(FitError)
     def in_domain(self, tokens: float) -> bool:
         return self.t_min <= tokens <= self.t_max
 
@@ -226,6 +227,7 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
                       t_min=float(t[0]), t_max=float(t[-1]))
 
 
+@checked_args(FitError)
 def mlte(fit: ScalingFit, ppl: float) -> float:
     """Tokens a monolingual model needs to reach ``ppl`` under the fit."""
     if ppl <= fit.c:
@@ -236,17 +238,19 @@ def mlte(fit: ScalingFit, ppl: float) -> float:
     return float(((ppl - fit.c) / fit.a) ** (-1.0 / fit.b))
 
 
+@checked_args(FitError)
 def mlpe(fit: ScalingFit, tokens: float) -> float:
     """Perplexity a monolingual model reaches at ``tokens``."""
     if tokens <= 0:
-        raise ValueError("tokens must be positive")
+        raise FitError(f"tokens must be positive, got {tokens}")
     return float(fit.predict(tokens))
 
 
+@checked_args(FitError)
 def teff(mlte_tokens: float, t_actual: float) -> float:
     """Token efficiency: > 1 means multilinguality helped."""
     if t_actual <= 0:
-        raise ValueError("t_actual must be positive")
+        raise FitError(f"t_actual must be positive, got {t_actual}")
     return mlte_tokens / t_actual
 
 

@@ -38,8 +38,8 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .corpus import DocumentStore, TokenStream
-from .util import (check_fields, check_type, checked_ids, from_fields, json_digest, read_arrays,
-                   seeded_rng, write_arrays)
+from .util import (check_fields, checked_args, checked_ids, from_fields, json_digest,
+                   read_arrays, seeded_rng, write_arrays)
 
 MARKER = "▁"  # word-begin marker, prefixed to every pretoken
 UNK_PIECE = "<unk>"
@@ -132,6 +132,7 @@ class _WordCache(dict):
         return ids
 
 
+@checked_args(TokenizerError)
 def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
     """Train a BPE vocabulary of exactly ``vocab_size`` pieces.
 
@@ -139,7 +140,7 @@ def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
     time, with a lexicographic (left, right) tie-break on the piece strings so
     training is bit-identical across platforms. The base symbol set counts the
     unk piece and the word-begin marker alongside the corpus alphabet, so the
-    smallest legal vocab_size, an int, is ``2 + len(alphabet)``. A corpus with
+    smallest legal vocab_size is ``2 + len(alphabet)``. A corpus with
     too few distinct pairs to reach ``vocab_size`` raises TokenizerError.
 
     Training is incremental, as in Sennrich et al. (arXiv:1508.07909). Each
@@ -170,7 +171,6 @@ def train_bpe(store: DocumentStore, vocab_size: int) -> Vocabulary:
     docstring), so the returned vocabulary's word cache starts with them, and
     keeps them: all of them, or the ``WORD_CACHE_SIZE`` most frequent.
     """
-    check_type(vocab_size, int, TokenizerError, "vocab_size")
     word_counts: Counter[str] = Counter()
     for doc in store.documents:
         word_counts.update(doc.split())
@@ -303,6 +303,7 @@ def _encode_word(merged, n, piece_to_id, unk_id, word: str) -> tuple[int, ...]:
     return tuple(syms)
 
 
+@checked_args(TokenizerError)
 def encode(vocab: Vocabulary, text: str) -> list[int]:
     """Greedy BPE encoding: merges apply in training order within each
     marker-prefixed pretoken; unseen characters map to unk, one id each. A
@@ -401,11 +402,9 @@ class IdLayout:
     def total_size(self) -> int:
         return max((int(lut.max()) + 1 for lut in self.luts if lut.size), default=0)
 
+    @checked_args(TokenizerError)
     def map_ids(self, ids: np.ndarray, language: int) -> np.ndarray:
-        """Remap a source-id sequence into the given language's model ids; the
-        language is an int or a NumPy integer, not a bool."""
-        if type(language) is bool or not isinstance(language, (int, np.integer)):
-            raise TokenizerError(f"language must be an int, got {language!r}")
+        """Remap a source-id sequence into the given language's model ids."""
         if not 0 <= language < self.n_languages:
             raise TokenizerError(f"language {language} out of range")
         lut = self.luts[language]
@@ -450,6 +449,7 @@ class IdLayout:
 ClonedVocabulary = IdLayout
 
 
+@checked_args(TokenizerError)
 def clone_vocab(
     vocab: Vocabulary,
     n_languages: int,
@@ -459,12 +459,10 @@ def clone_vocab(
     """Clone a vocabulary into ``n_languages`` blocks sharing
     ``floor(anchor_fraction * |base|)`` anchors, chosen uniformly at random
     under ``seed``."""
-    check_type(n_languages, int, TokenizerError, "n_languages")
     if n_languages < 1:
         raise TokenizerError("n_languages must be >= 1")
-    if not (isinstance(anchor_fraction, (int, float)) and 0 <= anchor_fraction <= 1):
-        raise TokenizerError(f"anchor_fraction must be a number in [0, 1], got "
-                             f"{anchor_fraction!r}")
+    if not 0 <= anchor_fraction <= 1:
+        raise TokenizerError(f"anchor_fraction must be in [0, 1], got {anchor_fraction!r}")
     n_base = len(vocab)
     n_anchor = int(np.floor(anchor_fraction * n_base))
     rng = seeded_rng(seed, TokenizerError)

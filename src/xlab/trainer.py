@@ -27,8 +27,8 @@ from .model import (
     save_checkpoint,
 )
 from .tokenizer import IdLayout
-from .util import (check_fields, check_type, from_fields, json_digest, read_arrays, seeded_rng,
-                   write_arrays)
+from .util import (check_fields, check_type, checked_args, from_fields, json_digest, read_arrays,
+                   seeded_rng, write_arrays)
 
 RECORD_MAGIC = b"XLRR"
 RECORD_VERSION = 1
@@ -40,6 +40,7 @@ class TrainAbortError(RuntimeError):
     """Raised when training hits a non-finite loss; carries the last good
     checkpoint path (or None if none was written)."""
 
+    @checked_args(ValueError)
     def __init__(self, message: str, last_checkpoint: str | None):
         super().__init__(message)
         self.last_checkpoint = last_checkpoint
@@ -74,10 +75,10 @@ class TrainConfig:
             raise ValueError("need 0 <= warmup_steps < total_steps")
 
 
+@checked_args(ValueError)
 def lr_at(config: TrainConfig, step: int) -> float:
     """Linear warmup 0 -> lr_max over warmup_steps (none at 0), then cosine decay
-    reaching lr_min at total_steps. ``step`` is an int."""
-    check_type(step, int, ValueError, "step")
+    reaching lr_min at total_steps."""
     if not 0 <= step < max(config.total_steps, 1):
         raise ValueError(f"step {step} out of range [0, {config.total_steps})")
     if step < config.warmup_steps:
@@ -98,6 +99,7 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
+    @checked_args(ValueError)
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
         """``m += (1 - BETA1) * (g - m)``, ``v += (1 - BETA2) * (g * g - v)``, ``p -=
         (lr / b1c) * m / (sqrt(v / b2c) + EPS)``, in that order; writes no grad."""
@@ -115,6 +117,7 @@ class Adam:
         out.update({f"adam_v.{k}": v for k, v in self.v.items()})
         return out
 
+    @checked_args(ValueError)
     def restore(self, tensors: dict[str, np.ndarray], t: int):
         """Adopt the writable moments of ``tensors`` after step ``t``. It checks them all
         first: a ValueError names the moments it lacks (the first three) or one whose shape
@@ -184,10 +187,11 @@ class MixtureSource:
     languages read the same base stream) or a sequence with one cursor per
     language (real pairs read their own corpora). Tag n is language n of
     ``layout``; to swap clone roles, pass a layout from
-    :func:`xlab.tokenizer.relabel`. ``batch_size`` is an int >= 1 and ``seed`` an
-    int >= 0; ValueError names either field otherwise.
+    :func:`xlab.tokenizer.relabel`. ``batch_size`` is at least 1 and ``seed`` at
+    least 0; ValueError names either otherwise.
     """
 
+    @checked_args(ValueError)
     def __init__(
         self,
         cursors: StreamCursor | Sequence[StreamCursor],
@@ -199,7 +203,6 @@ class MixtureSource:
         if policy.n_languages != layout.n_languages:
             raise ValueError(f"a policy of {policy.n_languages} languages, a layout of "
                              f"{layout.n_languages}")
-        check_type(batch_size, int, ValueError, "batch_size")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         shared = isinstance(cursors, StreamCursor)
@@ -218,6 +221,7 @@ class MixtureSource:
     def n_languages(self) -> int:
         return self.policy.n_languages
 
+    @checked_args(ValueError)
     def next_batch(self, step: int, total_steps: int):
         rows, tags = [], []
         for _ in range(self.batch_size):

@@ -1,14 +1,22 @@
 """JSON digests, the checks of what xlab is given, its one seed rule, and the one
-layout of every xlab file. Each check raises the caller's own error class and names
-what it refuses: :func:`check_fields`, that each field of a dataclass holds its
-annotated type (an int but no bool, a finite float, a bool, a str, or a list, tuple or
-str-keyed dict of these; a bare ``list`` or ``dict`` holds JSON values), and
-:func:`checked_ids`, that ids have an integer dtype and, given a ``size``, lie in
-``[0, size)``. A list or tuple of one type is checked a whole level at a time; only a
-misfit is then looked for part by part, to name it.
+layout of every xlab file. Each check raises the caller's error class, naming what
+it refuses.
 
-Every seeded generator of xlab comes from :func:`seeded_rng`: a seed is an int >= 0,
-not a bool, and anything else raises the caller's error naming ``seed``.
+The argument rule, :func:`checked_args`, holds for each public function and method
+with a parameter annotated ``int``, ``float``, ``str`` or ``bool`` (or ``| None``): an
+int is a Python int or a NumPy integer and a float any finite real number, neither a
+bool, and the function receives a Python int or float; a str or a bool is exactly
+that. Functions check only ranges; the helpers here raise ``TypeError`` under the
+rule. :func:`check_fields` is stricter, as fields are digested and written to JSON,
+where ``10`` and ``10.0`` differ: each field of a dataclass holds its annotated type
+exactly (an int but no bool or NumPy integer, a finite float, a bool, a str, or a
+list, tuple or str-keyed dict of these; a bare ``list`` or ``dict`` holds JSON
+values). A list or tuple of one type is checked a whole level at a time; only a
+misfit is then looked for part by part, to name it. :func:`checked_ids` checks that
+ids have an integer dtype and, given a ``size``, lie in ``[0, size)``.
+
+Every seeded generator of xlab comes from :func:`seeded_rng`: a seed is >= 0, its
+type the argument rule's, and a negative one raises the caller's error.
 
 The files are checkpoints (``XLCK``), token streams (``XLTS``), vocabularies
 (``XLVB``), run records (``XLRR``) and scaling fits (``XLSF``). A file is the
@@ -20,13 +28,17 @@ scaling fits hold no arrays."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 import math
 import os
 import struct
+from contextlib import suppress
 from dataclasses import fields
 from itertools import chain
+from numbers import Real
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -35,6 +47,45 @@ import numpy as np
 _NAMES = {int: "an int", float: "a finite float", bool: "a bool", str: "a str", dict: "a dict",
           object: "a JSON value"}
 _JSON = (type(None), int, float, bool, str, list, dict)
+_SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+def _checked(value, kind: type, optional: bool, name: str, error: type[Exception]):
+    """``value`` as a Python ``kind`` under the argument rule; ``error`` naming ``name``."""
+    if type(value) is kind and kind is not float or value is None and optional:
+        return value
+    if kind is int and isinstance(value, np.integer):
+        return int(value)
+    if kind is float and type(value) is not bool and isinstance(value, Real):
+        with suppress(OverflowError):  # an int too large for a float is no float
+            if math.isfinite(number := float(value)):
+                return number
+    raise error(f"{name} must be {'a number' if kind is float else _NAMES[kind]}, got {value!r}")
+
+
+def checked_args(error: type[Exception]):
+    """The decorator of the argument rule, ``error`` naming the first parameter whose
+    argument breaks it. It reads each annotation as the text ``X`` or ``X | None``, as
+    every xlab module imports ``annotations`` from ``__future__``."""
+    def decorate(fn):
+        rules = []  # (position, name, kind, optional); a keyword-only one has no position
+        for i, p in enumerate(inspect.signature(fn).parameters.values()):
+            kinds = str(p.annotation).split(" | ")
+            if kinds[0] in _SCALARS and kinds[1:] in ([], ["None"]):
+                rules.append((i if p.kind <= p.POSITIONAL_OR_KEYWORD else math.inf, p.name,
+                              _SCALARS[kinds[0]], len(kinds) > 1))
+
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            args = list(args)
+            for i, name, kind, optional in rules:
+                if i < len(args):
+                    args[i] = _checked(args[i], kind, optional, name, error)
+                elif name in kwargs:
+                    kwargs[name] = _checked(kwargs[name], kind, optional, name, error)
+            return fn(*args, **kwargs)
+        return checked
+    return decorate
 
 
 def _all_fit(values: list | tuple, hint) -> bool:
@@ -76,6 +127,7 @@ def _misfit(value, hint):
     return None
 
 
+@checked_args(TypeError)
 def check_type(value, hint, error: type[Exception], name: str) -> None:
     """``error`` naming ``name`` and the part of ``value`` that is not of the type ``hint``."""
     if bad := _misfit(value, hint):
@@ -83,9 +135,8 @@ def check_type(value, hint, error: type[Exception], name: str) -> None:
 
 
 def seeded_rng(seed, error: type[Exception]) -> np.random.Generator:
-    """``np.random.default_rng(seed)`` for an int ``seed`` >= 0; ``error`` naming ``seed``
-    otherwise."""
-    check_type(seed, int, error, "seed")
+    """``np.random.default_rng(seed)`` for a ``seed`` >= 0, an int (the callers' argument
+    rule); ``error`` naming ``seed`` otherwise."""
     if seed < 0:
         raise error(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
@@ -103,6 +154,7 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if type(value) is list else value
 
 
+@checked_args(TypeError)
 def from_fields(cls, header, error: type[Exception], prefix: str = ""):
     """The dataclass ``cls`` built from the fields of a JSON ``header``, the lists of a
     field annotated as a tuple read as tuples; ``error``, its message after ``prefix``,
@@ -122,6 +174,7 @@ def from_fields(cls, header, error: type[Exception], prefix: str = ""):
         raise error(f"{prefix}{e}") from e
 
 
+@checked_args(TypeError)
 def checked_ids(ids, size: int | None, error: type[Exception], what: str, where: str = "",
                 dtype=np.int64) -> np.ndarray:
     """``ids`` as a contiguous ``dtype`` array; ``error`` unless they are integers, and
@@ -143,6 +196,7 @@ def json_digest(obj) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+@checked_args(TypeError)
 def write_arrays(path: str | Path, magic: bytes, version: int, header: dict,
                  arrays: dict[str, np.ndarray] | None = None) -> None:
     """Write ``header`` and ``arrays`` in the array layout, the header gaining the
@@ -170,6 +224,7 @@ def write_arrays(path: str | Path, magic: bytes, version: int, header: dict,
         raise
 
 
+@checked_args(TypeError)
 def read_arrays(path: str | Path, magic: bytes, version: int,
                 error: type[Exception]) -> tuple[dict, dict[str, np.ndarray]]:
     """``(header, {name: array})`` of an array file, the header without its

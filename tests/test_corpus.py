@@ -75,6 +75,13 @@ def test_ingest_rejects_bad_utf8(tmp_path):
         corpus.ingest([p])
 
 
+def test_ingest_refuses_an_empty_separator(tmp_path):
+    # str.split raised a bare ValueError("empty separator")
+    (tmp_path / "a.txt").write_text("one\n\ntwo")
+    with pytest.raises(corpus.CorpusError, match="doc_separator must not be empty"):
+        corpus.ingest([tmp_path / "a.txt"], doc_separator="")
+
+
 def test_split_zero_fraction():
     store = corpus.DocumentStore([f"d{i}" for i in range(10)])
     train, test = corpus.split(store, 0.0, seed=1)

@@ -260,6 +260,18 @@ def test_cursor_inserts_separator():
     assert len(cursor.data) == 11
 
 
+@pytest.mark.parametrize("separator_id, match", [
+    (-1, "separator_id must be a non-negative id, got -1"),
+    (2.5, "separator_id must be an int, got 2.5"),
+])
+def test_concat_with_separator_refuses_a_separator_that_is_no_id(separator_id, match):
+    # -1 was inserted as a token id, and 2.5 as id 2
+    stream = TokenStream(np.arange(4), [2, 4], "0" * 64)
+    with pytest.raises(CorpusError, match=match):
+        mixer.concat_with_separator(stream, separator_id)
+    assert mixer.concat_with_separator(stream, np.int64(7)).tolist() == [0, 1, 7, 2, 3]
+
+
 @pytest.mark.parametrize("separator_id", [None, 99])
 def test_cursor_rejects_a_stream_without_tokens(separator_id):
     empty = TokenStream(ids=np.empty(0, dtype=np.uint32),

@@ -642,6 +642,25 @@ def test_failed_checkpoint_save_keeps_earlier_file(tmp_path, monkeypatch):
     assert model.load_checkpoint(path)[1] == 1
 
 
+@pytest.mark.parametrize("step, match", [
+    (-1, "step must be >= 0, got -1"),
+    (1.5, "step must be an int, got 1.5"),
+    (True, "step must be an int, got True"),
+])
+def test_a_bad_step_is_refused_before_anything_is_written(tmp_path, step, match):
+    # each was written, and then refused by load_checkpoint as "not a step count"
+    with pytest.raises(model.CheckpointError, match=match):
+        model.save_checkpoint(tmp_path / "c.xlck", make_model(), step=step)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_numpy_integer_step_round_trips(tmp_path):
+    # json refused np.int64 with a bare TypeError
+    model.save_checkpoint(tmp_path / "c.xlck", make_model(), step=np.int64(3))
+    step = model.load_checkpoint(tmp_path / "c.xlck")[1]
+    assert (type(step), step) == (int, 3)
+
+
 def test_checkpoint_float64_roundtrip_keeps_dtype_and_bits(tmp_path):
     st = make_model(dtype="float64", seed=22)
     opt = {"adam_v.x": np.random.default_rng(0).standard_normal(5)}

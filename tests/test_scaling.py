@@ -66,6 +66,19 @@ def test_mlte_below_asymptote_rejected():
         scaling.mlte(fit, fit.c)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda fit: scaling.mlpe(fit, 0.0), "tokens must be positive, got 0.0"),
+    (lambda fit: scaling.mlpe(fit, math.nan), "tokens must be a number, got nan"),
+    (lambda fit: scaling.teff(5.0, -1.0), "t_actual must be positive, got -1.0"),
+    (lambda fit: scaling.teff(5.0, math.inf), "t_actual must be a number, got inf"),
+    (lambda fit: scaling.teff(math.nan, 5.0), "mlte_tokens must be a number, got nan"),
+], ids=["mlpe 0", "mlpe nan", "teff -1", "teff inf", "teff nan"])
+def test_mlpe_and_teff_refuse_with_fit_error(call, match):
+    # a bare ValueError for the first and third; inf gave 0.0 and nan gave nan
+    with pytest.raises(scaling.FitError, match=re.escape(match)):
+        call(scaling.fit_power_law(PAPER_MONO_POINTS))
+
+
 def test_mlte_near_asymptote_is_astronomical():
     fit = scaling.fit_power_law(PAPER_MONO_POINTS)
     t = scaling.mlte(fit, fit.c + 1e-9)

@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 KEYS = ["src_lines", "public_names", "test_only_names", "unreached_names", "settable_values",
-        "noqa_alias_lines"]
+        "scalar_parameters", "noqa_alias_lines"]
 # public names that only tests reach, each kept for the reason given
 TEST_ONLY = {
     "mixer.marginal": "delete unless the experiment runner uses it (ROADMAP item 4)",

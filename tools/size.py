@@ -13,6 +13,9 @@ per key, the names it counts after the number:
 - ``unreached_names``: the public names that nothing reaches;
 - ``settable_values``: the fields of public dataclasses plus the defaulted parameters
   of public functions and of public classes' public methods;
+- ``scalar_parameters``: the parameters of public functions and of public classes'
+  ``__init__`` and public methods annotated ``int``, ``float``, ``str`` or ``bool``,
+  alone or ``| None``, which the argument rule of ``xlab.util`` checks;
 - ``noqa_alias_lines``: ``src`` lines that carry a ``noqa`` or bind a second name to
   a top-level class or function of the same module.
 
@@ -29,6 +32,7 @@ import sys
 from pathlib import Path
 
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+SCALARS = ("int", "float", "str", "bool")
 
 
 def _public_defs(tree: ast.Module) -> dict[str, ast.stmt]:
@@ -71,6 +75,12 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                for d in node.decorator_list)
 
 
+def _methods(node: ast.ClassDef) -> list[ast.FunctionDef]:
+    """A class's ``__init__`` and public methods."""
+    return [s for s in node.body if isinstance(s, ast.FunctionDef)
+            and (s.name == "__init__" or not s.name.startswith("_"))]
+
+
 def _settable(name: str, node: ast.stmt) -> list[str]:
     if isinstance(node, ast.FunctionDef):
         args = node.args
@@ -85,10 +95,26 @@ def _settable(name: str, node: ast.stmt) -> list[str]:
         out += [f"{name}.{s.target.id}" for s in node.body
                 if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
                 and "ClassVar" not in ast.unparse(s.annotation)]
-    for s in node.body:
-        if isinstance(s, ast.FunctionDef) and (s.name == "__init__" or not s.name.startswith("_")):
-            out += _settable(f"{name}.{s.name}", s)
+    for s in _methods(node):
+        out += _settable(f"{name}.{s.name}", s)
     return out
+
+
+def _is_scalar(annotation: ast.expr | None) -> bool:
+    """Whether an annotation reads ``int``, ``float``, ``str`` or ``bool``, alone or
+    ``| None``."""
+    kinds = ast.unparse(annotation).split(" | ") if annotation else [""]
+    return kinds[0] in SCALARS and kinds[1:] in ([], ["None"])
+
+
+def _scalar_parameters(name: str, node: ast.stmt) -> list[str]:
+    if isinstance(node, ast.ClassDef):
+        return [p for s in _methods(node) for p in _scalar_parameters(f"{name}.{s.name}", s)]
+    if not isinstance(node, ast.FunctionDef):
+        return []
+    args = node.args
+    return [f"{name}({a.arg})" for a in args.posonlyargs + args.args + args.kwonlyargs
+            if _is_scalar(a.annotation)]
 
 
 def ledger(root: Path) -> dict[str, list[str] | int]:
@@ -96,11 +122,13 @@ def ledger(root: Path) -> dict[str, list[str] | int]:
     others = {part: sorted((root / part).rglob("*.py")) for part in ("perfbench", "tools", "tests")}
     texts = {p: p.read_text() for p in src + sum(others.values(), [])}
     trees = {p: ast.parse(text, str(p)) for p, text in texts.items()}
-    public, settable, flagged = [], [], []
+    public, settable, scalar, flagged = [], [], [], []
     for p in src:
         defs = _public_defs(trees[p])
         public += [(p, n) for n in defs]
         settable += [s for n, node in defs.items() for s in _settable(f"{p.stem}.{n}", node)]
+        scalar += [s for n, node in defs.items()
+                   for s in _scalar_parameters(f"{p.stem}.{n}", node)]
         top = {n.name for n in trees[p].body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         flagged += [(p.stem, node.lineno) for node in trees[p].body
                     if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
@@ -123,6 +151,7 @@ def ledger(root: Path) -> dict[str, list[str] | int]:
         "test_only_names": test_only,
         "unreached_names": unreached,
         "settable_values": settable,
+        "scalar_parameters": scalar,
         "noqa_alias_lines": [f"{stem}:{line}" for stem, line in sorted(flagged)],
     }
 
