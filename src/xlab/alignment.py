@@ -19,7 +19,7 @@ part of the forward trace but not of the tables or the matching weights.
 
 Cosines of embeddings and hidden states, so also the matching weights, are float64
 for any model dtype: a zero row scores 0, and a NaN or an infinity raises
-AlignmentError. A zero-norm gradient group is reported as undefined instead.
+AlignmentError. A zero-norm gradient group is reported in ``undefined_groups`` instead.
 
 The exact matching runs in numpy: shortest augmenting paths with row and
 column potentials (Crouse 2016), one Dijkstra search over the longer sequence
@@ -40,7 +40,6 @@ solver:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -51,8 +50,6 @@ from .model import (ModelState, VocabGroups, forward, group_of,  # noqa: F401
                     hidden_states, loss_and_grads)
 from .tokenizer import IdLayout
 from .util import checked_args, checked_ids, seeded_rng
-
-logger = logging.getLogger(__name__)
 
 EMBEDDING_GROUPS = ("token_embedding", "position_embedding")
 
@@ -113,6 +110,9 @@ def embedding_similarity(
     base id, for decade bucketing; AlignmentError otherwise."""
     if cv.n_languages < 2:
         raise AlignmentError("embedding similarity needs at least 2 languages")
+    if cv.total_size > (size := state.config.vocab_size):
+        raise AlignmentError(f"a layout of {cv.total_size} ids does not fit the model's "
+                             f"vocab_size {size}")
     dup = cv.duplicated_base_ids()
     if len(dup) == 0:
         raise AlignmentError("fully anchored vocabulary has no duplicated pairs")
@@ -175,6 +175,13 @@ class ParallelPair:
     def validate_cloned(self, cv: IdLayout) -> None:
         if not np.array_equal(cv.to_base(self.seq_a), cv.to_base(self.seq_b)):
             raise AlignmentError("cloned pair is not base-equivalent position by position")
+
+
+def _check_pair(state: ModelState, pair: ParallelPair) -> None:
+    """AlignmentError unless every id of ``pair`` is below the model's vocab_size."""
+    for name in ("seq_a", "seq_b"):
+        checked_ids(getattr(pair, name), state.config.vocab_size, AlignmentError, name,
+                    " of the model")
 
 
 def _max_weight_matching(weights: np.ndarray) -> list[tuple[int, int]]:
@@ -271,6 +278,7 @@ def hidden_similarity(
     """
     if len(pair.seq_a) == 0 or len(pair.seq_b) == 0:
         raise AlignmentError("cannot compare empty sequences")
+    _check_pair(state, pair)
     ha = hidden_states(state, pair.seq_a)[1:]
     hb = hidden_states(state, pair.seq_b)[1:]
     if matching == "positional":
@@ -311,10 +319,11 @@ def gradient_similarity(state: ModelState, pair: ParallelPair,
     per component group. The macro average spans transformer-block, final-norm
     and untied-head groups; embedding groups are reported separately (note a
     tied head folds head gradients into the embedding group). Zero-norm groups
-    are excluded with a warning. ``vocab_groups`` is passed to
+    are reported only in ``undefined_groups``. ``vocab_groups`` is passed to
     :func:`~xlab.model.loss_and_grads`; with a clone layout's ``language_slices()``
     the cosines of every group but the token embedding are bitwise the same when
     two clones swap their ids and their embedding rows."""
+    _check_pair(state, pair)
     grads = []
     for seq in (pair.seq_a, pair.seq_b):
         if len(seq) < 2:
@@ -324,24 +333,17 @@ def gradient_similarity(state: ModelState, pair: ParallelPair,
     per_group: dict[str, float] = {}
     embedding: dict[str, float] = {}
     undefined: list[str] = []
-    macro_terms = []
     for group in grads[0]:
         va, vb = grads[0][group], grads[1][group]
         na, nb = np.linalg.norm(va), np.linalg.norm(vb)
         if na == 0 or nb == 0:
             undefined.append(group)
-            logger.warning("gradient group %s has zero norm; excluded from macro average", group)
             continue
         cos = float(va @ vb / (na * nb))
         if group in EMBEDDING_GROUPS:
             embedding[group] = cos
         else:
             per_group[group] = cos
-            macro_terms.append(cos)
-    macro = float(np.mean(macro_terms)) if macro_terms else float("nan")
-    return GradientSimilarity(
-        per_group=per_group,
-        macro_average=macro,
-        embedding_groups=embedding,
-        undefined_groups=tuple(undefined),
-    )
+    macro = float(np.mean(list(per_group.values()))) if per_group else float("nan")
+    return GradientSimilarity(per_group=per_group, macro_average=macro, embedding_groups=embedding,
+                              undefined_groups=tuple(undefined))

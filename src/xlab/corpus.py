@@ -9,6 +9,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +38,13 @@ def _digest_documents(documents: Sequence[str]) -> str:
     return h.hexdigest()
 
 
+def _items(value, name: str, of: str) -> tuple:
+    """``value`` as a tuple; CorpusError naming ``name`` unless an iterable, no str or bytes."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise CorpusError(f"{name} must be an iterable of {of}, got {type(value).__name__}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class DocumentStore:
     """Ordered UTF-8 documents plus ``source_id``, the digest the store computes.
@@ -50,10 +58,7 @@ class DocumentStore:
     source_id: str = field(init=False)
 
     def __post_init__(self):
-        docs = self.documents
-        if isinstance(docs, (str, bytes)) or not isinstance(docs, Iterable):
-            raise CorpusError(f"documents must be an iterable of str, got {type(docs).__name__}")
-        object.__setattr__(self, "documents", tuple(docs))
+        object.__setattr__(self, "documents", _items(self.documents, "documents", "str"))
         check_type(self.documents, tuple[str, ...], CorpusError, "documents")
         object.__setattr__(self, "source_id", _digest_documents(self.documents))
 
@@ -62,7 +67,7 @@ class DocumentStore:
 
 
 @checked_args(CorpusError)
-def ingest(paths: Sequence[str | Path], doc_separator: str | None = None) -> DocumentStore:
+def ingest(paths: Iterable[str | os.PathLike], doc_separator: str | None = None) -> DocumentStore:
     """Read UTF-8 files into a store.
 
     Files are read in lexicographic order of their path strings; within a file,
@@ -70,13 +75,17 @@ def ingest(paths: Sequence[str | Path], doc_separator: str | None = None) -> Doc
     with `doc_separator` (e.g. a blank line ``"\\n\\n"``) files are split into
     multiple documents and empty fragments are dropped.
 
-    Raises CorpusError for an empty ``doc_separator``, and naming the file and
-    byte offset for non-UTF-8 input.
+    Raises CorpusError unless ``paths`` is an iterable (no bare str or bytes) of str
+    or ``os.PathLike``, for an empty ``doc_separator``, and naming the file and byte
+    offset for non-UTF-8 input.
     """
+    paths = _items(paths, "paths", "paths")
+    if bad := [p for p in paths if not isinstance(p, (str, os.PathLike))]:
+        raise CorpusError(f"paths must hold str or os.PathLike items, got {bad[0]!r}")
     if doc_separator == "":
         raise CorpusError("doc_separator must not be empty")
     docs: list[str] = []
-    for path in sorted(Path(p) for p in paths):
+    for path in sorted(map(Path, paths)):
         raw = path.read_bytes()
         try:
             text = raw.decode("utf-8")
@@ -161,10 +170,9 @@ class TokenStream:
     def n_documents(self) -> int:
         return len(self.doc_boundaries)
 
+    @checked_args(CorpusError)
     def document(self, i: int) -> np.ndarray:
-        """The ids of document ``i``; CorpusError unless ``i`` is an int in
-        [0, n_documents)."""
-        check_type(i, int, CorpusError, "document index")
+        """The ids of document ``i``; CorpusError unless ``i`` is in [0, n_documents)."""
         if not 0 <= i < self.n_documents:
             raise CorpusError(f"document {i} out of range [0, {self.n_documents})")
         start = 0 if i == 0 else int(self.doc_boundaries[i - 1])

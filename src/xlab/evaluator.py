@@ -81,7 +81,7 @@ def sliding_logprobs(state: ModelState, doc_ids: np.ndarray, window: int = 512, 
     Returns (target_positions, logprobs); position p is the index of the
     scored token within the document. Each predictable token appears once.
     """
-    ids = checked_ids(doc_ids, None, EvalError, "token ids")  # forward checks their range
+    ids = checked_ids(doc_ids, state.config.vocab_size, EvalError, "token ids", " of the model")
     spans, length = window_spans(len(ids), window, stride), min(window, len(ids))
     if window > (limit := state.config.max_seq_len):
         raise EvalError(f"window {window} exceeds the model's max_seq_len {limit}")

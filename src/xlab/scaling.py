@@ -199,8 +199,16 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     The observed perplexities must be strictly decreasing in tokens (after
     averaging the perplexities of each token count); otherwise no strictly
     decreasing curve fits and a FitError reports the best achievable residual.
+    Points that are not number pairs raise FitError too.
     """
-    t_all, p_all = np.asarray(points, dtype=np.float64).reshape(len(points), 2).T
+    try:
+        pts = np.asarray(points)
+    except ValueError as e:  # ragged
+        raise FitError(f"points must be (tokens, ppl) number pairs: {e}") from e
+    if pts.size and (pts.dtype.kind not in "iuf" or pts.ndim != 2 or pts.shape[1] != 2):
+        raise FitError(f"points must be (tokens, ppl) number pairs, got {pts.dtype} of shape "
+                       f"{pts.shape}")
+    t_all, p_all = pts.reshape(-1, 2).astype(np.float64).T
     t, which, counts = np.unique(t_all, return_inverse=True, return_counts=True)
     p = np.bincount(which, weights=p_all) / counts
     if len(t) < 3:
@@ -273,7 +281,10 @@ def efficiency_report(
 
     For cloned languages a single monolingual fit serves all clones; real
     language pairs pass one fit per language. A perplexity at or below the
-    fitted asymptote yields mlte/teff of None (reported, not raised)."""
+    fitted asymptote yields mlte/teff of None (reported, not raised); a language
+    without a fit raises FitError."""
+    if isinstance(fits, dict) and (missing := sorted(per_language.keys() - fits.keys())):
+        raise FitError(f"no fit for languages {missing}, only for {sorted(fits)}")
     rows = []
     for lang in sorted(per_language):
         t_n, ppl_n = per_language[lang]

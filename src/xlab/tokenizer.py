@@ -76,7 +76,11 @@ class Vocabulary:
             raise TokenizerError("vocabulary pieces must be unique and begin with the unk piece")
         unk = self.pieces[self.unk_id]
         n_base = len(self.pieces) - len(self.merges)
-        for k, (left, right) in enumerate(self.merges):
+        sides = set(chain.from_iterable(self.merges))
+        if (n_base >= 0 and tuple(map("".join, self.merges)) == self.pieces[n_base:]
+                and unk not in sides and sides <= pieces):
+            return
+        for k, (left, right) in enumerate(self.merges):  # only to name the first bad merge
             if n_base < 0 or self.pieces[n_base + k] != left + right:
                 raise TokenizerError(f"merge {k} {(left, right)!r} did not produce piece "
                                      f"{n_base + k}")
@@ -490,7 +494,9 @@ def relabel(layout: IdLayout, permutation: Sequence[int]) -> IdLayout:
 
 def disjoint_layout(sizes: Sequence[int]) -> IdLayout:
     """Separately trained vocabularies side by side: language n's ids are
-    offset by the sizes of the languages before it."""
+    offset by the sizes of the languages before it. Sizes are ints >= 0;
+    TokenizerError otherwise."""
+    sizes = checked_ids(sizes, 2**63, TokenizerError, "sizes")
     offsets = np.cumsum([0, *sizes])
     return IdLayout(tuple(np.arange(o, o + n, dtype=np.int64) for o, n in zip(offsets, sizes)))
 

@@ -389,6 +389,35 @@ def test_gradient_similarity_disjoint_embedding_cosine_zero():
     assert set(rep.embedding_groups) == {"token_embedding", "position_embedding"}
 
 
+def test_a_zero_norm_gradient_group_is_reported_only_in_undefined_groups(caplog):
+    # with mlp_fc2's weight zero, no gradient reaches mlp_fc1 or ln2, which feeds only it;
+    # a log warning also said so
+    st = make_model(seed=3)
+    st.params["layers.0.mlp_fc2.weight"][:] = 0
+    ids = np.arange(1, 9)
+    with caplog.at_level("DEBUG"):
+        rep = alignment.gradient_similarity(st, ParallelPair(ids, ids[::-1], "cloned"))
+    assert rep.undefined_groups == ("layers.0.ln2", "layers.0.mlp_fc1")
+    assert not set(rep.undefined_groups) & rep.per_group.keys()
+    assert np.isfinite(rep.macro_average)
+    assert caplog.records == []
+
+
+# the model's bare ValueError, and a bare IndexError for the layout, before
+@pytest.mark.parametrize("call, match", [
+    (lambda st, pair: alignment.hidden_similarity(st, pair), r"seq_b 1..23 are outside \[0, 23\)"),
+    (lambda st, pair: alignment.gradient_similarity(st, pair),
+     r"seq_b 1..23 are outside \[0, 23\)"),
+    (lambda st, pair: alignment.embedding_similarity(
+        st, tokenizer.clone_vocab(make_vocab(12), 2)),
+     "a layout of 24 ids does not fit the model's vocab_size 23"),
+], ids=["hidden_similarity", "gradient_similarity", "embedding_similarity"])
+def test_ids_and_layouts_that_do_not_fit_the_model_raise_alignment_error(call, match):
+    st = make_model(vocab_size=23, seed=1)
+    with pytest.raises(alignment.AlignmentError, match=match):
+        call(st, ParallelPair([1, 2, 3], [1, 23, 3], "cloned"))
+
+
 def test_parallel_pair_validation():
     with pytest.raises(alignment.AlignmentError):
         ParallelPair(np.arange(3), np.arange(4), "cloned")

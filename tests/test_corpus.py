@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +67,19 @@ def test_a_store_refuses_a_bare_string_and_a_document_that_is_not_a_str(document
     # and (1,) or b"ab" failed with a bare AttributeError in the digest, also in train_bpe
     with pytest.raises(corpus.CorpusError, match=match):
         corpus.DocumentStore(documents)
+
+
+@pytest.mark.parametrize("paths, match", [
+    ("file.txt", "paths must be an iterable of paths, got str"),
+    (b"a", "paths must be an iterable of paths, got bytes"),
+    (Path("a.txt"), r"paths must be an iterable of paths, got \w*Path"),
+    ([1], "paths must hold str or os.PathLike items, got 1"),
+], ids=["str", "bytes", "one path", "int path"])
+def test_ingest_refuses_paths_that_are_not_an_iterable_of_paths(paths, match):
+    # "file.txt" was read as the paths "f", "i", ..., "." and failed with a bare
+    # IsADirectoryError on "."; the others raised a bare TypeError
+    with pytest.raises(corpus.CorpusError, match=match):
+        corpus.ingest(paths)
 
 
 def test_ingest_rejects_bad_utf8(tmp_path):
@@ -231,8 +245,8 @@ def test_a_token_stream_checks_its_vocab_digest(digest):
 @pytest.mark.parametrize("i, match", [
     (2, r"document 2 out of range \[0, 2\)"),
     (-1, r"document -1 out of range \[0, 2\)"),
-    (1.0, "document index must be an int, got 1.0"),
-    (True, "document index must be an int, got True"),
+    (1.0, "i must be an int, got 1.0"),
+    (True, "i must be an int, got True"),
 ])
 def test_a_document_index_outside_the_stream_is_refused(i, match):
     # 2 and 1.0 raised a bare IndexError, and -1 gave the last document
@@ -240,6 +254,11 @@ def test_a_document_index_outside_the_stream_is_refused(i, match):
     assert [stream.document(k).tolist() for k in range(2)] == [[0, 1], [2, 3, 4]]
     with pytest.raises(corpus.CorpusError, match=match):
         stream.document(i)
+
+
+def test_a_numpy_integer_document_index_is_an_int():
+    stream = corpus.TokenStream(np.arange(5), [2, 5], "0" * 64)
+    assert stream.document(np.int64(1)).tolist() == [2, 3, 4]
 
 
 def test_token_stream_validates_boundaries():

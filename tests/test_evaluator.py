@@ -226,3 +226,16 @@ def test_real_mode_per_language_eval():
     assert set(res) == {0, 1}
     for r in res.values():
         assert r.ppl > 1 and r.tokens_scored == 59
+
+
+# the model's bare ValueError before
+@pytest.mark.parametrize("call, match", [
+    (lambda st: evaluator.sliding_logprobs(st, [1, 20, 3], window=4, stride=2), "1..20"),
+    (lambda st: evaluator.per_language_eval(st, tokenizer.disjoint_layout([11, 11]),
+                                            [one_doc_stream(np.arange(1, 11))] * 2, 4, 2),
+     "12..21"),
+], ids=["sliding_logprobs", "per_language_eval"])
+def test_ids_that_do_not_fit_the_model_raise_eval_error(call, match):
+    st = make_model(vocab_size=20, max_seq_len=16, seed=2)
+    with pytest.raises(evaluator.EvalError, match=rf"token ids {match} are outside \[0, 20\)"):
+        call(st)

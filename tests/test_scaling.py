@@ -275,3 +275,18 @@ def test_fit_is_bitwise_the_fit_with_scipys_bounded_minimize_scalar(monkeypatch)
     assert ours == theirs
     errors = sum(isinstance(x, str) for x in ours)
     assert 20 <= errors <= 60  # both outcomes are compared
+
+
+@pytest.mark.parametrize("points", [[(1, 3, 4)], "abc", [(1.0, "x")], [[1, 2], [3]], 5,
+                                    [("1e3", "30"), ("1e4", "20"), ("1e5", "15")]])
+def test_points_that_are_not_number_pairs_raise_fit_error(points):
+    # [(1, 3, 4)] and "abc" raised numpy's bare ValueError, and numpy read "1e3" as 1000.0
+    with pytest.raises(scaling.FitError, match=r"points must be \(tokens, ppl\) number pairs"):
+        scaling.fit_power_law(points)
+
+
+def test_efficiency_report_names_a_language_without_a_fit():
+    # a bare KeyError: 1 before
+    fit = scaling.fit_power_law(PAPER_MONO_POINTS)
+    with pytest.raises(scaling.FitError, match=r"no fit for languages \[1\], only for \[0\]"):
+        scaling.efficiency_report({0: fit}, {0: (1e9, 22.5), 1: (1e9, 30.0)})

@@ -465,3 +465,12 @@ def test_merge_size_identity_and_remap_roundtrip():
     for p in mv.shared:
         assert remap_a[a.pieces.index(p)] == remap_b[b.pieces.index(p)]
 
+
+@pytest.mark.parametrize("sizes, match", [
+    ([2.5, 3], "sizes must be integers, got dtype float64"),
+    ([-2, 3], r"sizes -2..3 are outside \[0, "),
+], ids=["float", "negative"])
+def test_disjoint_layout_refuses_sizes_that_are_not_ints_of_at_least_zero(sizes, match):
+    # [2.5, 3] gave id 2 to both languages; [-2, 3] blamed language 1's table
+    with pytest.raises(tokenizer.TokenizerError, match=match):
+        tokenizer.disjoint_layout(sizes)
